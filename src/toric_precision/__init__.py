@@ -48,8 +48,8 @@ from .mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
-from .polynomials import Polynomial, RationalFunction, ratfun_equal, sum_rational_functions, variables
-from .rationals import Rational, as_rational, rational_str
+from .polynomials import Polynomial, RationalFunction, sum_rational_functions, variables
+from .serialize import rational_str
 from .tfp import (
     GradedConfiguration,
     GradedModel,

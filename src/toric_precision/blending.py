@@ -122,20 +122,8 @@ def toric_blending(
     return BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
 
 
-def verify_partition_of_unity(sys: BlendingSystem, fast: bool = False, seed: int = 0) -> bool:
-    """Check that the functions sum to the constant 1.
-
-    Symbolic (exact) by default; ``fast`` replaces the identity test with 30
-    random interior evaluations, which is probabilistic in principle.
-    """
-    if fast:
-        for point in sample_interior(sys.config, 30, seed):
-            try:
-                if sum(sys.evaluate(point)) != 1:
-                    return False
-            except PoleError:
-                return False
-        return True
+def verify_partition_of_unity(sys: BlendingSystem) -> bool:
+    """Check symbolically that the functions sum to the constant 1."""
     return sum_rational_functions(sys.functions).equals(RationalFunction(1))
 
 
@@ -161,7 +149,7 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     return images
 
 
-def verify_linear_precision(sys: BlendingSystem, fast: bool = False, seed: int = 0) -> bool:
+def verify_linear_precision(sys: BlendingSystem) -> bool:
     """Check that sum_b f_b * b_c equals the coordinate x_c, all c.
 
     The identity is tested on the affine hull of the configuration: for a
@@ -169,22 +157,7 @@ def verify_linear_precision(sys: BlendingSystem, fast: bool = False, seed: int =
     identity, while configurations spanning a proper affine subspace (such as
     fiber products) are tested after substituting a parametrization of the
     span.  A denominator vanishing identically on the span fails the check.
-    ``fast`` evaluates at 30 random interior points instead.
     """
-    if fast:
-        for point in sample_interior(sys.config, 30, seed):
-            try:
-                values = sys.evaluate(point)
-            except PoleError:
-                return False
-            for c in range(sys.config.dim):
-                total = sum(
-                    (v * Fraction(b[c]) for v, b in zip(values, sys.config.points)),
-                    Fraction(0),
-                )
-                if total != point[c]:
-                    return False
-        return True
     span = _affine_span_substitution(sys.config)
     for c, name in enumerate(sys.variables):
         weighted = sum_rational_functions(
@@ -203,6 +176,23 @@ def verify_linear_precision(sys: BlendingSystem, fast: bool = False, seed: int =
     return True
 
 
+def _holds_at_samples(config: PointConfiguration, samples: int, seed: int, holds) -> bool:
+    """True when ``holds(point)`` is true at every seeded interior sample.
+
+    This is the one loop behind every sampled check.  No sample is skipped:
+    a PoleError at any sample is a failure.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    for point in sample_interior(config, samples, seed):
+        try:
+            if not holds(point):
+                return False
+        except PoleError:
+            return False
+    return True
+
+
 def verify_interior_positivity(
     sys: BlendingSystem, poly: LatticePolytope | None = None, samples: int = 50, seed: int = 0
 ) -> bool:
@@ -212,18 +202,13 @@ def verify_interior_positivity(
     points.  When the polytope is supplied, each sample is asserted to have
     positive lattice distance to every facet.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    for point in sample_interior(sys.config, samples, seed):
+
+    def holds(point) -> bool:
         if poly is not None and any(d <= 0 for d in poly.lattice_distances(point)):
             raise ValueError(f"sample {point} is not interior to the polytope")
-        try:
-            values = sys.evaluate(point)
-        except PoleError:
-            return False
-        if any(v < 0 for v in values):
-            return False
-    return True
+        return all(v >= 0 for v in sys.evaluate(point))
+
+    return _holds_at_samples(sys.config, samples, seed, holds)
 
 
 def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> bool:
@@ -231,23 +216,15 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
 
     For each integer kernel vector v of the design matrix, split v into its
     positive and negative parts and compare the corresponding products of
-    f_b(p)/w_b exactly at interior sample points.  Samples where some value
-    vanishes or a pole occurs are skipped; at least one sample must survive.
+    f_b(p)/w_b exactly at interior sample points.  Every point of the variety
+    satisfies these binomials, so one failing sample certifies
+    non-membership; a pole at a sample also fails.
     """
     dm = design_matrix(sys.config)
     kernel = linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)
-    if not kernel:
-        return True
-    checked = False
-    for point in sample_interior(sys.config, samples, seed):
-        try:
-            values = sys.evaluate(point)
-        except PoleError:
-            continue
-        if any(v == 0 for v in values):
-            continue
-        checked = True
-        scaled = [v / w for v, w in zip(values, sys.weights.weights)]
+
+    def holds(point) -> bool:
+        scaled = [v / w for v, w in zip(sys.evaluate(point), sys.weights.weights)]
         for vector in kernel:
             left = Fraction(1)
             right = Fraction(1)
@@ -258,7 +235,9 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
                     right *= x**-e
             if left != right:
                 return False
-    return checked
+        return True
+
+    return _holds_at_samples(sys.config, samples, seed, holds)
 
 
 @dataclass(frozen=True)
@@ -316,7 +295,9 @@ def verify_rational_linear_precision(
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
     membership = verify_toric_membership(sys, samples, seed)
     if not membership:
-        details["toric_membership"] = "a kernel binomial identity fails at an interior sample"
+        details["toric_membership"] = (
+            "a kernel binomial identity fails, or a function has a pole, at an interior sample"
+        )
     positivity = verify_interior_positivity(sys, poly, samples, seed)
     if not positivity:
         details["interior_positivity"] = "a function has a pole or negative value at an interior sample"

@@ -34,7 +34,7 @@ from .horn import (
     validate_horn_pair,
 )
 from .mle import DataVector, birch_residual, ips_fit, mle_closed_form
-from .rationals import rational_str
+from .serialize import rational_str
 from .tfp import GradedModel, tfp_blending, validate_multigrading
 
 
@@ -268,7 +268,7 @@ def _cmd_mle(args) -> int:
         "iterations": ips.iterations,
     }
     _emit(args, lines, json_data)
-    return 0
+    return 1 if any(residual) else 0
 
 
 def _cmd_ips(args) -> int:
@@ -301,10 +301,7 @@ def _cmd_patch(args) -> int:
     except SchemaError:
         control_path = None
     if control_path is not None:
-        data = serialize.load_json(control_path)
-        if not isinstance(data, list):
-            raise SchemaError(f"{control_path}: expected a list of control points")
-        controls = [tuple(Fraction(x) for x in q) for q in data]
+        controls = serialize.controls_from_json(serialize.load_json(control_path))
     else:
         controls = [_parse_point(chunk) for chunk in raw.split(";")]
     value = toric_patch_eval(system, controls, point)

@@ -28,10 +28,6 @@ class DependentDegreesError(ToricPrecisionError):
     """The degree vectors of a multigrading are linearly dependent."""
 
 
-class NoOmegaError(ToricPrecisionError):
-    """No rational covector evaluates to one on every degree vector."""
-
-
 class NoDegreeMapError(ToricPrecisionError):
     """No affine-linear map sends each graded point to its degree."""
 

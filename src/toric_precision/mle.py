@@ -175,8 +175,8 @@ def ips_fit(
     stops when the margins of the original design matrix match the data
     within tol in the max norm.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if len(u) != dm.n_columns or len(w) != dm.n_columns:
         raise ValueError("dimension mismatch")
     rows = [list(r) for r in dm.rows]

@@ -319,9 +319,11 @@ class RationalFunction:
     variable sets, cancels a common monomial factor, scales both parts by a
     single rational so they become jointly primitive integer polynomials,
     and flips signs so the denominator's leading coefficient is positive.
-    No other cancellation happens, so equality of the underlying fractions
-    must be tested with :meth:`equals` (cross-multiplication), while ``==``
-    compares canonical forms structurally.
+    No other cancellation happens, so two equal functions can have different
+    canonical forms.  ``==`` and :meth:`equals` both test equality in the
+    fraction field (cross-multiplication); compare ``numerator`` and
+    ``denominator`` to pin a canonical form.  Instances are unhashable: no
+    hash of a canonical form would agree with ``==``.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -436,13 +438,9 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
             return NotImplemented
-        g = self._coerce(other)
-        f_num, g_num = self.numerator._aligned(g.numerator)
-        f_den, g_den = self.denominator._aligned(g.denominator)
-        return f_num == g_num and f_den == g_den
+        return self.equals(other)
 
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
+    __hash__ = None
 
     def __str__(self) -> str:
         if self.denominator == Polynomial.constant(1, self.denominator.variables):
@@ -496,11 +494,6 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
         return Polynomial(poly.variables, {e: c * scale for e, c in poly.terms.items()})
 
     return scaled(num), scaled(den)
-
-
-def ratfun_equal(f: RationalFunction, g: RationalFunction) -> bool:
-    """Fraction-field equality of two rational functions."""
-    return f.equals(g)
 
 
 def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:

@@ -18,8 +18,12 @@ from .errors import SchemaError
 from .geometry import Facet, LatticePolytope, PointConfiguration
 from .horn import HornMatrix, HornPair
 from .polynomials import Polynomial, RationalFunction
-from .rationals import rational_str
 from .tfp import GradedConfiguration, GradedModel
+
+
+def rational_str(value: Fraction) -> str:
+    """Serialize a rational as "p/q", omitting "/q" when the denominator is 1."""
+    return str(Fraction(value))
 
 
 def _require(data: Any, key: str, kind, path: str):
@@ -255,6 +259,21 @@ def horn_pair_from_json(data: Any, path: str = "horn") -> HornPair:
         return HornPair(matrix, tuple(lambdas))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+# -- patch control points ------------------------------------------------------
+
+
+def controls_from_json(data: Any, path: str = "controls") -> list[tuple[Fraction, ...]]:
+    """Control points as a list of coordinate lists (integers or "p/q" strings)."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{path}: expected a list of control points")
+    points = []
+    for i, point in enumerate(data):
+        if not isinstance(point, list):
+            raise SchemaError(f"{path}[{i}]: expected a list of coordinates")
+        points.append(tuple(_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(point)))
+    return points
 
 
 # -- grading spec for horn composition ----------------------------------------

@@ -17,16 +17,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .blending import BlendingSystem, WeightVector, verify_linear_precision, verify_partition_of_unity
-from .errors import (
-    DependentDegreesError,
-    EmptyDegreeClassError,
-    NoDegreeMapError,
-    NoOmegaError,
-    NotAFaceError,
-    PoleError,
+from .blending import (
+    BlendingSystem,
+    WeightVector,
+    _holds_at_samples,
+    verify_linear_precision,
+    verify_partition_of_unity,
 )
-from .geometry import LatticePolytope, PointConfiguration, sample_interior
+from .errors import DependentDegreesError, EmptyDegreeClassError, NoDegreeMapError, NotAFaceError
+from .geometry import LatticePolytope, PointConfiguration
 from .polynomials import RationalFunction, sum_rational_functions
 
 
@@ -109,7 +108,8 @@ def _affine_degree_map(
         rhs = [Fraction(degrees.points[a - 1][t]) for a in graded.assignment]
         solution = linalg.solve(rows, rhs)
         if solution is None:
-            # Re-solve on a maximal independent subset, then name a violated point.
+            # Re-solve on a maximal independent subset, then name a violated point;
+            # one exists, since every row depends on the kept ones.
             kept_rows: list[list[Fraction]] = []
             kept_rhs: list[Fraction] = []
             for row, b in zip(rows, rhs):
@@ -117,7 +117,6 @@ def _affine_degree_map(
                     kept_rows.append(row)
                     kept_rhs.append(b)
             candidate = linalg.solve(kept_rows, kept_rhs)
-            assert candidate is not None
             for idx, (row, b) in enumerate(zip(rows, rhs)):
                 got = sum(r * c for r, c in zip(row, candidate))
                 if got != b:
@@ -127,7 +126,6 @@ def _affine_degree_map(
                         f"{graded.assignment[idx]} forces coordinate {t + 1} to {got}, "
                         f"expected {b}"
                     )
-            raise NoDegreeMapError(f"no affine degree map for {side}")
         map_rows.append(tuple(solution))
     return tuple(map_rows)
 
@@ -137,9 +135,9 @@ def validate_multigrading(
 ) -> Multigrading:
     """Certify that A grades both configurations.
 
-    Checks, in order: the degree vectors are linearly independent, a covector
-    omega with omega . a = 1 exists, and each side admits an affine-linear
-    degree map hitting its assigned degree vector on every point.
+    Checks, in order: the degree vectors are linearly independent (so a
+    covector omega with omega . a = 1 exists), and each side admits an
+    affine-linear degree map hitting its assigned degree vector on every point.
     """
     r = len(A.points)
     if B.num_classes != r or C.num_classes != r:
@@ -150,8 +148,6 @@ def validate_multigrading(
     if linalg.rank(columns) != r:
         raise DependentDegreesError(f"degree vectors {A.points} are linearly dependent")
     omega = linalg.solve([list(p) for p in A.points], [Fraction(1)] * r)
-    if omega is None:
-        raise NoOmegaError("no covector evaluates to 1 on every degree vector")
     map_b = _affine_degree_map(B, A, "the first factor")
     map_c = _affine_degree_map(C, A, "the second factor")
     return Multigrading(A, tuple(omega), B.assignment, C.assignment, map_b, map_c)
@@ -322,16 +318,12 @@ def verify_face_partition(
     """Sampled check that the class-i functions sum to exactly 1 on their face."""
     face, _ = graded_face(B, poly, i)
     positions = B.class_positions(i)
-    for point in sample_interior(face, samples, seed):
-        try:
-            total = sum(
-                (sys.functions[p].evaluate(point) for p in positions), Fraction(0)
-            )
-        except PoleError:
-            return False
-        if total != 1:
-            return False
-    return True
+    return _holds_at_samples(
+        face,
+        samples,
+        seed,
+        lambda point: sum((sys.functions[p].evaluate(point) for p in positions), Fraction(0)) == 1,
+    )
 
 
 def verify_form_agreement(
@@ -344,12 +336,9 @@ def verify_form_agreement(
     """Check both denominator choices agree exactly at interior product samples."""
     system_b, product = tfp_blending(sysB, sysC, g, form="B", check_factors=False)
     system_c, _ = tfp_blending(sysB, sysC, g, form="C", check_factors=False)
-    for point in sample_interior(product.config, samples, seed):
-        try:
-            left = system_b.evaluate(point)
-            right = system_c.evaluate(point)
-        except PoleError:
-            return False
-        if left != right:
-            return False
-    return True
+    return _holds_at_samples(
+        product.config,
+        samples,
+        seed,
+        lambda point: system_b.evaluate(point) == system_c.evaluate(point),
+    )

@@ -30,7 +30,7 @@ class TestToricBlending:
             x1 * x2,
         ]
         for f, p in zip(square_system.functions, expected):
-            assert f == RationalFunction(p, 1)
+            assert (f.numerator, f.denominator) == (p, 1)
 
     def test_trapezoid_weighted_sum_at_origin(self, trapezoid_poly, trapezoid_config, trapezoid_weights):
         # the weighted numerator sum evaluates to (1-0)*(2-0)^2 = 4 at the origin
@@ -52,10 +52,10 @@ class TestToricBlending:
 
     def test_segment_bernstein(self, segment_system):
         (x,) = variables("x1")
-        assert segment_system.functions == (
-            RationalFunction(1 - x, 1),
-            RationalFunction(x, 1),
-        )
+        assert [(f.numerator, f.denominator) for f in segment_system.functions] == [
+            (1 - x, 1),
+            (x, 1),
+        ]
 
     def test_point_outside_polytope(self, square_poly):
         bad = PointConfiguration(2, ((0, 0), (3, 3)))
@@ -73,11 +73,6 @@ class TestPartitionOfUnity:
     def test_toric_systems_by_construction(self, trapezoid_toric_system, segment_system):
         assert verify_partition_of_unity(trapezoid_toric_system)
         assert verify_partition_of_unity(segment_system)
-
-    def test_fast_mode_matches_symbolic(self, beta_tilde_system, trapezoid_toric_system):
-        assert verify_partition_of_unity(beta_tilde_system, fast=True)
-        assert verify_linear_precision(beta_tilde_system, fast=True)
-        assert not verify_linear_precision(trapezoid_toric_system, fast=True)
 
     def test_custom_failure(self, segment_config):
         (x,) = variables("x1")

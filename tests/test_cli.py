@@ -99,6 +99,34 @@ class TestBlendAndPatch:
         assert code == 0
         assert "(1/4, 1/4)" in out
 
+    @pytest.mark.parametrize(
+        "controls,field",
+        [
+            ([1, 2, 3, 4], "controls[0]: expected a list"),
+            ([[1, "a"], [0, 0], [0, 0], [1, 1]], "controls[0][1]: not a rational number"),
+            ([[0.5, 0], [0, 0], [0, 0], [1, 1]], "controls[0][0]: expected an integer or 'p/q' string"),
+        ],
+        ids=["point-not-a-list", "bad-coordinate", "float-coordinate"],
+    )
+    def test_patch_bad_controls_file(self, capsys, tmp_path, controls, field):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps(controls), encoding="utf-8")
+        code, out, err = run(
+            capsys, "patch", "square.json", "--controls", str(path), "--point", "1/2,1/2"
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    def test_patch_controls_file(self, capsys, tmp_path):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps([[0, 0], [0, 0], [0, 0], ["1/2", 1]]), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "patch", "square.json", "--controls", str(path), "--point", "1/2,1/2"
+        )
+        assert code == 0
+        assert "value: (1/8, 1/4)" in out
+
 
 class TestTfp:
     def test_product_with_system_override(self, capsys):
@@ -201,10 +229,22 @@ class TestMleVerbs:
         assert code == 0
         assert "exact: (3/20, 3/10, 3/20, 1/5, 1/5)" in out
 
+    def test_mle_nonzero_residual_exits_1(self, capsys):
+        code, out, _ = run(capsys, "mle", "trapezoid_toric.json", "--data", "1,2,3,4,5")
+        assert code == 1
+        assert "birch_residual: (0, 52/1015, -12/145)" in out
+
     def test_ips(self, capsys):
         code, out, _ = run(capsys, "ips", "trapezoid.json", "--data", "1,1,1,1,1")
         assert code == 0
         assert "iterations:" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_ips_rejects_bad_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, "ips", "trapezoid.json", "--data", "1,2,3,4,5", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
     def test_bad_data_length(self, capsys):
         code, _, err = run(capsys, "mle", "square.json", "--data", "1,2,3")

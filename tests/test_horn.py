@@ -132,9 +132,17 @@ class TestProductHornPair:
         assert pair.coefficients[pair.matrix.column_labels.index("z[1][1][2]")] == 2
 
     def test_output_validates(self, square_horn, trapezoid_horn):
-        pair = tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 1, 2, 2))
-        report = validate_horn_pair(pair, 100, 0)
-        assert report.valid and report.symbolic_checked
+        products = (
+            tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 1, 2, 2)),
+            # 13 columns, still checked symbolically
+            tfp_horn_pair(trapezoid_horn, trapezoid_horn, 2, (1, 1, 1, 2, 2), (1, 1, 1, 2, 2)),
+        )
+        for pair in products:
+            report = validate_horn_pair(pair, 100, 0)
+            assert report.valid and report.symbolic_checked
+            corrupted = HornPair(pair.matrix, (2 * pair.coefficients[0],) + pair.coefficients[1:])
+            rejected = validate_horn_pair(corrupted, 100, 0)
+            assert not rejected.valid and rejected.witness
 
     def test_column_sums_zero(self, square_horn, trapezoid_horn):
         pair = tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 1, 2, 2))
@@ -190,6 +198,14 @@ class TestMinimize:
         minimized = minimize_horn_pair(pair)
         assert minimized.matrix.n_rows < pair.matrix.n_rows
         assert validate_horn_pair(minimized, 50, 1).valid
+
+    def test_folding_is_checked_without_sampling(self, square_horn, trapezoid_horn, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("minimize_horn_pair drew random samples")
+
+        monkeypatch.setattr(random, "Random", no_sampling)
+        pair = tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 1, 2, 2))
+        assert minimize_horn_pair(pair).matrix.n_rows == 8
 
     def test_already_minimal_unchanged(self):
         pair = simplex_horn_pair(2)

@@ -41,7 +41,9 @@ class TestBlendingSystemRoundTrip:
         back = serialize.blending_system_from_json(data)
         assert back.config == beta_tilde_system.config
         assert back.weights == beta_tilde_system.weights
-        assert back.functions == beta_tilde_system.functions
+        assert [(f.numerator, f.denominator) for f in back.functions] == [
+            (f.numerator, f.denominator) for f in beta_tilde_system.functions
+        ]
         assert back.kind == beta_tilde_system.kind
 
     def test_nonpositive_weight(self, beta_tilde_system):

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from toric_precision.blending import (
+    BlendingSystem,
     WeightVector,
     verify_interior_positivity,
     verify_linear_precision,
     verify_partition_of_unity,
     verify_rational_linear_precision,
+    verify_toric_membership,
 )
 from toric_precision.errors import (
     DependentDegreesError,
@@ -17,7 +19,7 @@ from toric_precision.errors import (
     NotAFaceError,
 )
 from toric_precision.geometry import PointConfiguration, convex_hull_facets
-from toric_precision.polynomials import RationalFunction, ratfun_equal, variables
+from toric_precision.polynomials import RationalFunction, variables
 from toric_precision.tfp import (
     GradedConfiguration,
     graded_face,
@@ -27,6 +29,10 @@ from toric_precision.tfp import (
     verify_face_partition,
     verify_form_agreement,
 )
+
+
+def canonical(f):
+    return (f.numerator, f.denominator)
 
 
 class TestValidateMultigrading:
@@ -118,14 +124,14 @@ class TestTfpBlending:
         expected = RationalFunction(
             x1 * (1 - x2) * y1**2 * (1 - y2), (1 - x2) * (2 - y2) ** 2
         )
-        assert system.functions[index] == expected
-        assert ratfun_equal(system.functions[index], expected)
+        assert canonical(system.functions[index]) == canonical(expected)
 
     def test_class_two_function(self, product_system):
         system, product = product_system
         x1, x2, y1, y2 = variables("x1 x2 y1 y2")
         index = product.config.labels.index("z[2][2][2]")
-        assert system.functions[index] == RationalFunction(x1 * y1 * y2, 2 - y2)
+        expected = RationalFunction(x1 * y1 * y2, 2 - y2)
+        assert canonical(system.functions[index]) == canonical(expected)
 
     def test_partition_of_unity(self, product_system):
         assert verify_partition_of_unity(product_system[0])
@@ -149,7 +155,7 @@ class TestTfpBlending:
         expected = RationalFunction(
             x1 * (1 - x2) * y1**2 * (1 - y2), (1 - y2) * (2 - y2) ** 2
         )
-        assert system.functions[index] == expected
+        assert canonical(system.functions[index]) == canonical(expected)
         assert verify_rational_linear_precision(system, samples=50, seed=0).all_pass
 
     def test_forms_differ_globally_but_agree_on_samples(
@@ -162,7 +168,7 @@ class TestTfpBlending:
             square_system, beta_tilde_system, square_trapezoid_grading, form="C"
         )
         index = product.config.labels.index("z[1][2][3]")
-        assert not ratfun_equal(b_form.functions[index], c_form.functions[index])
+        assert b_form.functions[index] != c_form.functions[index]
         assert verify_form_agreement(
             square_system, beta_tilde_system, square_trapezoid_grading, 50, 0
         )
@@ -172,14 +178,14 @@ class TestTfpBlending:
         grading = validate_multigrading(trivial, trivial, PointConfiguration(1, ((1,),)))
         b_form, _ = tfp_blending(segment_system, segment_system, grading, form="B")
         c_form, _ = tfp_blending(segment_system, segment_system, grading, form="C")
-        assert b_form.functions == c_form.functions
+        assert list(map(canonical, b_form.functions)) == list(map(canonical, c_form.functions))
         x1, y1 = variables("x1 y1")
-        assert b_form.functions == (
-            RationalFunction((1 - x1) * (1 - y1), 1),
-            RationalFunction((1 - x1) * y1, 1),
-            RationalFunction(x1 * (1 - y1), 1),
-            RationalFunction(x1 * y1, 1),
-        )
+        assert list(map(canonical, b_form.functions)) == [
+            ((1 - x1) * (1 - y1), 1),
+            ((1 - x1) * y1, 1),
+            (x1 * (1 - y1), 1),
+            (x1 * y1, 1),
+        ]
 
     def test_factor_warning(self, square_system, trapezoid_toric_system, square_trapezoid_grading):
         with pytest.warns(UserWarning):
@@ -232,9 +238,9 @@ class TestFacePartition:
             (beta_tilde_system.functions[i] for i in (0, 1, 2)),
             RationalFunction(0),
         )
-        assert ratfun_equal(class1, RationalFunction(1 - y2, 1))
+        assert class1 == RationalFunction(1 - y2, 1)
         class2 = beta_tilde_system.functions[3] + beta_tilde_system.functions[4]
-        assert ratfun_equal(class2, RationalFunction(y2, 1))
+        assert class2 == RationalFunction(y2, 1)
 
     def test_beta_tilde_face_values(
         self, beta_tilde_system, trapezoid_graded, trapezoid_poly
@@ -249,9 +255,48 @@ class TestFacePartition:
     def test_square_face_value(self, square_system, square_graded, square_poly):
         x1, x2 = variables("x1 x2")
         class1 = square_system.functions[0] + square_system.functions[1]
-        assert ratfun_equal(class1, RationalFunction(1 - x2, 1))
+        assert class1 == RationalFunction(1 - x2, 1)
         assert class1.evaluate((Fraction(1, 2), 0)) == 1
         assert verify_face_partition(square_system, square_graded, square_poly, 1, 20, 0)
+
+
+class TestSampledChecks:
+    """No samples is an error and a pole at any sample is a failure, for all four."""
+
+    @staticmethod
+    def sampled_checks(system, square_graded, square_poly, beta_tilde_system, grading):
+        return (
+            lambda n: verify_toric_membership(system, n, 0),
+            lambda n: verify_interior_positivity(system, square_poly, n, 0),
+            lambda n: verify_face_partition(system, square_graded, square_poly, 1, n, 0),
+            lambda n: verify_form_agreement(system, beta_tilde_system, grading, n, 0),
+        )
+
+    def test_no_samples_is_an_error(
+        self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
+    ):
+        for check in self.sampled_checks(
+            square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
+        ):
+            assert check(20)
+            with pytest.raises(ValueError):
+                check(0)
+
+    def test_pole_at_a_sample_fails(
+        self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
+    ):
+        # (2*x1 - 1) / (2*x1 - 1) is never cancelled and vanishes at the
+        # barycenters of the square, of its bottom edge and of the product
+        x1, _ = variables("x1 x2")
+        pole = RationalFunction(2 * x1 - 1, 2 * x1 - 1)
+        functions = tuple(f * pole for f in square_system.functions)
+        system = BlendingSystem(
+            square_system.config, square_system.weights, functions, "custom", square_system.variables
+        )
+        for check in self.sampled_checks(
+            system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
+        ):
+            assert not check(20)
 
 
 class TestAssociativity:
