@@ -29,7 +29,7 @@ from .geometry import (
     lattice_distance_forms,
     sample_interior,
 )
-from .polynomials import Polynomial, RationalFunction, sum_rational_functions
+from .polynomials import Polynomial, RationalFunction, integer_point, sum_rational_functions
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,12 @@ class BlendingSystem:
 
     def evaluate(self, point: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """All function values at a rational point (PoleError on any pole)."""
-        return tuple(f.evaluate(point) for f in self.functions)
+        if len(point) != len(self.variables):
+            raise ValueError(
+                f"expected {len(self.variables)} values for {self.variables}, got {len(point)}"
+            )
+        xs, q = integer_point(point)
+        return tuple(f._value_at(xs, q, point) for f in self.functions)
 
 
 def toric_blending(

@@ -49,14 +49,18 @@ def _fixture_dir() -> Path | None:
 
 
 def resolve_input_path(path: str) -> Path:
-    """Literal path, else a fixture name (with or without a directory prefix)."""
+    """Literal file path, else a fixture name (with or without a directory prefix).
+
+    Only regular files count, so ``""`` and directories fall through to the
+    SchemaError that lets ``--data`` and ``--controls`` parse inline values.
+    """
     candidate = Path(path)
-    if candidate.exists():
+    if candidate.is_file():
         return candidate
     base = _fixture_dir()
     if base is not None:
         for alternative in (base / path, base / candidate.name):
-            if alternative.exists():
+            if alternative.is_file():
                 return alternative
     raise SchemaError(f"cannot read {path}: no such file")
 

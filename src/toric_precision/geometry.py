@@ -1,7 +1,9 @@
 """Lattice point configurations and their convex hulls.
 
 Facets are enumerated by brute force over point subsets, which is exact and
-entirely adequate at the handful-of-points scale this package targets.
+entirely adequate at the handful-of-points scale this package targets.  The
+candidate normal of a subset is the vector of signed integer minors of its
+difference vectors, so hull construction runs in Python integers.
 Every facet is stored as a primitive inward normal ``n`` and an integer
 offset ``a`` so that the polytope is ``{p : <p, n> + a >= 0 for all facets}``
 and ``h(p) = <p, n> + a`` is the lattice distance to the facet.
@@ -18,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import NotFullDimensionalError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, integer_point
 
 IntVector = tuple[int, ...]
 
@@ -98,9 +100,17 @@ class LatticePolytope:
         return sum(p * n for p, n in zip(point, normal)) + offset
 
     def lattice_distances(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Lattice distance of a (rational) point to each facet, in facet order."""
+        """Lattice distance of a (rational) point to each facet, in facet order.
+
+        Raises ValueError when the point's dimension is not the polytope's.
+        """
+        if len(point) != self.dim:
+            raise ValueError(
+                f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {self.dim}"
+            )
+        xs, q = integer_point(point)
         return tuple(
-            sum((Fraction(p) * n for p, n in zip(point, normal)), Fraction(0)) + offset
+            Fraction(sum(x * n for x, n in zip(xs, normal)) + offset * q, q)
             for normal, offset in self.facets
         )
 
@@ -116,12 +126,52 @@ def _affine_rank(points: Sequence[IntVector]) -> int:
     return linalg.rank(diffs)
 
 
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss fraction-free elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k]
+            m[i] = [0] * (k + 1) + [
+                (m[i][j] * pivot - factor * m[k][j]) // previous for j in range(k + 1, n)
+            ]
+        previous = pivot
+    return sign * m[-1][-1] if n else 1
+
+
+def _hyperplane_normal(diffs: Sequence[Sequence[int]], d: int) -> IntVector | None:
+    """Primitive integer normal (of either sign) of the span of d-1 vectors in
+    Z^d, or None when they span less than a hyperplane.
+
+    The normal is the vector of signed (d-1)-minors divided by its gcd.
+    """
+    normal = [
+        (-1) ** j * _determinant([row[:j] + row[j + 1:] for row in diffs]) for j in range(d)
+    ]
+    g = 0
+    for x in normal:
+        g = gcd(g, x)
+    if g == 0:
+        return None
+    return tuple(x // g for x in normal)
+
+
 def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     """Irredundant facet description of the convex hull of a configuration.
 
     Tries every d-subset of points: if the subset spans a hyperplane and all
     configuration points lie on one side, the (inward-oriented) primitive
-    normal is a facet.  Requires the configuration to be full-dimensional.
+    normal is a facet.  A candidate is dropped at the first point on the
+    wrong side.  Requires the configuration to be full-dimensional.
     """
     d = config.dim
     points = config.points
@@ -132,17 +182,21 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     facets: set[Facet] = set()
     for subset in combinations(points, d):
         base = subset[0]
-        diffs = [[p[i] - base[i] for i in range(d)] for p in subset[1:]]
-        kernel = linalg.nullspace(diffs, d)
-        if len(kernel) != 1:
+        normal = _hyperplane_normal([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
+        if normal is None:
             continue
-        normal = linalg.primitive_integer(kernel[0])
         offset = -sum(b * n for b, n in zip(base, normal))
-        values = [sum(p[i] * normal[i] for i in range(d)) + offset for p in points]
-        if all(v >= 0 for v in values):
-            facets.add(Facet(tuple(normal), offset))
-        elif all(v <= 0 for v in values):
-            facets.add(Facet(tuple(-n for n in normal), -offset))
+        side = 0
+        for p in points:
+            value = sum(x * n for x, n in zip(p, normal)) + offset
+            if value * side < 0:
+                break
+            if not side:
+                side = value
+        else:
+            if side < 0:
+                normal, offset = tuple(-n for n in normal), -offset
+            facets.add(Facet(normal, offset))
     ordered = tuple(sorted(facets))
     vertices = []
     for p in points:
@@ -199,17 +253,12 @@ def sample_interior(
     n = len(config.points)
     samples = []
     for index in range(count):
-        if index == 0:
-            weights = [Fraction(1, n)] * n
-        else:
-            raw = [rng.randint(1, 1000) for _ in range(n)]
-            total = sum(raw)
-            weights = [Fraction(r, total) for r in raw]
-        point = tuple(
-            sum((w * p[i] for w, p in zip(weights, config.points)), Fraction(0))
+        raw = [1] * n if index == 0 else [rng.randint(1, 1000) for _ in range(n)]
+        total = sum(raw)
+        samples.append(tuple(
+            Fraction(sum(r * p[i] for r, p in zip(raw, config.points)), total)
             for i in range(config.dim)
-        )
-        samples.append(point)
+        ))
     return samples
 
 

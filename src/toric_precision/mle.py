@@ -177,6 +177,8 @@ def ips_fit(
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if len(u) != dm.n_columns or len(w) != dm.n_columns:
         raise ValueError("dimension mismatch")
     rows = [list(r) for r in dm.rows]

@@ -16,12 +16,21 @@ does not require multivariate GCDs:
 
 Equality in the fraction field is decided by cross-multiplication, which is
 exact without any polynomial factorization.
+
+Evaluation has one path, in Python integers.  A rational point is written
+once as an integer vector ``xs`` over its common denominator ``q``
+(:func:`integer_point`); :meth:`Polynomial._value_at` then returns integers
+``H`` and ``L * q**deg`` with ``p(xs / q) = H / (L * q**deg)``, where ``L`` is
+the lcm of the coefficient denominators (1 for the integer numerator and
+denominator of a rational function).  Only the final value becomes a
+``Fraction``; a rational function has a pole exactly where the ``H`` of its
+denominator is 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
@@ -218,19 +227,35 @@ class Polynomial:
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point, given by position."""
-        if len(values) != len(self.variables):
-            raise ValueError(
-                f"expected {len(self.variables)} values for {self.variables}, got {len(values)}"
-            )
-        point = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(point, exp):
+        _check_arity(values, self.variables)
+        value, scale = self._value_at(*integer_point(values))
+        return Fraction(value, scale)
+
+    def _value_at(self, xs: Sequence[int], q: int) -> tuple[int, int]:
+        """Integers ``(H, L * q**deg)`` with ``p(xs / q) = H / (L * q**deg)``.
+
+        ``L`` is the lcm of the coefficient denominators and ``deg`` the total
+        degree (0 for the zero polynomial).  Terms are summed per degree and
+        the sums joined by Horner's rule in ``q``, which homogenizes the
+        polynomial.
+        """
+        terms = self.terms
+        common = 1
+        for c in terms.values():
+            common = lcm(common, c.denominator)
+        by_degree: dict[int, int] = {}
+        for exp, c in terms.items():
+            term = c.numerator * (common // c.denominator)
+            for x, e in zip(xs, exp):
                 if e:
-                    term *= v**e
-            total += term
-        return total
+                    term *= x**e
+            degree = sum(exp)
+            by_degree[degree] = by_degree.get(degree, 0) + term
+        deg = max(by_degree, default=0)
+        value = 0
+        for degree in range(deg + 1):
+            value = value * q + by_degree.get(degree, 0)
+        return value, common * q**deg
 
     def substitute(self, values: Sequence["Polynomial | int | Fraction"]) -> "Polynomial":
         """Compose with one polynomial (or constant) per variable, by position."""
@@ -308,8 +333,16 @@ def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(n, split) for n in split)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _check_arity(values: Sequence, variables: tuple[str, ...]) -> None:
+    if len(values) != len(variables):
+        raise ValueError(f"expected {len(variables)} values for {variables}, got {len(values)}")
+
+
+def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """A rational point as ``(xs, q)``: integers over one positive common denominator."""
+    point = [Fraction(v) for v in values]
+    q = lcm(*(v.denominator for v in point))
+    return [v.numerator * (q // v.denominator) for v in point], q
 
 
 class RationalFunction:
@@ -425,10 +458,17 @@ class RationalFunction:
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point; raises PoleError on a vanishing denominator."""
-        den = self.denominator.evaluate(values)
+        _check_arity(values, self.variables)
+        xs, q = integer_point(values)
+        return self._value_at(xs, q, values)
+
+    def _value_at(self, xs: Sequence[int], q: int, values: Sequence[int | Fraction]) -> Fraction:
+        """Value at ``xs / q`` (see :func:`integer_point`); ``values`` names the point in a PoleError."""
+        den, den_scale = self.denominator._value_at(xs, q)
         if den == 0:
             raise PoleError(f"denominator {self.denominator} vanishes at {tuple(values)}")
-        return self.numerator.evaluate(values) / den
+        num, num_scale = self.numerator._value_at(xs, q)
+        return Fraction(num * den_scale, num_scale * den)
 
     def equals(self, other) -> bool:
         """Equality in the fraction field, by cross-multiplication."""
@@ -482,7 +522,7 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     coefficients = list(num.terms.values()) + list(den.terms.values())
     denominator_lcm = 1
     for c in coefficients:
-        denominator_lcm = _lcm(denominator_lcm, c.denominator)
+        denominator_lcm = lcm(denominator_lcm, c.denominator)
     content = 0
     for c in coefficients:
         content = gcd(content, abs(c.numerator) * (denominator_lcm // c.denominator))

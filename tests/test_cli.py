@@ -5,6 +5,7 @@ import json
 import pytest
 
 from toric_precision.cli import main, resolve_input_path
+from toric_precision.errors import SchemaError
 
 
 def run(capsys, *argv):
@@ -25,6 +26,11 @@ class TestFixtureResolution:
         special.write_text('{"dim": 1, "points": [[0]]}', encoding="utf-8")
         monkeypatch.setenv("TORIC_PRECISION_FIXTURES", str(tmp_path))
         assert resolve_input_path("square.json") == special
+
+    def test_empty_string_and_directories_are_not_files(self, tmp_path):
+        for path in ("", ".", str(tmp_path)):
+            with pytest.raises(SchemaError, match="no such file"):
+                resolve_input_path(path)
 
     def test_unknown_path(self, capsys):
         code, _, err = run(capsys, "facets", "no-such-file.json")
@@ -117,6 +123,15 @@ class TestBlendAndPatch:
         assert code == 2
         assert out == ""
         assert field in err
+
+    def test_patch_empty_or_directory_controls(self, capsys, tmp_path):
+        for controls in ("", str(tmp_path)):
+            code, out, err = run(
+                capsys, "patch", "square.json", "--controls", controls, "--point", "1/2,1/2"
+            )
+            assert code == 2
+            assert out == ""
+            assert f"expected comma-separated rationals, got {controls!r}" in err
 
     def test_patch_controls_file(self, capsys, tmp_path):
         path = tmp_path / "controls.json"
@@ -245,6 +260,23 @@ class TestMleVerbs:
         assert code == 2
         assert out == ""
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("max_iter", ["-1", "0"])
+    def test_ips_rejects_max_iter_below_one(self, capsys, max_iter):
+        code, out, err = run(
+            capsys, "ips", "trapezoid.json", "--data", "1,1,1,1,1", "--max-iter", max_iter
+        )
+        assert code == 2
+        assert out == ""
+        assert f"max_iter must be at least 1, got {max_iter}" in err
+
+    @pytest.mark.parametrize("verb", ["mle", "ips"])
+    def test_empty_or_directory_data_reaches_inline_parser(self, capsys, tmp_path, verb):
+        for data in ("", str(tmp_path)):
+            code, out, err = run(capsys, verb, "square.json", "--data", data)
+            assert code == 2
+            assert out == ""
+            assert f"--data: expected comma-separated integers or a file, got {data!r}" in err
 
     def test_bad_data_length(self, capsys):
         code, _, err = run(capsys, "mle", "square.json", "--data", "1,2,3")

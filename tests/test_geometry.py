@@ -1,10 +1,12 @@
 """Hull facets, lattice distances, point enumeration, sampling, design matrices."""
 
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from toric_precision import linalg
 from toric_precision.errors import NotFullDimensionalError
 from toric_precision.geometry import (
     Facet,
@@ -19,6 +21,48 @@ from toric_precision.geometry import (
 
 def forms_as_strings(poly):
     return {str(f) for f in lattice_distance_forms(poly)}
+
+
+def reference_hull(points, d):
+    """Facets and vertices by rational nullspaces of every d-subset."""
+    facets = set()
+    for subset in combinations(points, d):
+        base = subset[0]
+        kernel = linalg.nullspace([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
+        if len(kernel) != 1:
+            continue
+        normal = linalg.primitive_integer(kernel[0])
+        offset = -sum(b * n for b, n in zip(base, normal))
+        values = [sum(p[i] * normal[i] for i in range(d)) + offset for p in points]
+        if all(v >= 0 for v in values):
+            facets.add(Facet(tuple(normal), offset))
+        elif all(v <= 0 for v in values):
+            facets.add(Facet(tuple(-n for n in normal), -offset))
+    facets = tuple(sorted(facets))
+    vertices = set()
+    for p in points:
+        tight = [n for n, a in facets if sum(x * y for x, y in zip(p, n)) + a == 0]
+        if len(tight) >= d and linalg.rank(tight) == d:
+            vertices.add(p)
+    return facets, tuple(sorted(vertices))
+
+
+def reference_samples(config, count, seed):
+    """Interior samples as weighted sums of Fraction weights."""
+    rng = random.Random(seed)
+    n = len(config.points)
+    samples = []
+    for index in range(count):
+        if index == 0:
+            weights = [Fraction(1, n)] * n
+        else:
+            raw = [rng.randint(1, 1000) for _ in range(n)]
+            weights = [Fraction(r, sum(raw)) for r in raw]
+        samples.append(tuple(
+            sum((w * p[i] for w, p in zip(weights, config.points)), Fraction(0))
+            for i in range(config.dim)
+        ))
+    return samples
 
 
 class TestConvexHullFacets:
@@ -58,6 +102,20 @@ class TestConvexHullFacets:
         flat = PointConfiguration(2, ((0, 0), (1, 1), (2, 2)))
         with pytest.raises(NotFullDimensionalError):
             convex_hull_facets(flat)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_integer_minors_match_rational_nullspace(self, d):
+        rng = random.Random(100 + d)
+        checked = 0
+        for _ in range(12):
+            points = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(9))
+            config = PointConfiguration(d, points)
+            if linalg.rank([[p[i] - points[0][i] for i in range(d)] for p in points]) < d:
+                continue
+            poly = convex_hull_facets(config)
+            assert (poly.facets, poly.vertices) == reference_hull(config.points, d)
+            checked += 1
+        assert checked >= 10
 
     def test_normals_primitive(self, trapezoid_poly):
         from math import gcd
@@ -148,12 +206,38 @@ class TestSampleInterior:
         for p in sample_interior(trapezoid_config, 25, 4):
             assert all(d > 0 for d in trapezoid_poly.lattice_distances(p))
 
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (2, 5), (3, 9)])
+    def test_matches_weighted_fraction_formula(self, dim, seed):
+        rng = random.Random(seed)
+        config = PointConfiguration(
+            dim, tuple(tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(7))
+        )
+        assert sample_interior(config, 20, seed) == reference_samples(config, 20, seed)
+
     def test_deterministic(self, trapezoid_config):
         a = sample_interior(trapezoid_config, 10, 42)
         b = sample_interior(trapezoid_config, 10, 42)
         c = sample_interior(trapezoid_config, 10, 43)
         assert a == b
         assert a != c
+
+
+class TestLatticeDistances:
+    def test_rational_point(self, trapezoid_poly):
+        point = (Fraction(1, 3), Fraction(-1, 2))
+        expected = tuple(
+            sum(Fraction(x) * n for x, n in zip(point, normal)) + offset
+            for normal, offset in trapezoid_poly.facets
+        )
+        assert trapezoid_poly.lattice_distances(point) == expected
+
+    @pytest.mark.parametrize("point", [(1,), (0, 0, 0), ()])
+    def test_wrong_dimension(self, square_poly, point):
+        message = f"dimension {len(point)}, the polytope has dimension 2"
+        with pytest.raises(ValueError, match=message):
+            square_poly.lattice_distances(point)
+        with pytest.raises(ValueError, match=message):
+            square_poly.contains(point)
 
 
 class TestDesignMatrix:

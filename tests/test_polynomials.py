@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -64,6 +65,93 @@ class TestRationalFunctionEvaluation:
         x1, x2 = variables("x1 x2")
         f = RationalFunction((1 - x1) * (1 - x2), 1)
         assert f.evaluate((0, 0)) == 1
+
+
+def reference_value(poly, point):
+    """Term-by-term Fraction evaluation, independent of the integer evaluator."""
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        term = Fraction(c)
+        for v, e in zip(point, exp):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def random_polynomial(rng, names, integer=False):
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exp = tuple(rng.randint(0, 3) for _ in names)
+        terms[exp] = rng.randint(-20, 20) if integer else Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    return Polynomial(names, terms)
+
+
+def random_point(rng, dim):
+    return tuple(
+        rng.randint(-9, 9) if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for _ in range(dim)
+    )
+
+
+class TestIntegerEvaluation:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            names = tuple(f"x{i + 1}" for i in range(rng.randint(1, 4)))
+            poly = random_polynomial(rng, names)
+            for _ in range(3):
+                point = random_point(rng, len(names))
+                assert poly.evaluate(point) == reference_value(poly, point)
+
+    def test_integer_evaluator_contract(self):
+        # p(xs / q) = H / (L * q**deg), L the lcm of the coefficient denominators.
+        rng = random.Random(21)
+        for _ in range(100):
+            names = tuple(f"x{i + 1}" for i in range(rng.randint(1, 3)))
+            poly = random_polynomial(rng, names)
+            q = rng.randint(1, 12)
+            xs = [rng.randint(-20, 20) for _ in names]
+            common = 1
+            for c in poly.terms.values():
+                common = common * c.denominator // gcd(common, c.denominator)
+            value, scale = poly._value_at(xs, q)
+            assert scale == common * q ** max(poly.total_degree(), 0)
+            assert Fraction(value, scale) == reference_value(poly, [Fraction(x, q) for x in xs])
+
+    def test_zero_polynomial(self):
+        zero = Polynomial.zero(("x1", "x2"))
+        assert zero.evaluate((F("3/7"), -2)) == 0
+        assert zero._value_at([3, -14], 7) == (0, 1)
+
+    def test_constants(self):
+        for value in (F(5), F("-7/3"), F("1/12")):
+            constant = Polynomial.constant(value, ("x1", "x2", "x3"))
+            assert constant.evaluate((F("1/2"), -4, F("-5/9"))) == value
+        assert Polynomial.constant(F("3/4")).evaluate(()) == F("3/4")
+
+    def test_rational_function_pole_exactly_at_zero_denominator(self):
+        rng = random.Random(22)
+        names = ("x1", "x2")
+        x1, x2 = variables(names)
+        grid = [F(n) / 2 for n in range(-4, 5)]
+        poles = values = 0
+        for _ in range(30):
+            den = (rng.randint(-2, 2) * x1 + rng.randint(-2, 2) * x2 + rng.randint(-2, 2)) * (
+                x1 - rng.randint(-2, 2) * x2 + Fraction(rng.randint(-2, 2), 2)
+            )
+            if den.is_zero:
+                continue
+            f = RationalFunction(random_polynomial(rng, names, integer=True), den)
+            for point in ((a, b) for a in grid for b in grid):
+                expected_den = reference_value(f.denominator, point)
+                if expected_den == 0:
+                    poles += 1
+                    with pytest.raises(PoleError, match="vanishes"):
+                        f.evaluate(point)
+                else:
+                    values += 1
+                    assert f.evaluate(point) == reference_value(f.numerator, point) / expected_den
+        assert poles and values
 
 
 class TestRationalFunctionEquality:
