@@ -80,6 +80,9 @@ class LatticePolytope:
         vertices = tuple(tuple(int(x) for x in v) for v in self.vertices)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "vertices", vertices)
+        for v in vertices:
+            if len(v) != self.dim:
+                raise ValueError(f"vertex {v} does not have dimension {self.dim}")
         for normal, offset in facets:
             if len(normal) != self.dim:
                 raise ValueError(f"normal {normal} does not have dimension {self.dim}")
@@ -278,7 +281,11 @@ class DesignMatrix:
         return len(self.rows[0]) if self.rows else 0
 
     def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Exact matrix-vector product."""
+        """Exact matrix-vector product; raises ValueError on a length mismatch."""
+        if len(vector) != self.n_columns:
+            raise ValueError(
+                f"vector of length {len(vector)} does not match the {self.n_columns} columns"
+            )
         return tuple(
             sum((Fraction(x) * r for x, r in zip(vector, row)), Fraction(0)) for row in self.rows
         )

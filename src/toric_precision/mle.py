@@ -5,17 +5,19 @@ barycenter; its output matches the data's sufficient statistics exactly
 (zero Birch residual).  Iterative proportional scaling provides an
 independent floating-point oracle: the design matrix is rescaled to a
 nonnegative matrix with constant column sums and the classical
-multiplicative update is iterated until the margins match.
+multiplicative update is iterated until the margins match.  The design
+matrices are small (a few rows; the fiber product of the fixtures has 10
+columns), so the oracle runs in plain Python floats and the package needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .blending import BlendingSystem, WeightVector
 from .errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
@@ -174,6 +176,11 @@ def ips_fit(
     weight vector so every iterate stays in the scaled model's closure, and
     stops when the margins of the original design matrix match the data
     within tol in the max norm.
+
+    Positivity of every scaled margin is checked exactly, in integers, before
+    any float is formed.  The iteration then runs in Python floats: with M the
+    scaled design, s its column sum and t = M u/|u|, each step is
+    p <- p * exp(M^T (log t - log Mp) / s) followed by normalisation.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -199,28 +206,35 @@ def ips_fit(
         if sum(e * c for e, c in zip(row, u.counts)) <= 0:
             raise DomainError(f"margin of row {row} is not positive for counts {u.counts}")
 
-    A = np.array(rows, dtype=float)
-    M = np.array(shifted, dtype=float)
-    u_hat = np.array(u.counts, dtype=float) / u.total
-    target_original = A @ u_hat
-    target = M @ u_hat
-    p = np.array([float(x) for x in w.weights], dtype=float)
-    p /= p.sum()
-    residual = float(np.max(np.abs(A @ p - target_original)))
+    columns = list(zip(*shifted))
+    u_hat = [c / u.total for c in u.counts]
+    target_original = [sum(map(operator.mul, row, u_hat)) for row in rows]
+    log_target = [math.log(sum(map(operator.mul, row, u_hat))) for row in shifted]
+    p = [float(x) for x in w.weights]
+    norm = sum(p)
+    p = [x / norm for x in p]
+    residual = _max_residual(rows, p, target_original)
     iterations = 0
     while residual >= tol:
         if iterations >= max_iter:
             raise NotConvergedError(max_iter, residual)
-        current = M @ p
-        p = p * np.exp(M.T @ (np.log(target) - np.log(current)) / s)
-        p = p / p.sum()
+        step = [lt - math.log(sum(map(operator.mul, row, p))) for lt, row in zip(log_target, shifted)]
+        p = [x * math.exp(sum(map(operator.mul, col, step)) / s) for x, col in zip(p, columns)]
+        norm = sum(p)
+        p = [x / norm for x in p]
         iterations += 1
-        residual = float(np.max(np.abs(A @ p - target_original)))
-    return IpsResult(Distribution(tuple(p.tolist()), exact=False), iterations, residual)
+        residual = _max_residual(rows, p, target_original)
+    return IpsResult(Distribution(tuple(p), exact=False), iterations, residual)
+
+
+def _max_residual(rows, p, target) -> float:
+    return max(abs(sum(map(operator.mul, row, p)) - t) for row, t in zip(rows, target))
 
 
 def log_likelihood(u: DataVector, p: Distribution) -> float:
     """sum_i u_i * log(p_i) in double precision, with 0 * log(0) = 0."""
+    if len(u) != len(p):
+        raise ValueError(f"data has length {len(u)}, the distribution has length {len(p)}")
     total = 0.0
     for count, prob in zip(u.counts, p.probs):
         if count == 0:

@@ -10,6 +10,7 @@ from toric_precision import linalg
 from toric_precision.errors import NotFullDimensionalError
 from toric_precision.geometry import (
     Facet,
+    LatticePolytope,
     PointConfiguration,
     convex_hull_facets,
     design_matrix,
@@ -256,6 +257,16 @@ class TestDesignMatrix:
         assert dm.ones_row_added
         assert len(dm.rows) == 3 and dm.n_columns == 5
 
+    def test_apply(self, square_config):
+        dm = design_matrix(square_config)
+        assert dm.apply((1, 2, 3, 4)) == (10, 6, 7)
+
+    @pytest.mark.parametrize("vector", [(1, 2), (1, 2, 3, 4, 5), ()])
+    def test_apply_wrong_length(self, square_config, vector):
+        dm = design_matrix(square_config)
+        with pytest.raises(ValueError, match=f"length {len(vector)} does not match the 4 columns"):
+            dm.apply(vector)
+
 
 class TestValidation:
     def test_labels_unique(self):
@@ -265,6 +276,11 @@ class TestValidation:
     def test_point_dimension(self):
         with pytest.raises(ValueError):
             PointConfiguration(2, ((0, 0), (1,)))
+
+    def test_vertex_dimension(self, square_poly):
+        vertices = ((0, 0, 5), (1, 0, 5), (0, 1, 5), (1, 1, 5))
+        with pytest.raises(ValueError, match=r"vertex \(0, 0, 5\) does not have dimension 2"):
+            LatticePolytope(2, square_poly.facets, vertices)
 
     def test_effective_labels_from_coordinates(self):
         config = PointConfiguration(2, ((0, 0), (2, 1)))

@@ -1,12 +1,18 @@
 """Closed-form estimates, Birch residuals, the IPS oracle, and likelihood."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toric_precision
+from toric_precision.blending import WeightVector, toric_blending
 from toric_precision.errors import DomainError, NotConvergedError, ZeroClassTotalError
-from toric_precision.geometry import design_matrix
+from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
 from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
 from toric_precision.mle import (
     DataVector,
@@ -19,7 +25,6 @@ from toric_precision.mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
-from toric_precision.geometry import sample_interior
 from toric_precision.tfp import tfp_blending
 
 
@@ -100,12 +105,17 @@ class TestIps:
     def test_negative_coordinates(self):
         # a coordinate row that is a negative multiple of ones shifts to zero
         # and must not poison the update
-        from toric_precision.blending import WeightVector
-        from toric_precision.geometry import PointConfiguration
-
         dm = design_matrix(PointConfiguration(2, ((-2, 0), (-2, 1))))
         result = ips_fit(dm, WeightVector.ones(2), DataVector((3, 1)), 1e-10, 10000)
         assert result.distribution.probs == pytest.approx((0.75, 0.25), abs=1e-9)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(toric_precision.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, toric_precision; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestLogLikelihood:
@@ -115,6 +125,11 @@ class TestLogLikelihood:
 
     def test_zero_count_coordinate_ignored(self):
         assert log_likelihood(DataVector((0, 2)), Distribution((F(0), F(1)))) == 0.0
+
+    @pytest.mark.parametrize("counts", [(1, 2, 3), (1,)])
+    def test_length_mismatch(self, counts):
+        with pytest.raises(ValueError, match=f"data has length {len(counts)}, the distribution has length 2"):
+            log_likelihood(DataVector(counts), Distribution((F("1/2"), F("1/2"))))
 
     def test_zero_probability_with_count(self):
         with pytest.raises(DomainError):
@@ -212,8 +227,18 @@ class TestClosedFormMatchesIpsWheneverChecksPass:
     def test_segment(self, segment_system):
         self._agree(segment_system)
 
+    @pytest.mark.parametrize(
+        "points",
+        [((-1, -1), (0, -1), (-1, 0), (0, 0)), ((-3, 2), (-2, 2), (-3, 3), (-2, 3))],
+        ids=["square-at-minus-one", "square-at-minus-three-two"],
+    )
+    def test_translated_square(self, points):
+        # IPS shifts the negative rows by a multiple of ones and needs a
+        # slack row for the unequal column sums
+        config = PointConfiguration(2, points)
+        self._agree(toric_blending(convex_hull_facets(config), config, WeightVector.ones(4)))
+
     def test_cartesian_product(self, segment_system, segment_config):
-        from toric_precision.geometry import PointConfiguration
         from toric_precision.tfp import GradedConfiguration, validate_multigrading
 
         trivial = GradedConfiguration(segment_config, (1, 1))
