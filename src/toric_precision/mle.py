@@ -123,6 +123,9 @@ def tfp_mle_combine(
     The factor distributions must be the estimates for the marginalized
     counts of u.
     """
+    for name, p, assignment in (("pB", pB, g.assignment_b), ("pC", pC, g.assignment_c)):
+        if len(p) != len(assignment):
+            raise ValueError(f"{name} has {len(p)} entries, the grading has {len(assignment)} points")
     order = enumerate_product_indices(g.assignment_b, g.assignment_c)
     if len(u) != len(order):
         raise ValueError("data length does not match the product configuration")

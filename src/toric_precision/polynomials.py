@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
 
@@ -44,13 +44,7 @@ def _grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 
 def _merge_variables(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
     """Union of two variable tuples, keeping first-seen order."""
-    merged = list(a)
-    seen = set(a)
-    for name in b:
-        if name not in seen:
-            merged.append(name)
-            seen.add(name)
-    return tuple(merged)
+    return tuple(dict.fromkeys((*a, *b)))
 
 
 class Polynomial:
@@ -409,14 +403,7 @@ class RationalFunction:
         return RationalFunction(Polynomial.constant(Fraction(value)))
 
     def __add__(self, other) -> "RationalFunction":
-        g = self._coerce(other)
-        # Same denominator: add numerators, avoiding quadratic denominator growth.
-        if self.denominator == g.denominator:
-            return RationalFunction(self.numerator + g.numerator, self.denominator)
-        return RationalFunction(
-            self.numerator * g.denominator + g.numerator * self.denominator,
-            self.denominator * g.denominator,
-        )
+        return sum_rational_functions((self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -493,17 +480,7 @@ class RationalFunction:
 
 def _cancel_common_monomial(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Divide out x^m where m is the largest monomial dividing every term."""
-
-    def floor_exponent(poly: Polynomial) -> tuple[int, ...]:
-        exps = iter(poly.terms)
-        low = list(next(exps))
-        for e in exps:
-            for i, v in enumerate(e):
-                if v < low[i]:
-                    low[i] = v
-        return tuple(low)
-
-    shift = tuple(min(a, b) for a, b in zip(floor_exponent(num), floor_exponent(den)))
+    shift = tuple(map(min, zip(*num.terms, *den.terms)))
     if not any(shift):
         return num, den
 
@@ -536,29 +513,55 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     return scaled(num), scaled(den)
 
 
-def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:
-    """Sum rational functions, grouping equal denominators first.
+def lcm_sum(
+    terms: Iterable[tuple[Polynomial, Mapping]], factor: Callable, variables: Sequence[str]
+) -> tuple[Polynomial, Polynomial]:
+    """``(N, D)`` with ``N / D`` the sum of fractions with factored denominators.
 
-    Grouping keeps the denominator of the result a product of the distinct
-    denominators rather than of all summands, which matters because no
-    polynomial GCD cancellation is performed.
+    A term is a numerator over a map {factor key: positive exponent};
+    ``factor(key)`` is the key's polynomial over ``variables``.  Terms with
+    equal maps are summed first, then the groups are brought over the
+    exponent-wise lcm ``D`` of their maps.  Nothing cancels.
+    """
+    groups: dict[frozenset, tuple[Mapping, Polynomial]] = {}
+    for numerator, denominator in terms:
+        key = frozenset(denominator.items())
+        if key in groups:
+            numerator = groups[key][1] + numerator
+        groups[key] = (denominator, numerator)
+    lcm_exponents: dict[Hashable, int] = {}
+    for denominator, _ in groups.values():
+        for key, e in denominator.items():
+            lcm_exponents[key] = max(lcm_exponents.get(key, 0), e)
+
+    def over_lcm(numerator: Polynomial, denominator: Mapping) -> Polynomial:
+        for key, e in lcm_exponents.items():
+            missing = e - denominator.get(key, 0)
+            if missing:
+                numerator = numerator * factor(key) ** missing
+        return numerator
+
+    total = Polynomial.zero(variables)
+    for denominator, numerator in groups.values():
+        total = total + over_lcm(numerator, denominator)
+    return total, over_lcm(Polynomial.constant(1, variables), {})
+
+
+def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:
+    """Sum rational functions with :func:`lcm_sum`, each whole canonical
+    denominator one factor keyed by its sorted terms.
+
+    Functions sharing a denominator are summed first, so the result's
+    denominator is the product of the distinct denominators, not of all
+    summands; that matters because no polynomial GCD is cancelled.
     """
     fs = list(functions)
-    if not fs:
-        return RationalFunction(0)
-    merged: tuple[str, ...] = ()
+    merged = tuple(dict.fromkeys(name for f in fs for name in f.variables))
+    denominators: dict[tuple, Polynomial] = {}
+    terms = []
     for f in fs:
-        merged = _merge_variables(merged, f.variables)
-    fs = [f.reindexed(merged) for f in fs]
-    groups: dict[tuple, tuple[Polynomial, Polynomial]] = {}
-    for f in fs:
-        key = tuple(f.denominator.sorted_terms())
-        if key in groups:
-            num, den = groups[key]
-            groups[key] = (num + f.numerator, den)
-        else:
-            groups[key] = (f.numerator, f.denominator)
-    total = RationalFunction(0)
-    for num, den in groups.values():
-        total = total + RationalFunction(num, den)
-    return total
+        denominator = f.denominator.reindexed(merged)
+        key = tuple(denominator.sorted_terms())
+        denominators[key] = denominator
+        terms.append((f.numerator.reindexed(merged), {key: 1}))
+    return RationalFunction(*lcm_sum(terms, denominators.__getitem__, merged))

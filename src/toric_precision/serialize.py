@@ -177,6 +177,8 @@ def blending_system_from_json(data: Any, path: str = "system") -> BlendingSystem
     if not isinstance(names, list) or len(names) != config.dim:
         raise SchemaError(f"{path}.variables: expected {config.dim} names")
     names = tuple(str(n) for n in names)
+    if len(set(names)) != len(names):
+        raise SchemaError(f"{path}.variables: duplicate variable names: {names}")
     functions_data = _require(data, "functions", list, path)
     if len(functions_data) != len(config.points):
         raise SchemaError(
@@ -211,7 +213,10 @@ def graded_model_from_json(data: Any, path: str = "model") -> GradedModel:
     weights = weights_from_json(data.get("weights"), len(config.points), f"{path}.weights")
     grading = _require(data, "grading", dict, path)
     degrees_points = _int_matrix(_require(grading, "A", list, f"{path}.grading"), f"{path}.grading.A")
-    degrees = PointConfiguration(len(degrees_points[0]), tuple(tuple(a) for a in degrees_points))
+    try:
+        degrees = PointConfiguration(len(degrees_points[0]), tuple(tuple(a) for a in degrees_points))
+    except ValueError as exc:
+        raise SchemaError(f"{path}.grading.A: {exc}") from None
     assignment = _require(grading, "assignment", list, f"{path}.grading")
     if len(assignment) != len(config.points):
         raise SchemaError(f"{path}.grading.assignment: expected {len(config.points)} entries")

@@ -82,6 +82,23 @@ class TestVerify:
         assert report["partition_of_unity"] is True
         assert report["linear_precision"] is False
 
+    @pytest.mark.parametrize(
+        "fixture, edit, field",
+        [
+            ("square.json", lambda d: d["grading"].update(A=[[1, 0], [0]]), ".grading.A: point (0,)"),
+            ("trapezoid_beta_tilde.json", lambda d: d.update(variables=["x", "x"]), ".variables: duplicate"),
+        ],
+        ids=["ragged-degrees", "duplicate-variables"],
+    )
+    def test_bad_field_is_named(self, capsys, tmp_path, fixture, edit, field):
+        data = json.loads(resolve_input_path(fixture).read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert f"input error: {path}{field}" in err
+
 
 class TestBlendAndPatch:
     def test_blend_json_is_loadable_system(self, capsys, tmp_path):
@@ -215,6 +232,14 @@ class TestHornVerbs:
         code, out, _ = run(capsys, "horn-validate", str(path))
         assert code == 1
         assert "witness" in out
+
+    def test_horn_validate_duplicate_labels(self, capsys, tmp_path):
+        bad = {"H": [[1, 0], [0, 1], [-1, -1]], "lambda": ["-1", "-1"], "column_labels": ["a", "a"]}
+        path = tmp_path / "labels.horn.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run(capsys, "horn-validate", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: column labels must be unique" in err
 
     def test_horn_minimize(self, capsys):
         code, out, _ = run(capsys, "horn-minimize", "square.horn.json")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from toric_precision.cli import resolve_input_path
 from toric_precision.errors import (
     InconsistentBlockIndexError,
     MergeAbortedError,
@@ -22,6 +23,8 @@ from toric_precision.horn import (
     tfp_horn_pair,
     validate_horn_pair,
 )
+from toric_precision.polynomials import RationalFunction, sum_rational_functions, variables
+from toric_precision.serialize import parse_model_file
 
 # Product pair of the square and trapezoid pairs, column order (i, j, k).
 PRODUCT_MATRIX = (
@@ -42,6 +45,12 @@ PRODUCT_MATRIX = (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
 )
 PRODUCT_LAMBDA = (1, 2, 1, 1, 2, 1, -1, -1, -1, -1)
+
+
+class TestHornMatrix:
+    def test_duplicate_column_labels(self):
+        with pytest.raises(ValueError, match="column labels must be unique"):
+            HornMatrix(((1, 0), (0, 1), (-1, -1)), ("a", "a"))
 
 
 class TestHornParametrize:
@@ -114,6 +123,39 @@ class TestValidateHornPair:
         pair = HornPair(matrix, (Fraction(1), Fraction(1)))
         report = validate_horn_pair(pair, 5, 0)
         assert not report.sums_to_one
+
+
+class TestSumToOneAgreesWithRationalFunctionSum:
+    """The Horn check (factored over row forms) and ``sum_rational_functions``
+    (over whole denominators) are two routes through ``lcm_sum``; they must
+    agree.  Product pairs stay out: over whole denominators they take seconds
+    to minutes."""
+
+    @staticmethod
+    def columns(pair):
+        """Column c as lambda_c * prod_rows (row . u) ** h_rc, over u1..un."""
+        u = variables([f"u{i + 1}" for i in range(pair.n_columns)])
+        forms = [RationalFunction(sum(e * x for e, x in zip(row, u))) for row in pair.matrix.entries]
+        out = []
+        for c, coefficient in enumerate(pair.coefficients):
+            column = RationalFunction(coefficient)
+            for row, form in zip(pair.matrix.entries, forms):
+                if row[c]:
+                    column = column * form ** row[c]
+            out.append(column)
+        return out
+
+    @pytest.mark.parametrize("name", ["square.horn.json", "trapezoid.horn.json", "simplex-3"])
+    @pytest.mark.parametrize("doubled", [False, True], ids=["as-given", "doubled"])
+    def test_agreement(self, name, doubled):
+        if name == "simplex-3":
+            pair = simplex_horn_pair(3)
+        else:
+            pair = parse_model_file(resolve_input_path(name))
+        if doubled:
+            pair = HornPair(pair.matrix, (2 * pair.coefficients[0],) + pair.coefficients[1:])
+        summed = sum_rational_functions(self.columns(pair)) == 1
+        assert summed == validate_horn_pair(pair, 100, 0).sums_to_one == (not doubled)
 
 
 class TestProductHornPair:

@@ -202,6 +202,23 @@ class TestProductCombination:
         with pytest.raises(ZeroClassTotalError):
             tfp_mle_combine(p_b, p_c, square_trapezoid_grading, u)
 
+    @pytest.mark.parametrize(
+        "factor, size", [("pB", 2), ("pC", 2), ("pB", 8)], ids=["pB-2", "pC-2", "pB-8"]
+    )
+    def test_factor_length_checked(
+        self, square_system, beta_tilde_system, square_trapezoid_grading, factor, size
+    ):
+        u = DataVector((1,) * 10)
+        u_b, u_c = tfp_marginal_counts(square_trapezoid_grading, u)
+        given = {
+            "pB": mle_closed_form(square_system, u_b),
+            "pC": mle_closed_form(beta_tilde_system, u_c),
+        }
+        given[factor] = Distribution((Fraction(1, size),) * size)
+        expected = 4 if factor == "pB" else 5
+        with pytest.raises(ValueError, match=f"{factor} has {size} entries, the grading has {expected}"):
+            tfp_mle_combine(given["pB"], given["pC"], square_trapezoid_grading, u)
+
 
 class TestClosedFormMatchesIpsWheneverChecksPass:
     """Any system passing all four checks has a closed-form estimate that the

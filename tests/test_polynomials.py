@@ -10,6 +10,7 @@ from toric_precision.errors import PoleError
 from toric_precision.polynomials import (
     Polynomial,
     RationalFunction,
+    lcm_sum,
     sum_rational_functions,
     variables,
 )
@@ -230,6 +231,82 @@ class TestArithmetic:
             point = (F(rng.randint(-3, 3)), F(rng.randint(-1, 1)))
             assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
             assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
+
+
+def nonzero_polynomial(rng, names):
+    while True:
+        p = random_polynomial(rng, names)
+        if not p.is_zero:
+            return p
+
+
+class TestLcmSum:
+    def test_exponentwise_lcm(self):
+        x, y = variables("x y")
+        one = Polynomial.constant(1, ("x", "y"))
+        numerator, denominator = lcm_sum(
+            [(one, {"x": 2}), (one, {"x": 1, "y": 1})], {"x": x, "y": y}.__getitem__, ("x", "y")
+        )
+        assert denominator == x**2 * y
+        assert numerator == y + x
+
+    def test_equal_denominators_grouped(self):
+        x, y = variables("x y")
+        factors = {"a": 1 + x, "b": 2 - y}
+        terms = [(x, {"a": 1}), (y, {"a": 1}), (x * y, {"a": 1, "b": 2})]
+        numerator, denominator = lcm_sum(terms, factors.__getitem__, ("x", "y"))
+        assert denominator == (1 + x) * (2 - y) ** 2
+        assert numerator == (x + y) * (2 - y) ** 2 + x * y
+
+    def test_no_terms(self):
+        assert lcm_sum([], None, ("x",)) == (Polynomial.zero(("x",)), Polynomial.constant(1, ("x",)))
+
+    def test_add_matches_pairwise_rule(self):
+        def pairwise(f, g):
+            if f.denominator == g.denominator:
+                return RationalFunction(f.numerator + g.numerator, f.denominator)
+            return RationalFunction(
+                f.numerator * g.denominator + g.numerator * f.denominator,
+                f.denominator * g.denominator,
+            )
+
+        rng = random.Random(29)
+        shared = 0
+        for _ in range(60):
+            names = ("x1", "x2")
+            other = rng.choice((names, ("x2", "x1"), ("x1", "x3")))
+            f = RationalFunction(random_polynomial(rng, names), nonzero_polynomial(rng, names))
+            if rng.random() < 0.4:
+                # a constant term of 1 keeps f's denominator canonical in g
+                numerator = random_polynomial(rng, other, integer=True)
+                numerator = Polynomial(other, {**numerator.terms, (0, 0): 1})
+                g = RationalFunction(numerator, f.denominator)
+            else:
+                g = RationalFunction(random_polynomial(rng, other), nonzero_polynomial(rng, other))
+            shared += f.denominator == g.denominator
+            total, expected = f + g, pairwise(f, g)
+            assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+        assert shared >= 10
+
+    def test_sum_is_sum_in_fraction_field(self):
+        rng = random.Random(31)
+        names = ("x1", "x2")
+        for _ in range(20):
+            pool = [nonzero_polynomial(rng, names) for _ in range(2)]
+            fs = [
+                RationalFunction(random_polynomial(rng, names), rng.choice(pool))
+                for _ in range(rng.randint(1, 4))
+            ]
+            numerator = Polynomial.zero(names)
+            denominator = Polynomial.constant(1, names)
+            for k, f in enumerate(fs):
+                term = f.numerator
+                for j, g in enumerate(fs):
+                    if j != k:
+                        term = term * g.denominator
+                numerator = numerator + term
+                denominator = denominator * f.denominator
+            assert sum_rational_functions(fs) == RationalFunction(numerator, denominator)
 
 
 class TestCanonicalForm:

@@ -64,6 +64,12 @@ class TestBlendingSystemRoundTrip:
         with pytest.raises(SchemaError, match="kind"):
             serialize.blending_system_from_json(data)
 
+    def test_duplicate_variables_name_the_field(self, beta_tilde_system):
+        data = serialize.blending_system_to_json(beta_tilde_system)
+        data["variables"] = ["x", "x"]
+        with pytest.raises(SchemaError, match=r"^system\.variables: duplicate variable names"):
+            serialize.blending_system_from_json(data)
+
     def test_polynomial_order_deterministic(self, beta_tilde_system):
         once = serialize.blending_system_to_json(beta_tilde_system)
         again = serialize.blending_system_to_json(beta_tilde_system)
@@ -88,6 +94,17 @@ class TestGradedModelRoundTrip:
         with pytest.raises(SchemaError, match=r"assignment\[0\]"):
             serialize.graded_model_from_json(data)
 
+    def test_ragged_degrees_name_the_field(self, square_graded, degree_pair):
+        from toric_precision.blending import WeightVector
+
+        model = GradedModel(square_graded, WeightVector.ones(4), degree_pair)
+        data = serialize.graded_model_to_json(model)
+        data["grading"]["A"] = [[1, 0], [0]]
+        with pytest.raises(
+            SchemaError, match=r"^model\.grading\.A: point \(0,\) does not have dimension 2"
+        ):
+            serialize.graded_model_from_json(data)
+
 
 class TestHornRoundTrip:
     def test_roundtrip(self, trapezoid_horn):
@@ -98,6 +115,11 @@ class TestHornRoundTrip:
         data = serialize.horn_pair_to_json(trapezoid_horn)
         data["lambda"][1] = "0"
         with pytest.raises(SchemaError, match=r"lambda\[1\]"):
+            serialize.horn_pair_from_json(data)
+
+    def test_duplicate_column_labels(self):
+        data = {"H": [[1, 0], [0, 1], [-1, -1]], "lambda": ["-1", "-1"], "column_labels": ["a", "a"]}
+        with pytest.raises(SchemaError, match="^horn: column labels must be unique"):
             serialize.horn_pair_from_json(data)
 
     def test_nonzero_column_sum(self):
