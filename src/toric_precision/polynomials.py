@@ -1,10 +1,18 @@
 """Sparse multivariate polynomials and rational functions over the rationals.
 
-Polynomials are stored sparsely as a map from exponent vectors to nonzero
-``Fraction`` coefficients, under a fixed graded-lexicographic monomial order
-(total degree first, ties broken lexicographically on the exponent vector).
-That order fixes term storage, serialization, and the sign convention of
-rational functions, so equal inputs always serialize identically.
+A polynomial stores nonzero integer coefficients over one positive common
+denominator, keyed by exponent vectors.  The pair is kept canonical: the
+content of the coefficients is coprime to the denominator, so equal
+polynomials store equal integers and ``==`` compares them directly.
+``terms`` is a read-only ``{exponent: Fraction}`` view of the same values.
+``Polynomial(...)`` validates its input; the results of arithmetic are built
+by the unchecked :meth:`Polynomial._make`, which trusts its caller to pass
+nonzero integers and only divides out their gcd with the denominator.
+
+Terms are listed under a fixed graded-lexicographic monomial order (total
+degree first, ties broken lexicographically on the exponent vector).  That
+order fixes serialization and the sign convention of rational functions, so
+equal inputs always serialize identically.
 
 Rational functions are pairs of polynomials kept in a canonical form that
 does not require multivariate GCDs:
@@ -21,16 +29,17 @@ Evaluation has one path, in Python integers.  A rational point is written
 once as an integer vector ``xs`` over its common denominator ``q``
 (:func:`integer_point`); :meth:`Polynomial._value_at` then returns integers
 ``H`` and ``L * q**deg`` with ``p(xs / q) = H / (L * q**deg)``, where ``L`` is
-the lcm of the coefficient denominators (1 for the integer numerator and
-denominator of a rational function).  Only the final value becomes a
-``Fraction``; a rational function has a pole exactly where the ``H`` of its
-denominator is 0.
+the stored common denominator (1 for the numerator and denominator of a
+rational function).  Only the final value becomes a ``Fraction``; a
+rational function has a pole exactly where the ``H`` of its denominator is 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
@@ -48,14 +57,14 @@ def _merge_variables(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with rational coefficients.
 
     ``terms`` maps exponent tuples (one entry per variable, all nonnegative)
-    to nonzero coefficients.  Instances must not be mutated after creation;
-    every operation returns a fresh polynomial.
+    to nonzero ``Fraction`` coefficients.  Instances must not be mutated
+    after creation; every operation returns a fresh polynomial.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_coefficients", "_denominator")
 
     def __init__(
         self,
@@ -69,18 +78,44 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponent, Fraction] = {}
         for exponent, coefficient in items:
-            exp = tuple(int(e) for e in exponent)
+            exp = tuple(exponent)
+            if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
+                raise TypeError(f"exponents must be integers, got {exp}")
             if len(exp) != len(names):
                 raise ValueError(f"exponent {exp} does not match variables {names}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = clean.get(exp, Fraction(0)) + Fraction(coefficient)
+            if isinstance(coefficient, float):
+                raise TypeError(f"float coefficient {coefficient!r}; pass an int, Fraction or 'p/q' string")
+            c = clean.get(exp, 0) + Fraction(coefficient)
             if c == 0:
                 clean.pop(exp, None)
             else:
                 clean[exp] = c
+        # Reduced fractions over the lcm of their denominators are canonical.
+        denominator = lcm(*(c.denominator for c in clean.values()))
         self.variables = names
-        self.terms = clean
+        self._coefficients = {
+            e: c.numerator * (denominator // c.denominator) for e, c in clean.items()
+        }
+        self._denominator = denominator
+
+    @classmethod
+    def _make(
+        cls, variables: tuple[str, ...], coefficients: dict[Exponent, int], denominator: int = 1
+    ) -> "Polynomial":
+        """Unchecked constructor for arithmetic results: nonzero integer
+        coefficients over a positive denominator, whose gcd it divides out."""
+        if denominator != 1:
+            g = gcd(denominator, *coefficients.values())
+            if g != 1:
+                coefficients = {e: c // g for e, c in coefficients.items()}
+                denominator //= g
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly._coefficients = coefficients
+        poly._denominator = denominator
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -90,8 +125,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int | str | Fraction, variables: Sequence[str] = ()) -> "Polynomial":
-        zero_exp = (0,) * len(tuple(variables))
-        return cls(variables, {zero_exp: Fraction(value)} if Fraction(value) != 0 else {})
+        names = tuple(variables)
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] | None = None) -> "Polynomial":
@@ -99,25 +134,31 @@ class Polynomial:
         if name not in names:
             raise ValueError(f"{name!r} not among variables {names}")
         exp = tuple(1 if v == name else 0 for v in names)
-        return cls(names, {exp: Fraction(1)})
+        return cls(names, {exp: 1})
 
     # -- basic queries ------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only ``{exponent: Fraction}`` view of the coefficients."""
+        den = self._denominator
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._coefficients.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coefficients
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self._coefficients:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._coefficients)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term (0 for the zero polynomial)."""
-        if not self.terms:
+        if not self._coefficients:
             return Fraction(0)
-        return self.terms[max(self.terms, key=_grlex_key)]
+        return Fraction(self._coefficients[max(self._coefficients, key=_grlex_key)], self._denominator)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded-lexicographic order."""
@@ -138,20 +179,22 @@ class Polynomial:
             if v not in names:
                 raise ValueError(f"variable {v!r} missing from {names}")
             positions.append(names.index(v))
-        terms = {}
-        for exp, c in self.terms.items():
+        coefficients = {}
+        for exp, c in self._coefficients.items():
             new_exp = [0] * len(names)
             for pos, e in zip(positions, exp):
                 new_exp[pos] = e
-            terms[tuple(new_exp)] = c
-        return Polynomial(names, terms)
+            coefficients[tuple(new_exp)] = c
+        return Polynomial._make(names, coefficients, self._denominator)
 
     def renamed(self, variables: Sequence[str]) -> "Polynomial":
         """Rename variables positionally (same count, exponents untouched)."""
-        names = tuple(variables)
+        names = tuple(str(v) for v in variables)
         if len(names) != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} names, got {len(names)}")
-        return Polynomial(names, dict(self.terms))
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names: {names}")
+        return Polynomial._make(names, self._coefficients, self._denominator)
 
     def _aligned(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if self.variables == other.variables:
@@ -165,23 +208,31 @@ class Polynomial:
     def _coerce(value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        return Polynomial.constant(Fraction(value))
+        if isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+            return Polynomial._make((), {(): value.numerator} if value else {}, value.denominator)
+        return Polynomial.constant(value)
 
     def __add__(self, other) -> "Polynomial":
         f, g = self._aligned(self._coerce(other))
-        terms = dict(f.terms)
-        for exp, c in g.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
+        df, dg = f._denominator, g._denominator
+        common = df if df == dg else lcm(df, dg)
+        sf, sg = common // df, common // dg
+        coefficients = {e: c * sf for e, c in f._coefficients.items()} if sf != 1 else dict(f._coefficients)
+        for exp, c in g._coefficients.items():
+            s = coefficients.get(exp, 0) + c * sg
+            if s:
+                coefficients[exp] = s
             else:
-                terms[exp] = s
-        return Polynomial(f.variables, terms)
+                del coefficients[exp]
+        return Polynomial._make(f.variables, coefficients, common)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(
+            self.variables, {e: -c for e, c in self._coefficients.items()}, self._denominator
+        )
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -191,23 +242,22 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         f, g = self._aligned(self._coerce(other))
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return Polynomial(f.variables, terms)
+        coefficients: dict[Exponent, int] = {}
+        get = coefficients.get
+        second = list(g._coefficients.items())
+        for e1, c1 in f._coefficients.items():
+            for e2, c2 in second:
+                exp = tuple(map(add, e1, e2))
+                coefficients[exp] = get(exp, 0) + c1 * c2
+        coefficients = {e: c for e, c in coefficients.items() if c}
+        return Polynomial._make(f.variables, coefficients, f._denominator * g._denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1, self.variables)
+        result = Polynomial._make(self.variables, {(0,) * len(self.variables): 1})
         base = self
         n = exponent
         while n:
@@ -228,18 +278,13 @@ class Polynomial:
     def _value_at(self, xs: Sequence[int], q: int) -> tuple[int, int]:
         """Integers ``(H, L * q**deg)`` with ``p(xs / q) = H / (L * q**deg)``.
 
-        ``L`` is the lcm of the coefficient denominators and ``deg`` the total
-        degree (0 for the zero polynomial).  Terms are summed per degree and
-        the sums joined by Horner's rule in ``q``, which homogenizes the
+        ``L`` is the stored common denominator and ``deg`` the total degree
+        (0 for the zero polynomial).  Terms are summed per degree and the
+        sums joined by Horner's rule in ``q``, which homogenizes the
         polynomial.
         """
-        terms = self.terms
-        common = 1
-        for c in terms.values():
-            common = lcm(common, c.denominator)
         by_degree: dict[int, int] = {}
-        for exp, c in terms.items():
-            term = c.numerator * (common // c.denominator)
+        for exp, term in self._coefficients.items():
             for x, e in zip(xs, exp):
                 if e:
                     term *= x**e
@@ -249,7 +294,7 @@ class Polynomial:
         value = 0
         for degree in range(deg + 1):
             value = value * q + by_degree.get(degree, 0)
-        return value, common * q**deg
+        return value, self._denominator * q**deg
 
     def substitute(self, values: Sequence["Polynomial | int | Fraction"]) -> "Polynomial":
         """Compose with one polynomial (or constant) per variable, by position."""
@@ -261,23 +306,36 @@ class Polynomial:
         merged: tuple[str, ...] = ()
         for image in images:
             merged = _merge_variables(merged, image.variables)
-        total = Polynomial.zero(merged)
-        for exp, c in self.terms.items():
-            term = Polynomial.constant(c, merged)
+        zero_exp = (0,) * len(merged)
+        total = Polynomial._make(merged, {})
+        for exp, c in self._coefficients.items():
+            term = Polynomial._make(merged, {zero_exp: c})
             for image, e in zip(images, exp):
                 if e:
                     term = term * image**e
             total = total + term
-        return total
+        return Polynomial._make(merged, total._coefficients, total._denominator * self._denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
         f, g = self._aligned(self._coerce(other))
-        return f.terms == g.terms
+        return f._denominator == g._denominator and f._coefficients == g._coefficients
 
     def __hash__(self) -> int:
-        return hash((self.variables, tuple(self.sorted_terms())))
+        """Agrees with ``==``: a constant hashes as its value, any other
+        polynomial by its monomials keyed by variable name."""
+        coefficients = self._coefficients
+        if not any(map(any, coefficients)):
+            return hash(Fraction(sum(coefficients.values()), self._denominator))
+        names = self.variables
+        return hash((
+            frozenset(
+                (frozenset((v, e) for v, e in zip(names, exp) if e), c)
+                for exp, c in coefficients.items()
+            ),
+            self._denominator,
+        ))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -294,7 +352,7 @@ class Polynomial:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._coefficients:
             return "0"
         chunks = []
         for exp, c in self.sorted_terms():
@@ -362,8 +420,8 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator polynomial")
         num, den = num._aligned(den)
         if num.is_zero:
-            self.numerator = Polynomial.zero(num.variables)
-            self.denominator = Polynomial.constant(1, num.variables)
+            self.numerator = Polynomial._make(num.variables, {})
+            self.denominator = Polynomial._make(num.variables, {(0,) * len(num.variables): 1})
             return
         num, den = _cancel_common_monomial(num, den)
         num, den = _jointly_primitive(num, den)
@@ -400,7 +458,7 @@ class RationalFunction:
             return value
         if isinstance(value, Polynomial):
             return RationalFunction.from_polynomial(value)
-        return RationalFunction(Polynomial.constant(Fraction(value)))
+        return RationalFunction(value)
 
     def __add__(self, other) -> "RationalFunction":
         return sum_rational_functions((self, self._coerce(other)))
@@ -480,14 +538,15 @@ class RationalFunction:
 
 def _cancel_common_monomial(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Divide out x^m where m is the largest monomial dividing every term."""
-    shift = tuple(map(min, zip(*num.terms, *den.terms)))
+    shift = tuple(map(min, zip(*num._coefficients, *den._coefficients)))
     if not any(shift):
         return num, den
 
     def shifted(poly: Polynomial) -> Polynomial:
-        return Polynomial(
+        return Polynomial._make(
             poly.variables,
-            {tuple(e - s for e, s in zip(exp, shift)): c for exp, c in poly.terms.items()},
+            {tuple(e - s for e, s in zip(exp, shift)): c for exp, c in poly._coefficients.items()},
+            poly._denominator,
         )
 
     return shifted(num), shifted(den)
@@ -496,21 +555,18 @@ def _cancel_common_monomial(num: Polynomial, den: Polynomial) -> tuple[Polynomia
 def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Scale num and den by one rational: integer coefficients, joint content 1,
     positive leading denominator coefficient."""
-    coefficients = list(num.terms.values()) + list(den.terms.values())
-    denominator_lcm = 1
-    for c in coefficients:
-        denominator_lcm = lcm(denominator_lcm, c.denominator)
-    content = 0
-    for c in coefficients:
-        content = gcd(content, abs(c.numerator) * (denominator_lcm // c.denominator))
-    scale = Fraction(denominator_lcm, content)
-    if den.leading_coefficient() * scale < 0:
-        scale = -scale
+    # num / den = (a / p) / (b / r) = (a * r) / (b * p); g is the joint content.
+    p, r = num._denominator, den._denominator
+    g = gcd(r * gcd(*num._coefficients.values()), p * gcd(*den._coefficients.values()))
+    if den.leading_coefficient() < 0:
+        g = -g
 
-    def scaled(poly: Polynomial) -> Polynomial:
-        return Polynomial(poly.variables, {e: c * scale for e, c in poly.terms.items()})
+    def scaled(poly: Polynomial, factor: int) -> Polynomial:
+        if factor == g == 1:
+            return Polynomial._make(poly.variables, poly._coefficients)
+        return Polynomial._make(poly.variables, {e: c * factor // g for e, c in poly._coefficients.items()})
 
-    return scaled(num), scaled(den)
+    return scaled(num, r), scaled(den, p)
 
 
 def lcm_sum(
@@ -549,7 +605,7 @@ def lcm_sum(
 
 def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:
     """Sum rational functions with :func:`lcm_sum`, each whole canonical
-    denominator one factor keyed by its sorted terms.
+    denominator one factor, keyed by itself.
 
     Functions sharing a denominator are summed first, so the result's
     denominator is the product of the distinct denominators, not of all
@@ -557,11 +613,5 @@ def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFun
     """
     fs = list(functions)
     merged = tuple(dict.fromkeys(name for f in fs for name in f.variables))
-    denominators: dict[tuple, Polynomial] = {}
-    terms = []
-    for f in fs:
-        denominator = f.denominator.reindexed(merged)
-        key = tuple(denominator.sorted_terms())
-        denominators[key] = denominator
-        terms.append((f.numerator.reindexed(merged), {key: 1}))
-    return RationalFunction(*lcm_sum(terms, denominators.__getitem__, merged))
+    terms = [(f.numerator.reindexed(merged), {f.denominator.reindexed(merged): 1}) for f in fs]
+    return RationalFunction(*lcm_sum(terms, lambda denominator: denominator, merged))

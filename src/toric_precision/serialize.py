@@ -81,7 +81,7 @@ def config_from_json(data: Any, path: str = "config") -> PointConfiguration:
     ):
         raise SchemaError(f"{path}.labels: expected a list of strings")
     try:
-        return PointConfiguration(dim, tuple(tuple(p) for p in points), tuple(labels) if labels else None)
+        return PointConfiguration(dim, tuple(tuple(p) for p in points), tuple(labels) if labels is not None else None)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -260,7 +260,7 @@ def horn_pair_from_json(data: Any, path: str = "horn") -> HornPair:
     ):
         raise SchemaError(f"{path}.column_labels: expected a list of strings")
     try:
-        matrix = HornMatrix(tuple(tuple(r) for r in rows), tuple(labels) if labels else None)
+        matrix = HornMatrix(tuple(tuple(r) for r in rows), tuple(labels) if labels is not None else None)
         return HornPair(matrix, tuple(lambdas))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None

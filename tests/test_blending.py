@@ -15,8 +15,15 @@ from toric_precision.blending import (
     verify_partition_of_unity,
     verify_toric_membership,
 )
-from toric_precision.errors import PointOutsidePolytopeError
-from toric_precision.geometry import PointConfiguration, convex_hull_facets, lattice_points
+from toric_precision.errors import PointOutsidePolytopeError, PoleError
+from toric_precision.geometry import (
+    PointConfiguration,
+    convex_hull_facets,
+    design_matrix,
+    lattice_points,
+    sample_interior,
+)
+from toric_precision.linalg import integer_kernel_basis
 from toric_precision.polynomials import RationalFunction, variables
 
 
@@ -187,6 +194,69 @@ class TestToricMembership:
         v = beta_tilde_system.evaluate(p)
         w = beta_tilde_system.weights
         assert (v[0] / w[0]) * (v[2] / w[2]) == (v[1] / w[1]) ** 2
+
+    def test_matches_fraction_formula_on_custom_systems(self):
+        def fraction_membership(system, samples, seed):
+            """The binomials in Fractions: products of f_b(p)/w_b over each side of v."""
+            dm = design_matrix(system.config)
+            kernel = integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)
+            for point in sample_interior(system.config, samples, seed):
+                try:
+                    values = system.evaluate(point)
+                except PoleError:
+                    return False
+                scaled = [v / w for v, w in zip(values, system.weights.weights)]
+                for vector in kernel:
+                    left = right = Fraction(1)
+                    for x, e in zip(scaled, vector):
+                        if e > 0:
+                            left *= x**e
+                        elif e < 0:
+                            right *= x**-e
+                    if left != right:
+                        return False
+            return True
+
+        rng = random.Random(50)
+        configs = [
+            PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (1, 1))),
+            PointConfiguration(2, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))),
+            PointConfiguration(2, tuple((a, b) for a in range(3) for b in range(3 - a))),
+            PointConfiguration(1, ((0,), (1,), (2,), (3,))),
+        ]
+        verdicts = []
+        for config in configs:
+            names = tuple(f"x{i + 1}" for i in range(config.dim))
+            n = len(config.points)
+            weights = WeightVector(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)))
+            toric = toric_blending(convex_hull_facets(config), config, weights)
+            # sample 0 is the barycenter; a factor vanishing there gives a zero or a pole
+            x1 = variables(names)[0]
+            vanishing = x1 - sample_interior(config, 1, 0)[0][0]
+            functions = list(toric.functions)
+            zero = [functions[0] * RationalFunction(vanishing)] + functions[1:]
+            pole = [functions[0] / RationalFunction(vanishing)] + functions[1:]
+            scaled = list(functions)
+            scaled[rng.randrange(n)] *= Fraction(rng.randint(2, 5), rng.randint(1, 5))
+            reweighted = WeightVector(tuple(w * rng.choice((1, 1, 2)) for w in weights.weights))
+            cases = [
+                (weights, functions),
+                (weights, zero),
+                (weights, pole),
+                (weights, scaled),
+                (reweighted, functions),
+            ]
+            for case_weights, case_functions in cases:
+                system = BlendingSystem(config, case_weights, tuple(case_functions), "custom", names)
+                for seed in (0, 1):
+                    verdict = verify_toric_membership(system, 10, seed)
+                    assert verdict == fraction_membership(system, 10, seed)
+                    verdicts.append(verdict)
+            zero_system = BlendingSystem(config, weights, tuple(zero), "custom", names)
+            assert zero_system.evaluate(sample_interior(config, 1, 0)[0])[0] == 0
+            pole_system = BlendingSystem(config, weights, tuple(pole), "custom", names)
+            assert not verify_toric_membership(pole_system, 10, 0)
+        assert True in verdicts and False in verdicts
 
 
 class TestToricPatch:

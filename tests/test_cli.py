@@ -87,8 +87,9 @@ class TestVerify:
         [
             ("square.json", lambda d: d["grading"].update(A=[[1, 0], [0]]), ".grading.A: point (0,)"),
             ("trapezoid_beta_tilde.json", lambda d: d.update(variables=["x", "x"]), ".variables: duplicate"),
+            ("square.json", lambda d: d["config"].update(labels=[]), ".config: label count does not match"),
         ],
-        ids=["ragged-degrees", "duplicate-variables"],
+        ids=["ragged-degrees", "duplicate-variables", "empty-labels"],
     )
     def test_bad_field_is_named(self, capsys, tmp_path, fixture, edit, field):
         data = json.loads(resolve_input_path(fixture).read_text(encoding="utf-8"))
@@ -240,6 +241,14 @@ class TestHornVerbs:
         code, out, err = run(capsys, "horn-validate", str(path))
         assert code == 2 and out == ""
         assert f"{path}: column labels must be unique" in err
+
+    def test_horn_validate_empty_labels(self, capsys, tmp_path):
+        bad = {"H": [[1, 0], [0, 1], [-1, -1]], "lambda": ["-1", "-1"], "column_labels": []}
+        path = tmp_path / "labels.horn.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run(capsys, "horn-validate", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: label count does not match column count" in err
 
     def test_horn_minimize(self, capsys):
         code, out, _ = run(capsys, "horn-minimize", "square.horn.json")

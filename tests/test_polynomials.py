@@ -365,3 +365,231 @@ class TestOrderingAndFormat:
         assert str(Polynomial.zero(("x1",))) == "0"
         # sign normalization keeps the denominator's leading coefficient positive
         assert str(RationalFunction(x1, 2 - x2)) == "(-x1) / (x2 - 2)"
+
+
+# -- the integer core against a dict-of-Fraction reference -------------------
+
+NAMES = ("x1", "x2", "x3")
+
+
+def lift(terms, source, target):
+    """Reference terms {exponent over source: Fraction} rewritten over target."""
+    out = {}
+    for exp, c in terms.items():
+        powers = dict(zip(source, exp))
+        key = tuple(powers.get(v, 0) for v in target)
+        out[key] = out.get(key, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n, width):
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_canonical(num, den, width):
+    """The canonical form rule, written out over Fractions."""
+    if not num:
+        return {}, {(0,) * width: Fraction(1)}
+    exps = list(num) + list(den)
+    shift = tuple(min(e[i] for e in exps) for i in range(width))
+    num = {tuple(a - s for a, s in zip(e, shift)): c for e, c in num.items()}
+    den = {tuple(a - s for a, s in zip(e, shift)): c for e, c in den.items()}
+    coefficients = list(num.values()) + list(den.values())
+    common = 1
+    for c in coefficients:
+        common = common * c.denominator // gcd(common, c.denominator)
+    content = 0
+    for c in coefficients:
+        content = gcd(content, c.numerator * (common // c.denominator))
+    scale = Fraction(common, content)
+    if den[max(den, key=lambda e: (sum(e), e))] * scale < 0:
+        scale = -scale
+    return {e: c * scale for e, c in num.items()}, {e: c * scale for e, c in den.items()}
+
+
+def random_names(rng):
+    return tuple(rng.sample(NAMES, rng.randint(1, 3)))
+
+
+def random_terms(rng, names, nonzero=False):
+    while True:
+        terms = {
+            tuple(rng.randint(0, 3) for _ in names): Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            for _ in range(rng.randint(0, 6))
+        }
+        if lift(terms, names, names) or not nonzero:
+            return terms
+
+
+def assert_canonical(poly):
+    den = poly._denominator
+    assert den > 0 and all(poly._coefficients.values())
+    assert gcd(den, *poly._coefficients.values()) == 1
+    assert all(isinstance(c, Fraction) for c in poly.terms.values())
+
+
+class TestIntegerCoreAgainstFractionReference:
+    def test_constructor_and_terms_view(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            names = random_names(rng)
+            terms = random_terms(rng, names)
+            poly = Polynomial(names, terms)
+            assert_canonical(poly)
+            assert dict(poly.terms) == lift(terms, names, names)
+            with pytest.raises(TypeError):
+                poly.terms[(0,) * len(names)] = 1
+
+    def test_ring_operations(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            nf, ng = random_names(rng), random_names(rng)
+            tf, tg = random_terms(rng, nf), random_terms(rng, ng)
+            f, g = Polynomial(nf, tf), Polynomial(ng, tg)
+            merged = tuple(dict.fromkeys(nf + ng))
+            a, b = lift(tf, nf, merged), lift(tg, ng, merged)
+            minus_b = {e: -c for e, c in b.items()}
+            scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            k = rng.randint(0, 3)
+            expected = [
+                (f + g, ref_add(a, b)),
+                (f - g, ref_add(a, minus_b)),
+                (f * g, ref_mul(a, b)),
+            ]
+            for result, reference in expected:
+                assert result.variables == merged
+                assert dict(result.terms) == reference
+                assert_canonical(result)
+            assert dict((-g).terms) == {e: -c for e, c in lift(tg, ng, ng).items()}
+            for result, reference in (
+                (f + scalar, ref_add(lift(tf, nf, nf), {(0,) * len(nf): scalar})),
+                (scalar * f, ref_mul(lift(tf, nf, nf), {(0,) * len(nf): scalar})),
+                (f**k, ref_pow(lift(tf, nf, nf), k, len(nf))),
+            ):
+                assert result.variables == nf
+                assert dict(result.terms) == {e: c for e, c in reference.items() if c}
+                assert_canonical(result)
+
+    def test_substitute(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            names = random_names(rng)
+            terms = random_terms(rng, names)
+            images = []
+            for _ in names:
+                if rng.random() < 0.2:
+                    images.append(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+                else:
+                    image_names = random_names(rng)
+                    images.append(Polynomial(image_names, random_terms(rng, image_names)))
+            result = Polynomial(names, terms).substitute(images)
+            merged = tuple(
+                dict.fromkeys(v for image in images if isinstance(image, Polynomial) for v in image.variables)
+            )
+            assert result.variables == merged
+            lifted = [
+                lift(image.terms, image.variables, merged)
+                if isinstance(image, Polynomial)
+                else lift({(): image}, (), merged)
+                for image in images
+            ]
+            reference = {}
+            for exp, c in lift(terms, names, names).items():
+                term = {(0,) * len(merged): c}
+                for image, e in zip(lifted, exp):
+                    term = ref_mul(term, ref_pow(image, e, len(merged)))
+                reference = ref_add(reference, term)
+            assert dict(result.terms) == reference
+            assert_canonical(result)
+
+    def test_reindexed_equality_and_hash(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            names = random_names(rng)
+            terms = random_terms(rng, names)
+            poly = Polynomial(names, terms)
+            superset = tuple(rng.sample(NAMES, 3))
+            moved = poly.reindexed(superset)
+            assert moved.variables == superset
+            assert dict(moved.terms) == lift(terms, names, superset)
+            rebuilt = Polynomial(superset, lift(terms, names, superset))
+            assert moved == poly and rebuilt == poly and poly == rebuilt
+            assert hash(moved) == hash(poly) == hash(rebuilt)
+            other_names = random_names(rng)
+            other = Polynomial(other_names, random_terms(rng, other_names))
+            merged = tuple(dict.fromkeys(names + other_names))
+            same = lift(terms, names, merged) == lift(other.terms, other_names, merged)
+            assert (poly == other) is same and (other == poly) is same
+
+    def test_rational_function_canonical_form(self):
+        rng = random.Random(44)
+        for _ in range(150):
+            n1, n2 = random_names(rng), random_names(rng)
+            t1, t2 = random_terms(rng, n1), random_terms(rng, n2, nonzero=True)
+            if rng.random() < 0.4:
+                # a shared monomial factor to cancel
+                shift = {v: rng.randint(1, 2) for v in rng.sample(NAMES, rng.randint(1, 3))}
+                t1 = {tuple(e + shift.get(v, 0) for v, e in zip(n1, exp)): c for exp, c in t1.items()}
+                t2 = {tuple(e + shift.get(v, 0) for v, e in zip(n2, exp)): c for exp, c in t2.items()}
+            f = RationalFunction(Polynomial(n1, t1), Polynomial(n2, t2))
+            merged = tuple(dict.fromkeys(n1 + n2))
+            num, den = ref_canonical(lift(t1, n1, merged), lift(t2, n2, merged), len(merged))
+            assert f.variables == merged
+            assert dict(f.numerator.terms) == num
+            assert dict(f.denominator.terms) == den
+            assert_canonical(f.numerator)
+            assert_canonical(f.denominator)
+
+
+class TestHashAgreesWithEquality:
+    def test_equal_polynomials_collapse_in_a_set(self):
+        half = F("1/2")
+        linear = {
+            Polynomial(("x",), {(1,): half}),
+            Polynomial(("x", "y"), {(1, 0): half}),
+            Polynomial(("y", "x"), {(0, 1): half}),
+        }
+        assert len(linear) == 1
+        constants = {Polynomial.constant(2, ("x", "y")), Polynomial.constant(2), 2, F(2)}
+        assert len(constants) == 1
+        assert {Polynomial.constant(half, ("x",)), half} == {half}
+        assert {Polynomial.zero(("x", "y")), Polynomial.zero(), 0} == {0}
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize("exponent", [(F("17/10"),), (1.7,), (True,), ("1",)])
+    def test_non_integer_exponent_rejected(self, exponent):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            Polynomial(("x",), {exponent: 1})
+
+    def test_float_coefficient_rejected(self):
+        (x,) = variables("x")
+        with pytest.raises(TypeError, match="float coefficient"):
+            Polynomial(("x",), {(1,): 0.1})
+        with pytest.raises(TypeError, match="float coefficient"):
+            Polynomial.constant(0.5, ("x",))
+        with pytest.raises(TypeError, match="float coefficient"):
+            x * 0.5
+
+    def test_exact_coefficients_accepted(self):
+        poly = Polynomial(("x",), [((1,), 1), ((1,), "1/2"), ((0,), F("-3/4"))])
+        assert dict(poly.terms) == {(1,): F("3/2"), (0,): F("-3/4")}

@@ -27,6 +27,11 @@ class TestConfigRoundTrip:
         with pytest.raises(SchemaError, match=r"points\[1\]\[0\]"):
             serialize.config_from_json({"dim": 1, "points": [[0], ["x"]]})
 
+    @pytest.mark.parametrize("labels", [[], ["a"]])
+    def test_label_count_checked(self, labels):
+        with pytest.raises(SchemaError, match="^config: label count does not match"):
+            serialize.config_from_json({"dim": 1, "points": [[0], [1]], "labels": labels})
+
 
 class TestPolytopeRoundTrip:
     def test_roundtrip(self, trapezoid_poly):
@@ -120,6 +125,12 @@ class TestHornRoundTrip:
     def test_duplicate_column_labels(self):
         data = {"H": [[1, 0], [0, 1], [-1, -1]], "lambda": ["-1", "-1"], "column_labels": ["a", "a"]}
         with pytest.raises(SchemaError, match="^horn: column labels must be unique"):
+            serialize.horn_pair_from_json(data)
+
+    @pytest.mark.parametrize("labels", [[], ["a"]])
+    def test_column_label_count_checked(self, labels):
+        data = {"H": [[1, 0], [0, 1], [-1, -1]], "lambda": ["-1", "-1"], "column_labels": labels}
+        with pytest.raises(SchemaError, match="^horn: label count does not match column count"):
             serialize.horn_pair_from_json(data)
 
     def test_nonzero_column_sum(self):
