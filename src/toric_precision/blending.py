@@ -17,6 +17,7 @@ interior, and lands on the weighted toric variety are separate checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -185,21 +186,38 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
     return True
 
 
-def _holds_at_samples(config: PointConfiguration, samples: int, seed: int, holds) -> bool:
-    """True when ``holds(point)`` is true at every seeded interior sample.
+def _holds_at_samples(
+    config: PointConfiguration, samples: int, seed: int, *predicates
+) -> tuple[bool, ...]:
+    """One verdict per predicate: true when it holds at every seeded interior sample.
 
-    This is the one loop behind every sampled check.  No sample is skipped:
-    a PoleError at any sample is a failure.
+    This is the one loop behind every sampled check.  Each sample is drawn
+    once and handed to every predicate that has not failed yet, so checks
+    that share an evaluator evaluate each sample once.  No sample is
+    skipped: a PoleError at any sample fails that predicate.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    verdicts = [True] * len(predicates)
     for point in sample_interior(config, samples, seed):
-        try:
-            if not holds(point):
-                return False
-        except PoleError:
-            return False
-    return True
+        for i, holds in enumerate(predicates):
+            if verdicts[i]:
+                try:
+                    verdicts[i] = bool(holds(point))
+                except PoleError:
+                    verdicts[i] = False
+        if not any(verdicts):
+            break
+    return tuple(verdicts)
+
+
+def _positivity_predicate(poly: LatticePolytope | None, evaluate):
+    def holds(point) -> bool:
+        if poly is not None and any(d <= 0 for d in poly.lattice_distances(point)):
+            raise ValueError(f"sample {point} is not interior to the polytope")
+        return all(v >= 0 for v in evaluate(point))
+
+    return holds
 
 
 def verify_interior_positivity(
@@ -211,13 +229,33 @@ def verify_interior_positivity(
     points.  When the polytope is supplied, each sample is asserted to have
     positive lattice distance to every facet.
     """
+    holds = _positivity_predicate(poly, sys.evaluate)
+    return _holds_at_samples(sys.config, samples, seed, holds)[0]
+
+
+def _membership_predicate(sys: BlendingSystem, evaluate):
+    dm = design_matrix(sys.config)
+    kernel = linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)
+    weights = [(w.numerator, w.denominator) for w in sys.weights.weights]
 
     def holds(point) -> bool:
-        if poly is not None and any(d <= 0 for d in poly.lattice_distances(point)):
-            raise ValueError(f"sample {point} is not interior to the polytope")
-        return all(v >= 0 for v in sys.evaluate(point))
+        values = [
+            (f.numerator * c, f.denominator * a) for f, (a, c) in zip(evaluate(point), weights)
+        ]
+        for vector in kernel:
+            left = right = 1
+            for (top, bottom), e in zip(values, vector):
+                if e > 0:
+                    left *= top**e
+                    right *= bottom**e
+                elif e < 0:
+                    left *= bottom**-e
+                    right *= top**-e
+            if left != right:
+                return False
+        return True
 
-    return _holds_at_samples(sys.config, samples, seed, holds)
+    return holds
 
 
 def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> bool:
@@ -235,28 +273,8 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     prod_{v>0} (N_b*c_b)**v_b * prod_{v<0} (D_b*a_b)**-v_b on the left and
     the same with the signs of v swapped on the right.
     """
-    dm = design_matrix(sys.config)
-    kernel = linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)
-    weights = [(w.numerator, w.denominator) for w in sys.weights.weights]
-
-    def holds(point) -> bool:
-        values = [
-            (f.numerator * c, f.denominator * a) for f, (a, c) in zip(sys.evaluate(point), weights)
-        ]
-        for vector in kernel:
-            left = right = 1
-            for (top, bottom), e in zip(values, vector):
-                if e > 0:
-                    left *= top**e
-                    right *= bottom**e
-                elif e < 0:
-                    left *= bottom**-e
-                    right *= top**-e
-            if left != right:
-                return False
-        return True
-
-    return _holds_at_samples(sys.config, samples, seed, holds)
+    holds = _membership_predicate(sys, sys.evaluate)
+    return _holds_at_samples(sys.config, samples, seed, holds)[0]
 
 
 @dataclass(frozen=True)
@@ -301,7 +319,10 @@ def verify_rational_linear_precision(
 
     The hull is computed from the configuration when omitted; configurations
     that span a proper affine subspace have no facet description here, so
-    positivity then runs on relative-interior samples alone.
+    positivity then runs on relative-interior samples alone.  Membership and
+    positivity run in one sampled loop and read the same function values,
+    so every sample is evaluated once; their verdicts are those of
+    :func:`verify_toric_membership` and :func:`verify_interior_positivity`.
     """
     from .geometry import convex_hull_facets
 
@@ -312,12 +333,18 @@ def verify_rational_linear_precision(
     if not partition:
         total = sum_rational_functions(sys.functions)
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    membership = verify_toric_membership(sys, samples, seed)
+    evaluate = lru_cache(maxsize=1)(sys.evaluate)
+    membership, positivity = _holds_at_samples(
+        sys.config,
+        samples,
+        seed,
+        _membership_predicate(sys, evaluate),
+        _positivity_predicate(poly, evaluate),
+    )
     if not membership:
         details["toric_membership"] = (
             "a kernel binomial identity fails, or a function has a pole, at an interior sample"
         )
-    positivity = verify_interior_positivity(sys, poly, samples, seed)
     if not positivity:
         details["interior_positivity"] = "a function has a pole or negative value at an interior sample"
     linear = verify_linear_precision(sys)

@@ -1,9 +1,11 @@
 """Lattice point configurations and their convex hulls.
 
-Facets are enumerated by brute force over point subsets, which is exact and
-entirely adequate at the handful-of-points scale this package targets.  The
-candidate normal of a subset is the vector of signed integer minors of its
-difference vectors, so hull construction runs in Python integers.
+Facets come from an incremental double-description hull whose time grows
+with the output, not with the number of point subsets.  The first facets
+are those of a simplex on the input, each with the normal given by the
+signed integer minors of its difference vectors; later facets are integer
+combinations of two adjacent ones, so hull construction runs in Python
+integers.
 Every facet is stored as a primitive inward normal ``n`` and an integer
 offset ``a`` so that the polytope is ``{p : <p, n> + a >= 0 for all facets}``
 and ``h(p) = <p, n> + a`` is the lattice distance to the facet.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -171,36 +173,70 @@ def _hyperplane_normal(diffs: Sequence[Sequence[int]], d: int) -> IntVector | No
 def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     """Irredundant facet description of the convex hull of a configuration.
 
-    Tries every d-subset of points: if the subset spans a hyperplane and all
-    configuration points lie on one side, the (inward-oriented) primitive
-    normal is a facet.  A candidate is dropped at the first point on the
-    wrong side.  Requires the configuration to be full-dimensional.
+    Double description in Python integers (Fukuda & Prodon 1996): start from
+    the simplex on the first d+1 affinely independent points and add the
+    other points one at a time.  Each facet keeps its primitive inward
+    normal, its offset and the set of processed points tight on it.  A point
+    with a negative value on some facets replaces them: every adjacent pair
+    of a positive facet h+ and a negative facet h- (values v+ > 0 > v-) gives
+    the facet v+ * h- - v- * h+ through the point.  Two facets are adjacent
+    when their common tight set has at least d-1 points and lies in no third
+    facet's tight set.  Requires the configuration to be full-dimensional.
     """
     d = config.dim
-    points = config.points
-    if _affine_rank(points) < d:
+    points = list(dict.fromkeys(config.points))
+    simplex = points[:1]
+    for p in points[1:]:
+        if len(simplex) <= d and _affine_rank(simplex + [p]) == len(simplex):
+            simplex.append(p)
+    if len(simplex) <= d:
         raise NotFullDimensionalError(
             f"points affinely span dimension {_affine_rank(points)} < {d}"
         )
-    facets: set[Facet] = set()
-    for subset in combinations(points, d):
-        base = subset[0]
-        normal = _hyperplane_normal([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
-        if normal is None:
-            continue
+    points = simplex + [p for p in points if p not in simplex]
+    # A facet is (normal, offset, tight) where bit i of tight stands for points[i].
+    facets = []
+    for i, p in enumerate(simplex):
+        others = simplex[:i] + simplex[i + 1:]
+        base = others[0]
+        normal = _hyperplane_normal([[q[j] - base[j] for j in range(d)] for q in others[1:]], d)
         offset = -sum(b * n for b, n in zip(base, normal))
-        side = 0
-        for p in points:
-            value = sum(x * n for x, n in zip(p, normal)) + offset
-            if value * side < 0:
-                break
-            if not side:
-                side = value
-        else:
-            if side < 0:
-                normal, offset = tuple(-n for n in normal), -offset
-            facets.add(Facet(normal, offset))
-    ordered = tuple(sorted(facets))
+        if sum(x * n for x, n in zip(p, normal)) + offset < 0:
+            normal, offset = tuple(-n for n in normal), -offset
+        facets.append((normal, offset, ((1 << (d + 1)) - 1) ^ (1 << i)))
+    for index in range(d + 1, len(points)):
+        p, bit = points[index], 1 << index
+        values = [sum(x * n for x, n in zip(p, normal)) + offset for normal, offset, _ in facets]
+        kept = [
+            (normal, offset, tight | bit if v == 0 else tight)
+            for (normal, offset, tight), v in zip(facets, values)
+            if v >= 0
+        ]
+        for i, (n_neg, a_neg, t_neg) in enumerate(facets):
+            v_neg = values[i]
+            if v_neg >= 0:
+                continue
+            for j, (n_pos, a_pos, t_pos) in enumerate(facets):
+                v_pos = values[j]
+                common = t_pos & t_neg
+                if v_pos <= 0 or common.bit_count() < d - 1 or any(
+                    k != i and k != j and tight & common == common
+                    for k, (_, _, tight) in enumerate(facets)
+                ):
+                    continue
+                # The new hyperplane passes through the lattice point p, so the
+                # gcd of its normal also divides its offset.
+                normal = [v_pos * m - v_neg * n for m, n in zip(n_neg, n_pos)]
+                g = 0
+                for x in normal:
+                    g = gcd(g, x)
+                kept.append((
+                    tuple(x // g for x in normal),
+                    (v_pos * a_neg - v_neg * a_pos) // g,
+                    common | bit,
+                ))
+        facets = kept
+    ordered = tuple(sorted(Facet(normal, offset) for normal, offset, _ in facets))
     vertices = []
     for p in points:
         tight = [f.normal for f in ordered if LatticePolytope._distance(p, f.normal, f.offset) == 0]

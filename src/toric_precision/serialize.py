@@ -74,6 +74,9 @@ def config_to_json(config: PointConfiguration) -> dict:
 
 def config_from_json(data: Any, path: str = "config") -> PointConfiguration:
     dim = _require(data, "dim", int, path)
+    for key in data:
+        if key not in ("dim", "points", "labels"):
+            raise SchemaError(f"{path}.{key}: unknown key (a configuration has dim, points, labels)")
     points = _int_matrix(_require(data, "points", list, path), f"{path}.points")
     labels = data.get("labels")
     if labels is not None and (

@@ -323,7 +323,7 @@ def verify_face_partition(
         samples,
         seed,
         lambda point: sum((sys.functions[p].evaluate(point) for p in positions), Fraction(0)) == 1,
-    )
+    )[0]
 
 
 def verify_form_agreement(
@@ -341,4 +341,4 @@ def verify_form_agreement(
         samples,
         seed,
         lambda point: system_b.evaluate(point) == system_c.evaluate(point),
-    )
+    )[0]

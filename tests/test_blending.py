@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 
+from toric_precision import blending
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -13,6 +16,7 @@ from toric_precision.blending import (
     verify_interior_positivity,
     verify_linear_precision,
     verify_partition_of_unity,
+    verify_rational_linear_precision,
     verify_toric_membership,
 )
 from toric_precision.errors import PointOutsidePolytopeError, PoleError
@@ -257,6 +261,82 @@ class TestToricMembership:
             pole_system = BlendingSystem(config, weights, tuple(pole), "custom", names)
             assert not verify_toric_membership(pole_system, 10, 0)
         assert True in verdicts and False in verdicts
+
+
+class TestOneEvaluationPerSample:
+    def test_verify_evaluates_each_sample_once(self, beta_tilde_system, monkeypatch):
+        calls = []
+        evaluate = BlendingSystem.evaluate
+
+        def counting(system, point):
+            calls.append(point)
+            return evaluate(system, point)
+
+        monkeypatch.setattr(BlendingSystem, "evaluate", counting)
+        report = verify_rational_linear_precision(beta_tilde_system, samples=20, seed=3)
+        assert report.all_pass
+        assert len(calls) == 20
+        assert calls == sample_interior(beta_tilde_system.config, 20, 3)
+
+    def test_one_verdict_per_predicate(self, square_config):
+        def pole(point):
+            raise PoleError("pole")
+
+        verdicts = blending._holds_at_samples(
+            square_config, 5, 0, lambda p: True, lambda p: 0 < p[0] < 1, pole
+        )
+        assert verdicts == (True, True, False)
+        assert blending._holds_at_samples(square_config, 5, 0, lambda p: False) == (False,)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_joint_verdicts_equal_separate_checks(self, seed):
+        rng = random.Random(70 + seed)
+        configs = [
+            PointConfiguration(2, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))),
+            PointConfiguration(2, tuple((a, b) for a in range(3) for b in range(3 - a))),
+            PointConfiguration(1, ((0,), (1,), (2,), (3,))),
+        ]
+        for config in configs:
+            names = tuple(f"x{i + 1}" for i in range(config.dim))
+            n = len(config.points)
+            poly = convex_hull_facets(config)
+            weights = WeightVector(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)))
+            functions = list(toric_blending(poly, config, weights).functions)
+            moved = list(weights.weights)
+            moved[rng.randrange(n)] *= 2
+            x1 = variables(names)[0]
+            vanishing = x1 - sample_interior(config, 1, seed)[0][0]
+            cases = {
+                "membership fails": (WeightVector(tuple(moved)), functions, (False, True)),
+                "positivity fails": (weights, [-f for f in functions], (True, False)),
+                "pole": (weights, [functions[0] / RationalFunction(vanishing)] + functions[1:], (False, False)),
+            }
+            for name, (case_weights, case_functions, expected) in cases.items():
+                system = BlendingSystem(config, case_weights, tuple(case_functions), "custom", names)
+                report = verify_rational_linear_precision(system, samples=12, seed=seed)
+                separate = (
+                    verify_toric_membership(system, 12, seed),
+                    verify_interior_positivity(system, poly, 12, seed),
+                )
+                assert (report.toric_membership, report.interior_positivity) == separate == expected, name
+
+
+class TestBernsteinBoxesAtScale:
+    @pytest.mark.parametrize("k, d", [(1, 5), (2, 4)])
+    def test_all_four_checks_pass(self, k, d):
+        # binomial weights give the tensor-product Bernstein basis, which has
+        # linear precision; brute-force hulls took 19 s and 119 s here
+        config = PointConfiguration(d, tuple(product(range(k + 1), repeat=d)))
+        weights = WeightVector(tuple(prod(comb(k, x) for x in p) for p in config.points))
+        system = toric_blending(convex_hull_facets(config), config, weights)
+        report = verify_rational_linear_precision(system, samples=10, seed=5)
+        assert report.as_dict() == {
+            "partition_of_unity": True,
+            "toric_membership": True,
+            "interior_positivity": True,
+            "linear_precision": True,
+            "all_pass": True,
+        }
 
 
 class TestToricPatch:

@@ -101,6 +101,20 @@ class TestVerify:
         assert f"input error: {path}{field}" in err
 
 
+    def test_stray_configuration_key_exits_2(self, capsys, tmp_path):
+        # Weights on a bare configuration used to be dropped, and verify
+        # passed all four checks for unit weights that were never given.
+        path = tmp_path / "stray.json"
+        path.write_text(
+            '{"dim":2,"points":[[0,0],[1,0],[0,1],[1,1]],"weights":["1","1","1","-1"]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"input error: {path}.weights: unknown key" in err
+
+
 class TestBlendAndPatch:
     def test_blend_json_is_loadable_system(self, capsys, tmp_path):
         code, out, _ = run(capsys, "blend", "square.json", "--output", "json")

@@ -10,6 +10,7 @@ from toric_precision import linalg
 from toric_precision.errors import NotFullDimensionalError
 from toric_precision.geometry import (
     Facet,
+    _hyperplane_normal,
     LatticePolytope,
     PointConfiguration,
     convex_hull_facets,
@@ -46,6 +47,50 @@ def reference_hull(points, d):
         if len(tight) >= d and linalg.rank(tight) == d:
             vertices.add(p)
     return facets, tuple(sorted(vertices))
+
+
+def brute_force_hull(config):
+    """Facets and vertices by trying every d-subset of points (the oracle).
+
+    A subset that spans a hyperplane with every point on one side gives a
+    facet, with the primitive normal of its integer minors oriented inward.
+    """
+    d, points = config.dim, config.points
+    if linalg.rank([[p[i] - points[0][i] for i in range(d)] for p in points]) < d:
+        raise NotFullDimensionalError("flat")
+    facets = set()
+    for subset in combinations(points, d):
+        base = subset[0]
+        normal = _hyperplane_normal([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
+        if normal is None:
+            continue
+        offset = -sum(b * n for b, n in zip(base, normal))
+        side = 0
+        for p in points:
+            value = sum(x * n for x, n in zip(p, normal)) + offset
+            if value * side < 0:
+                break
+            if not side:
+                side = value
+        else:
+            if side < 0:
+                normal, offset = tuple(-n for n in normal), -offset
+            facets.add(Facet(normal, offset))
+    facets = tuple(sorted(facets))
+    vertices = set()
+    for p in points:
+        tight = [n for n, a in facets if sum(x * y for x, y in zip(p, n)) + a == 0]
+        if len(tight) >= d and linalg.rank(tight) == d:
+            vertices.add(p)
+    return facets, tuple(sorted(vertices))
+
+
+def box(k, d):
+    return PointConfiguration(d, tuple(product(range(k + 1), repeat=d)))
+
+
+def simplex(k, d):
+    return PointConfiguration(d, tuple(p for p in product(range(k + 1), repeat=d) if sum(p) <= k))
 
 
 def reference_samples(config, count, seed):
@@ -141,6 +186,102 @@ class TestConvexHullFacets:
                     if all(sum(a * b for a, b in zip(p, n)) + off >= 0 for n, off in kept)
                 }
                 assert admitted > original
+
+
+class TestHullAgainstBruteForce:
+    def assert_matches(self, config):
+        poly = convex_hull_facets(config)
+        assert (poly.facets, poly.vertices) == brute_force_hull(config)
+        return poly
+
+    @pytest.mark.parametrize(
+        "config",
+        [box(2, 2), box(3, 2), box(4, 2), box(2, 3), box(1, 4), simplex(2, 2), simplex(3, 2),
+         simplex(4, 2), simplex(2, 3),
+         PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (1, 1))),
+         PointConfiguration(2, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))],
+        ids=["box2x2", "box3x2", "box4x2", "box2x3", "box1x4", "simplex2x2", "simplex3x2",
+             "simplex4x2", "simplex2x3", "square", "trapezoid"],
+    )
+    def test_ladder_inputs(self, config):
+        self.assert_matches(config)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_random_point_sets_in_shuffled_orders(self, d):
+        rng = random.Random(700 + d)
+        checked = 0
+        for _ in range(15):
+            points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 14))]
+            if linalg.rank([[p[i] - points[0][i] for i in range(d)] for p in points]) < d:
+                continue
+            for _ in range(3):
+                rng.shuffle(points)
+                self.assert_matches(PointConfiguration(d, tuple(points)))
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_random_subsets_of_a_dilated_cube(self, d):
+        # collinear points: once d >= 4, two facets can share d-1 points
+        # that span only an edge, so the pair is not adjacent
+        rng = random.Random(800 + d)
+        cube = list(product((0, 1, 2), repeat=d))
+        checked = 0
+        for _ in range(12):
+            points = rng.sample(cube, rng.randint(d + 5, 16))
+            if linalg.rank([[p[i] - points[0][i] for i in range(d)] for p in points]) < d:
+                continue
+            self.assert_matches(PointConfiguration(d, tuple(points)))
+            checked += 1
+        assert checked >= 10
+
+    def test_duplicate_points(self):
+        rng = random.Random(7)
+        for config in (box(1, 3), simplex(2, 2), PointConfiguration(1, ((2,), (0,), (2,), (1,)))):
+            points = list(config.points) * 2 + [config.points[0]] * 3
+            rng.shuffle(points)
+            doubled = PointConfiguration(config.dim, tuple(points))
+            assert self.assert_matches(doubled) == convex_hull_facets(config)
+
+    @pytest.mark.parametrize(
+        "config, on_boundary",
+        [
+            (box(2, 2), lambda p: 0 in p or 2 in p),
+            (box(2, 3), lambda p: 0 in p or 2 in p),
+            (simplex(3, 2), lambda p: 0 in p or sum(p) == 3),
+            (simplex(2, 3), lambda p: 0 in p or sum(p) == 2),
+        ],
+        ids=["box2x2", "box2x3", "simplex3x2", "simplex2x3"],
+    )
+    def test_points_on_facets_get_distance_zero(self, config, on_boundary):
+        # lattice points of dilated boxes and simplices inside a facet or a
+        # lower face are tight on a facet without being vertices
+        poly = self.assert_matches(config)
+        assert any(on_boundary(p) and p not in poly.vertices for p in config.points)
+        for p in config.points:
+            assert (0 in poly.lattice_distances(p)) == on_boundary(p)
+
+    @pytest.mark.parametrize(
+        "points, rank",
+        [
+            (((0, 0), (1, 1), (2, 2), (1, 1)), 1),
+            (((3, 1), (3, 1)), 0),
+            (((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 0, 2)), 2),
+        ],
+    )
+    def test_flat_inputs_name_their_dimension(self, points, rank):
+        d = len(points[0])
+        with pytest.raises(NotFullDimensionalError, match=rf"^points affinely span dimension {rank} < {d}$"):
+            convex_hull_facets(PointConfiguration(d, points))
+
+    @pytest.mark.parametrize("k, d", [(2, 4), (1, 5), (3, 3)])
+    def test_boxes_beyond_the_oracle(self, k, d):
+        poly = convex_hull_facets(box(k, d))
+        unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        expected = {Facet(e, 0) for e in unit} | {Facet(tuple(-x for x in e), k) for e in unit}
+        assert set(poly.facets) == expected
+        assert poly.facets == tuple(sorted(expected))
+        assert poly.vertices == tuple(product((0, k), repeat=d))
 
 
 class TestLatticeDistanceForms:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from toric_precision import serialize
-from toric_precision.blending import BlendingSystem
+from toric_precision.blending import BlendingSystem, WeightVector
 from toric_precision.errors import SchemaError
 from toric_precision.geometry import PointConfiguration
 from toric_precision.horn import HornPair
@@ -31,6 +31,34 @@ class TestConfigRoundTrip:
     def test_label_count_checked(self, labels):
         with pytest.raises(SchemaError, match="^config: label count does not match"):
             serialize.config_from_json({"dim": 1, "points": [[0], [1]], "labels": labels})
+
+    def test_stray_key_rejected(self):
+        data = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]], "weights": ["1", "1", "1", "-1"]}
+        with pytest.raises(SchemaError, match=r"^config\.weights: unknown key"):
+            serialize.config_from_json(data)
+        with pytest.raises(SchemaError, match=r"^file\.weights: unknown key"):
+            serialize.parse_model_data(data)
+
+    @pytest.mark.parametrize("key", ["weights", "Labels", "dimension"])
+    def test_stray_key_under_config_rejected(self, square_graded, degree_pair, beta_tilde_system, key):
+        model = GradedModel(square_graded, WeightVector.ones(4), degree_pair)
+        documents = {
+            "model": serialize.graded_model_to_json(model),
+            "system": serialize.blending_system_to_json(beta_tilde_system),
+        }
+        for path, data in documents.items():
+            data["config"][key] = 1
+            with pytest.raises(SchemaError, match=rf"^{path}\.config\.{key}: unknown key"):
+                serialize.parse_model_data(data, path)
+
+    def test_writer_and_fixtures_use_known_keys(self, square_config):
+        from toric_precision.cli import resolve_input_path
+
+        labelled = PointConfiguration(2, square_config.points, ("a", "b", "c", "d"))
+        for config in (square_config, labelled):
+            assert set(serialize.config_to_json(config)) <= {"dim", "points", "labels"}
+        for name in ("square.json", "trapezoid.json", "trapezoid_toric.json", "trapezoid_beta_tilde.json", "segment.json"):
+            serialize.parse_model_file(resolve_input_path(name))
 
 
 class TestPolytopeRoundTrip:
