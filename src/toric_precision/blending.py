@@ -12,25 +12,38 @@ interior, and lands on the weighted toric variety are separate checks:
 * membership in the variety is checked through binomial identities coming
   from an integer kernel basis of the design matrix, evaluated exactly at
   interior samples.
+
+Sampled checks run in integers from the draw to the verdict: each sample is
+an unreduced integer point ``(xs, q)``, evaluated once by the system's
+:class:`~toric_precision.polynomials.EvaluationKernel` into integer pairs
+``(N_b, D_b)``, and a failing check reports the first sample it failed at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import PoleError, PointOutsidePolytopeError
 from .geometry import (
     LatticePolytope,
     PointConfiguration,
+    _integer_samples,
     design_matrix,
     lattice_distance_forms,
-    sample_interior,
 )
-from .polynomials import Polynomial, RationalFunction, integer_point, sum_rational_functions
+from .polynomials import (
+    EvaluationKernel,
+    Polynomial,
+    RationalFunction,
+    integer_point,
+    point_text,
+    sum_rational_functions,
+)
 
 
 @dataclass(frozen=True)
@@ -94,9 +107,13 @@ class BlendingSystem:
         xs, q = integer_point(point)
         # From a list, not a generator: tuple() of a generator allocates for
         # a guessed length and resizes, so every call would leave one more
-        # tuple of the system's size on CPython's free lists (+0.6 MB peak
-        # RSS on the benchmark's verify-ladder, which makes 1500 calls a pass).
-        return tuple([f._value_at(xs, q, point) for f in self.functions])
+        # tuple of the system's size on CPython's free lists.
+        return tuple([Fraction(n, d) for n, d in self._kernel.pairs(xs, q, point)])
+
+    @cached_property
+    def _kernel(self) -> EvaluationKernel:
+        """The shared-monomial kernel of the functions, planned on first use."""
+        return EvaluationKernel(self.functions)
 
 
 def toric_blending(
@@ -186,38 +203,67 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
     return True
 
 
-def _holds_at_samples(
-    config: PointConfiguration, samples: int, seed: int, *predicates
-) -> tuple[bool, ...]:
-    """One verdict per predicate: true when it holds at every seeded interior sample.
+class Witness(NamedTuple):
+    """The first interior sample at which a sampled check failed."""
 
-    This is the one loop behind every sampled check.  Each sample is drawn
-    once and handed to every predicate that has not failed yet, so checks
-    that share an evaluator evaluate each sample once.  No sample is
-    skipped: a PoleError at any sample fails that predicate.
+    index: int  # position in sample_interior(config, samples, seed)
+    xs: tuple[int, ...]
+    q: int
+    reason: str
+
+    def describe(self, seed: int) -> str:
+        return f"interior sample {self.index} (seed {seed}) at {point_text(self.xs, self.q)}: {self.reason}"
+
+
+# (xs, q, pairs) -> None where the checked property holds at the sample, else the reason it fails
+Check = Callable[[list, int, list], "str | None"]
+
+
+def _holds_at_samples(
+    config: PointConfiguration, samples: int, seed: int, kernel: EvaluationKernel, *checks: Check
+) -> tuple[Witness | None, ...]:
+    """The first failing sample per check; None where it holds at every sample.
+
+    This is the one loop behind every sampled check.  Each seeded interior
+    sample is drawn as an integer point ``(xs, q)`` and evaluated once by
+    ``kernel`` into pairs ``(N_b, D_b)``; every check that has not failed
+    yet gets ``(xs, q, pairs)``.  No sample is skipped: a pole at a sample
+    fails every check still open.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    verdicts = [True] * len(predicates)
-    for point in sample_interior(config, samples, seed):
-        for i, holds in enumerate(predicates):
-            if verdicts[i]:
-                try:
-                    verdicts[i] = bool(holds(point))
-                except PoleError:
-                    verdicts[i] = False
-        if not any(verdicts):
+    witnesses: list[Witness | None] = [None] * len(checks)
+    for index, (xs, q) in enumerate(_integer_samples(config, samples, seed)):
+        try:
+            pairs = kernel.pairs(xs, q)
+            pole = None
+        except PoleError as exc:
+            pairs, pole = None, str(exc)
+        for i, check in enumerate(checks):
+            if witnesses[i] is None:
+                reason = pole or check(xs, q, pairs)
+                if reason is not None:
+                    witnesses[i] = Witness(index, tuple(xs), q, reason)
+        if None not in witnesses:
             break
-    return tuple(verdicts)
+    return tuple(witnesses)
 
 
-def _positivity_predicate(poly: LatticePolytope | None, evaluate):
-    def holds(point) -> bool:
-        if poly is not None and any(d <= 0 for d in poly.lattice_distances(point)):
-            raise ValueError(f"sample {point} is not interior to the polytope")
-        return all(v >= 0 for v in evaluate(point))
+def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
+    if poly is not None and poly.dim != dim:
+        raise ValueError(f"the polytope has dimension {poly.dim}, the samples {dim}")
+    facets = poly.facets if poly is not None else ()
 
-    return holds
+    def check(xs, q, pairs) -> str | None:
+        # q > 0, so the lattice distance (<xs, n> + a * q) / q has the sign of its numerator.
+        if any(sum(map(mul, xs, normal)) + offset * q <= 0 for normal, offset in facets):
+            raise ValueError(f"sample {point_text(xs, q)} is not interior to the polytope")
+        for b, (n, d) in enumerate(pairs):
+            if n * d < 0:
+                return f"function {b} is negative"
+        return None
+
+    return check
 
 
 def verify_interior_positivity(
@@ -229,33 +275,42 @@ def verify_interior_positivity(
     points.  When the polytope is supplied, each sample is asserted to have
     positive lattice distance to every facet.
     """
-    holds = _positivity_predicate(poly, sys.evaluate)
-    return _holds_at_samples(sys.config, samples, seed, holds)[0]
+    check = _positivity_check(poly, sys.config.dim)
+    return _holds_at_samples(sys.config, samples, seed, sys._kernel, check)[0] is None
 
 
-def _membership_predicate(sys: BlendingSystem, evaluate):
+def _membership_check(sys: BlendingSystem) -> Check:
     dm = design_matrix(sys.config)
-    kernel = linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)
-    weights = [(w.numerator, w.denominator) for w in sys.weights.weights]
+    binomials = []
+    for vector in linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns):
+        # The weights' part of each side is a constant: with w_b = a_b/c_b the
+        # left side gets c_b**v_b or a_b**-v_b, the right side the other one.
+        left = right = 1
+        support = []
+        for b, e in enumerate(vector):
+            if e:
+                w = sys.weights[b]
+                up, down = (w.denominator, w.numerator) if e > 0 else (w.numerator, w.denominator)
+                left *= up ** abs(e)
+                right *= down ** abs(e)
+                support.append((b, e))
+        binomials.append((tuple(vector), left, right, support))
 
-    def holds(point) -> bool:
-        values = [
-            (f.numerator * c, f.denominator * a) for f, (a, c) in zip(evaluate(point), weights)
-        ]
-        for vector in kernel:
-            left = right = 1
-            for (top, bottom), e in zip(values, vector):
+    def check(xs, q, pairs) -> str | None:
+        for vector, left, right, support in binomials:
+            for b, e in support:
+                n, d = pairs[b]
                 if e > 0:
-                    left *= top**e
-                    right *= bottom**e
-                elif e < 0:
-                    left *= bottom**-e
-                    right *= top**-e
+                    left *= n**e
+                    right *= d**e
+                else:
+                    left *= d**-e
+                    right *= n**-e
             if left != right:
-                return False
-        return True
+                return f"the binomial of kernel vector {vector} fails"
+        return None
 
-    return holds
+    return check
 
 
 def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> bool:
@@ -271,10 +326,12 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     w_b = a_b/c_b, both sides are multiplied by the nonzero
     prod_b (D_b * a_b)**|v_b|, which leaves
     prod_{v>0} (N_b*c_b)**v_b * prod_{v<0} (D_b*a_b)**-v_b on the left and
-    the same with the signs of v swapped on the right.
+    the same with the signs of v swapped on the right.  The pairs need not
+    be reduced: scaling one pair (N_b, D_b) by k != 0 multiplies both sides
+    by k**|v_b|.
     """
-    holds = _membership_predicate(sys, sys.evaluate)
-    return _holds_at_samples(sys.config, samples, seed, holds)[0]
+    check = _membership_check(sys)
+    return _holds_at_samples(sys.config, samples, seed, sys._kernel, check)[0] is None
 
 
 @dataclass(frozen=True)
@@ -322,7 +379,9 @@ def verify_rational_linear_precision(
     positivity then runs on relative-interior samples alone.  Membership and
     positivity run in one sampled loop and read the same function values,
     so every sample is evaluated once; their verdicts are those of
-    :func:`verify_toric_membership` and :func:`verify_interior_positivity`.
+    :func:`verify_toric_membership` and :func:`verify_interior_positivity`,
+    and a failure's detail names the first failing sample, reproducible as
+    ``sample_interior(sys.config, samples, seed)[index]``.
     """
     from .geometry import convex_hull_facets
 
@@ -333,24 +392,21 @@ def verify_rational_linear_precision(
     if not partition:
         total = sum_rational_functions(sys.functions)
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    evaluate = lru_cache(maxsize=1)(sys.evaluate)
-    membership, positivity = _holds_at_samples(
+    witnesses = _holds_at_samples(
         sys.config,
         samples,
         seed,
-        _membership_predicate(sys, evaluate),
-        _positivity_predicate(poly, evaluate),
+        sys._kernel,
+        _membership_check(sys),
+        _positivity_check(poly, sys.config.dim),
     )
-    if not membership:
-        details["toric_membership"] = (
-            "a kernel binomial identity fails, or a function has a pole, at an interior sample"
-        )
-    if not positivity:
-        details["interior_positivity"] = "a function has a pole or negative value at an interior sample"
+    for name, witness in zip(("toric_membership", "interior_positivity"), witnesses):
+        if witness is not None:
+            details[name] = witness.describe(seed)
     linear = verify_linear_precision(sys)
     if not linear:
         details["linear_precision"] = "sum_b f_b * b does not reproduce the coordinate functions"
-    return PrecisionReport(partition, membership, positivity, linear, details)
+    return PrecisionReport(partition, witnesses[0] is None, witnesses[1] is None, linear, details)
 
 
 def toric_patch_eval(

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import NotFullDimensionalError
@@ -286,19 +287,25 @@ def sample_interior(
     draw positive integer weights from a seeded generator.  Output depends
     only on (config, count, seed).
     """
+    return [tuple(Fraction(x, q) for x in xs) for xs, q in _integer_samples(config, count, seed)]
+
+
+def _integer_samples(
+    config: PointConfiguration, count: int, seed: int
+) -> Iterator[tuple[list[int], int]]:
+    """The samples of :func:`sample_interior` as unreduced integer points.
+
+    Each is ``(xs, q)``: the weighted sum of the points and the sum of the
+    weights, drawn lazily with the same generator calls.
+    """
     if not config.points:
         raise ValueError("cannot sample from an empty configuration")
     rng = random.Random(seed)
     n = len(config.points)
-    samples = []
+    coordinates = list(zip(*config.points))
     for index in range(count):
         raw = [1] * n if index == 0 else [rng.randint(1, 1000) for _ in range(n)]
-        total = sum(raw)
-        samples.append(tuple(
-            Fraction(sum(r * p[i] for r, p in zip(raw, config.points)), total)
-            for i in range(config.dim)
-        ))
-    return samples
+        yield [sum(map(mul, raw, column)) for column in coordinates], sum(raw)
 
 
 @dataclass(frozen=True)

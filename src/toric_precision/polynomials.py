@@ -26,19 +26,22 @@ Equality in the fraction field is decided by cross-multiplication, which is
 exact without any polynomial factorization.
 
 Evaluation has one path, in Python integers.  A rational point is written
-once as an integer vector ``xs`` over its common denominator ``q``
-(:func:`integer_point`); :meth:`Polynomial._value_at` then returns integers
-``H`` and ``L * q**deg`` with ``p(xs / q) = H / (L * q**deg)``, where ``L`` is
-the stored common denominator (1 for the numerator and denominator of a
-rational function).  Only the final value becomes a ``Fraction``; a
-rational function has a pole exactly where the ``H`` of its denominator is 0.
+as an integer vector ``xs`` over a positive denominator ``q``
+(:func:`integer_point`, or a sampler that never builds the fraction).  An
+:class:`EvaluationKernel` is planned once for a list of rational functions;
+each call computes every distinct monomial, homogenised in ``q``, once and
+every distinct polynomial once (so a shared denominator once), and returns
+one unreduced integer pair ``(N, D)`` per function with ``f(xs / q) = N / D``.
+A function has a pole exactly where its ``D`` is 0.  ``evaluate`` on a
+polynomial or a rational function is the one-function case, and only its
+final value becomes a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from math import gcd, lcm, prod
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -279,22 +282,13 @@ class Polynomial:
         """Integers ``(H, L * q**deg)`` with ``p(xs / q) = H / (L * q**deg)``.
 
         ``L`` is the stored common denominator and ``deg`` the total degree
-        (0 for the zero polynomial).  Terms are summed per degree and the
-        sums joined by Horner's rule in ``q``, which homogenizes the
-        polynomial.
+        (0 for the zero polynomial); ``H`` is the one-polynomial case of
+        :class:`_HomogeneousPlan`.
         """
-        by_degree: dict[int, int] = {}
-        for exp, term in self._coefficients.items():
-            for x, e in zip(xs, exp):
-                if e:
-                    term *= x**e
-            degree = sum(exp)
-            by_degree[degree] = by_degree.get(degree, 0) + term
-        deg = max(by_degree, default=0)
-        value = 0
-        for degree in range(deg + 1):
-            value = value * q + by_degree.get(degree, 0)
-        return value, self._denominator * q**deg
+        deg = max(self.total_degree(), 0)
+        plan = _HomogeneousPlan([(self, deg)])
+        ((program, content),) = plan.slots
+        return plan(xs, q)[program] * content, self._denominator * q**deg
 
     def substitute(self, values: Sequence["Polynomial | int | Fraction"]) -> "Polynomial":
         """Compose with one polynomial (or constant) per variable, by position."""
@@ -395,6 +389,119 @@ def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     point = [Fraction(v) for v in values]
     q = lcm(*(v.denominator for v in point))
     return [v.numerator * (q // v.denominator) for v in point], q
+
+
+def point_text(xs: Sequence[int], q: int) -> str:
+    """The point ``xs / q`` as reduced ``p/q`` coordinates, e.g. ``(1/2, 1/3)``."""
+    return "(" + ", ".join(str(Fraction(x, q)) for x in xs) + ")"
+
+
+class _HomogeneousPlan:
+    """Integer values at ``(xs, q)`` of polynomials homogenised in ``q``.
+
+    Planned once for a list of ``(polynomial, m)`` items, ``m`` at least the
+    polynomial's degree.  An item's value is ``sum c_e * xs**e * q**(m - |e|)``
+    over its integer coefficients ``c_e``, that is ``L * q**m * p(xs / q)``
+    with ``L`` the polynomial's stored denominator.  Each call computes every
+    distinct homogenised monomial once, as a product of powers of the
+    coordinates and of ``q``, and every distinct item once, up to its
+    integer content: items that differ by a constant factor, as the
+    canonical denominators of one toric system do, share one program.
+    """
+
+    __slots__ = ("_tops", "_monomials", "_programs", "slots")
+
+    def __init__(self, items: Iterable[tuple[Polynomial, int]]):
+        # Plans are built per system, so they hold lists, not tuples of
+        # every length: CPython keeps up to 2000 freed tuples of each length
+        # up to 20 for reuse, which would keep the memory of old plans.
+        monomials: dict[Exponent, int] = {}
+        programs: dict[tuple[int, Polynomial], int] = {}
+        self._programs: list[tuple[list[int], list[int]]] = []
+        self.slots: list[tuple[int, int]] = []  # per item: (program, content)
+        for poly, m in items:
+            coefficients = poly._coefficients
+            content = gcd(*coefficients.values()) or 1
+            if content != 1:
+                coefficients = {e: c // content for e, c in coefficients.items()}
+                poly = Polynomial._make(poly.variables, coefficients)
+            program = programs.get((m, poly))
+            if program is None:
+                program = programs[m, poly] = len(self._programs)
+                columns = [monomials.setdefault((*e, m - sum(e)), len(monomials)) for e in coefficients]
+                self._programs.append((list(coefficients.values()), columns))
+            self.slots.append((program, content))
+        # Powers x**1 .. x**top of each coordinate (q last) sit in one flat
+        # list; a monomial is the product of the entries its indices name.
+        self._tops = [max(column) for column in zip(*monomials)]
+        offsets = [0]
+        for top in self._tops:
+            offsets.append(offsets[-1] + top)
+        self._monomials = [
+            [offset + e - 1 for offset, e in zip(offsets, exp) if e] for exp in monomials
+        ]
+
+    def __call__(self, xs: Sequence[int], q: int) -> list[int]:
+        """Each program's value, in program order (see :attr:`slots`)."""
+        powers = []
+        for x, top in zip((*xs, q), self._tops):
+            power = 1
+            for _ in range(top):
+                power *= x
+                powers.append(power)
+        monomials = [prod(map(powers.__getitem__, factors)) for factors in self._monomials]
+        return [
+            sum(map(mul, coefficients, map(monomials.__getitem__, columns)))
+            for coefficients, columns in self._programs
+        ]
+
+
+class EvaluationKernel:
+    """Shared-monomial evaluation of a fixed list of rational functions.
+
+    Planned once; each call :meth:`pairs` evaluates every distinct
+    homogenised monomial and every distinct numerator or denominator once,
+    so functions sharing a denominator pay for it once per point.  Every
+    function's numerator and denominator are homogenised to the larger of
+    their two degrees, which keeps their quotient and needs no reduction.
+    """
+
+    __slots__ = ("functions", "_arity", "_plan", "_pairs", "_denominators")
+
+    def __init__(self, functions: Sequence["RationalFunction"]):
+        self.functions = tuple(functions)
+        variables = {f.variables for f in self.functions}
+        if len(variables) > 1:
+            raise ValueError("the functions of a kernel must share their variables")
+        self._arity = len(variables.pop()) if variables else None
+        items = []
+        for f in self.functions:
+            m = max(f.numerator.total_degree(), f.denominator.total_degree())
+            # Both parts are integer polynomials (stored denominator 1).
+            items += ((f.numerator, m), (f.denominator, m))
+        self._plan = _HomogeneousPlan(items)
+        slots = self._plan.slots
+        self._pairs = [(*n, *d) for n, d in zip(slots[0::2], slots[1::2])]
+        self._denominators = tuple(dict.fromkeys(program for program, _ in slots[1::2]))
+
+    def pairs(
+        self, xs: Sequence[int], q: int, point: Sequence[int | Fraction] | None = None
+    ) -> list[tuple[int, int]]:
+        """Unreduced integers ``(N_b, D_b)`` with ``f_b(xs / q) = N_b / D_b``.
+
+        Raises PoleError naming the first function's denominator that
+        vanishes and the point: ``point`` as given, else ``xs / q`` as
+        ``p/q`` coordinates.
+        """
+        if self._arity is not None and len(xs) != self._arity:
+            raise ValueError(f"expected {self._arity} coordinates, got {len(xs)}")
+        values = self._plan(xs, q)
+        for program in self._denominators:
+            if not values[program]:
+                b = next(b for b, pair in enumerate(self._pairs) if pair[2] == program)
+                where = tuple(point) if point is not None else point_text(xs, q)
+                raise PoleError(f"denominator {self.functions[b].denominator} vanishes at {where}")
+        return [(values[n] * cn, values[d] * cd) for n, cn, d, cd in self._pairs]
 
 
 class RationalFunction:
@@ -504,16 +611,8 @@ class RationalFunction:
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point; raises PoleError on a vanishing denominator."""
         _check_arity(values, self.variables)
-        xs, q = integer_point(values)
-        return self._value_at(xs, q, values)
-
-    def _value_at(self, xs: Sequence[int], q: int, values: Sequence[int | Fraction]) -> Fraction:
-        """Value at ``xs / q`` (see :func:`integer_point`); ``values`` names the point in a PoleError."""
-        den, den_scale = self.denominator._value_at(xs, q)
-        if den == 0:
-            raise PoleError(f"denominator {self.denominator} vanishes at {tuple(values)}")
-        num, num_scale = self.numerator._value_at(xs, q)
-        return Fraction(num * den_scale, num_scale * den)
+        ((num, den),) = EvaluationKernel((self,)).pairs(*integer_point(values), values)
+        return Fraction(num, den)
 
     def equals(self, other) -> bool:
         """Equality in the fraction field, by cross-multiplication."""

@@ -1,9 +1,10 @@
 """JSON schemas for every object the CLI reads or writes.
 
 All files are UTF-8 JSON.  Schema violations raise SchemaError with the
-path of the offending field; unknown top-level shapes are rejected rather
-than guessed.  Serialization is deterministic: fixed key order, polynomials
-in descending graded-lexicographic term order, rationals as "p/q" strings.
+path of the offending field; unknown top-level shapes, and any key that an
+object's schema does not name, are rejected rather than guessed.
+Serialization is deterministic: fixed key order, polynomials in descending
+graded-lexicographic term order, rationals as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ def _require(data: Any, key: str, kind, path: str):
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}")
     return value
+
+
+def _known_keys(data: dict, allowed: tuple[str, ...], what: str, path: str) -> None:
+    """Reject every key of an object that its schema does not name."""
+    for key in data:
+        if key not in allowed:
+            raise SchemaError(f"{path}.{key}: unknown key ({what} has {', '.join(allowed)})")
 
 
 def _int_matrix(value: Any, path: str) -> list[list[int]]:
@@ -74,9 +82,7 @@ def config_to_json(config: PointConfiguration) -> dict:
 
 def config_from_json(data: Any, path: str = "config") -> PointConfiguration:
     dim = _require(data, "dim", int, path)
-    for key in data:
-        if key not in ("dim", "points", "labels"):
-            raise SchemaError(f"{path}.{key}: unknown key (a configuration has dim, points, labels)")
+    _known_keys(data, ("dim", "points", "labels"), "a configuration", path)
     points = _int_matrix(_require(data, "points", list, path), f"{path}.points")
     labels = data.get("labels")
     if labels is not None and (
@@ -170,6 +176,7 @@ def blending_system_to_json(sys: BlendingSystem) -> dict:
 
 def blending_system_from_json(data: Any, path: str = "system") -> BlendingSystem:
     config = config_from_json(_require(data, "config", dict, path), f"{path}.config")
+    _known_keys(data, ("config", "weights", "variables", "functions", "kind"), "a blending system", path)
     weights = weights_from_json(data.get("weights"), len(config.points), f"{path}.weights")
     kind = _require(data, "kind", str, path)
     if kind not in ("toric", "custom"):
@@ -191,6 +198,7 @@ def blending_system_from_json(data: Any, path: str = "system") -> BlendingSystem
     for i, f in enumerate(functions_data):
         num = poly_from_json(_require(f, "num", list, f"{path}.functions[{i}]"), names, f"{path}.functions[{i}].num")
         den = poly_from_json(_require(f, "den", list, f"{path}.functions[{i}]"), names, f"{path}.functions[{i}].den")
+        _known_keys(f, ("num", "den"), "a function", f"{path}.functions[{i}]")
         if den.is_zero:
             raise SchemaError(f"{path}.functions[{i}].den: zero denominator")
         functions.append(RationalFunction(num, den))
@@ -213,8 +221,10 @@ def graded_model_to_json(model: GradedModel) -> dict:
 
 def graded_model_from_json(data: Any, path: str = "model") -> GradedModel:
     config = config_from_json(_require(data, "config", dict, path), f"{path}.config")
+    _known_keys(data, ("config", "weights", "grading"), "a graded model", path)
     weights = weights_from_json(data.get("weights"), len(config.points), f"{path}.weights")
     grading = _require(data, "grading", dict, path)
+    _known_keys(grading, ("A", "assignment"), "a grading", f"{path}.grading")
     degrees_points = _int_matrix(_require(grading, "A", list, f"{path}.grading"), f"{path}.grading.A")
     try:
         degrees = PointConfiguration(len(degrees_points[0]), tuple(tuple(a) for a in degrees_points))
@@ -250,6 +260,7 @@ def horn_pair_to_json(pair: HornPair) -> dict:
 
 def horn_pair_from_json(data: Any, path: str = "horn") -> HornPair:
     rows = _int_matrix(_require(data, "H", list, path), f"{path}.H")
+    _known_keys(data, ("H", "lambda", "column_labels"), "a Horn pair", path)
     lambdas_data = _require(data, "lambda", list, path)
     lambdas = []
     for i, v in enumerate(lambdas_data):
@@ -290,6 +301,7 @@ def controls_from_json(data: Any, path: str = "controls") -> list[tuple[Fraction
 def block_grading_from_json(data: Any, path: str = "grading") -> tuple[int, list[int], list[int]]:
     """Degree count plus the per-column class indices of both factors."""
     degrees = _int_matrix(_require(data, "A", list, path), f"{path}.A")
+    _known_keys(data, ("A", "block_index_B", "block_index_C"), "a block grading", path)
     blocks_b = _require(data, "block_index_B", list, path)
     blocks_c = _require(data, "block_index_C", list, path)
     for name, blocks in (("block_index_B", blocks_b), ("block_index_C", blocks_c)):

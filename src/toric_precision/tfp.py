@@ -26,7 +26,7 @@ from .blending import (
 )
 from .errors import DependentDegreesError, EmptyDegreeClassError, NoDegreeMapError, NotAFaceError
 from .geometry import LatticePolytope, PointConfiguration
-from .polynomials import RationalFunction, sum_rational_functions
+from .polynomials import EvaluationKernel, RationalFunction, sum_rational_functions
 
 
 class FactorPrecisionWarning(UserWarning):
@@ -315,15 +315,24 @@ def verify_face_partition(
     samples: int = 50,
     seed: int = 0,
 ) -> bool:
-    """Sampled check that the class-i functions sum to exactly 1 on their face."""
+    """Sampled check that the class-i functions sum to exactly 1 on their face.
+
+    The sum is taken in integers: numerators over equal denominators are
+    added first, then the distinct denominators are cross-multiplied.
+    """
     face, _ = graded_face(B, poly, i)
-    positions = B.class_positions(i)
-    return _holds_at_samples(
-        face,
-        samples,
-        seed,
-        lambda point: sum((sys.functions[p].evaluate(point) for p in positions), Fraction(0)) == 1,
-    )[0]
+    kernel = EvaluationKernel([sys.functions[p] for p in B.class_positions(i)])
+
+    def check(xs, q, pairs) -> str | None:
+        by_denominator: dict[int, int] = {}
+        for n, d in pairs:
+            by_denominator[d] = by_denominator.get(d, 0) + n
+        top, bottom = 0, 1
+        for d, n in by_denominator.items():
+            top, bottom = top * d + n * bottom, bottom * d
+        return None if top == bottom else f"the class-{i} functions do not sum to 1"
+
+    return _holds_at_samples(face, samples, seed, kernel, check)[0] is None
 
 
 def verify_form_agreement(
@@ -333,12 +342,20 @@ def verify_form_agreement(
     samples: int = 50,
     seed: int = 0,
 ) -> bool:
-    """Check both denominator choices agree exactly at interior product samples."""
+    """Check both denominator choices agree exactly at interior product samples.
+
+    One kernel evaluates both forms; the values agree when their pairs
+    cross-multiply to equal integers.
+    """
     system_b, product = tfp_blending(sysB, sysC, g, form="B", check_factors=False)
     system_c, _ = tfp_blending(sysB, sysC, g, form="C", check_factors=False)
-    return _holds_at_samples(
-        product.config,
-        samples,
-        seed,
-        lambda point: system_b.evaluate(point) == system_c.evaluate(point),
-    )[0]
+    n = len(system_b.functions)
+    kernel = EvaluationKernel(system_b.functions + system_c.functions)
+
+    def check(xs, q, pairs) -> str | None:
+        for b, ((n_b, d_b), (n_c, d_c)) in enumerate(zip(pairs[:n], pairs[n:])):
+            if n_b * d_c != n_c * d_b:
+                return f"the forms differ at function {b}"
+        return None
+
+    return _holds_at_samples(product.config, samples, seed, kernel, check)[0] is None

@@ -1,6 +1,7 @@
 """Blending systems: construction and the four defining checks."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -28,7 +29,7 @@ from toric_precision.geometry import (
     sample_interior,
 )
 from toric_precision.linalg import integer_kernel_basis
-from toric_precision.polynomials import RationalFunction, variables
+from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
 
 
 class TestToricBlending:
@@ -265,28 +266,47 @@ class TestToricMembership:
 
 class TestOneEvaluationPerSample:
     def test_verify_evaluates_each_sample_once(self, beta_tilde_system, monkeypatch):
+        # Sampled checks go through the system's kernel, not the public evaluate.
         calls = []
-        evaluate = BlendingSystem.evaluate
+        pairs = EvaluationKernel.pairs
 
-        def counting(system, point):
-            calls.append(point)
-            return evaluate(system, point)
+        def counting(kernel, xs, q, point=None):
+            calls.append(tuple(Fraction(x, q) for x in xs))
+            return pairs(kernel, xs, q, point)
 
-        monkeypatch.setattr(BlendingSystem, "evaluate", counting)
+        monkeypatch.setattr(EvaluationKernel, "pairs", counting)
         report = verify_rational_linear_precision(beta_tilde_system, samples=20, seed=3)
         assert report.all_pass
         assert len(calls) == 20
         assert calls == sample_interior(beta_tilde_system.config, 20, 3)
 
-    def test_one_verdict_per_predicate(self, square_config):
-        def pole(point):
-            raise PoleError("pole")
-
-        verdicts = blending._holds_at_samples(
-            square_config, 5, 0, lambda p: True, lambda p: 0 < p[0] < 1, pole
+    def test_one_verdict_per_predicate(self, square_system, square_config):
+        kernel = square_system._kernel
+        witnesses = blending._holds_at_samples(
+            square_config,
+            5,
+            0,
+            kernel,
+            lambda xs, q, pairs: None,
+            lambda xs, q, pairs: None if 0 < xs[0] < q else "outside",
+            lambda xs, q, pairs: "fails" if xs[0] * 3 > q else None,
         )
-        assert verdicts == (True, True, False)
-        assert blending._holds_at_samples(square_config, 5, 0, lambda p: False) == (False,)
+        assert witnesses[:2] == (None, None)
+        # sample 0 is the barycenter (2, 2) / 4, where 3 * 2 > 4
+        assert witnesses[2] == blending.Witness(0, (2, 2), 4, "fails")
+        always = blending._holds_at_samples(square_config, 5, 0, kernel, lambda xs, q, pairs: "no")
+        assert always == (blending.Witness(0, (2, 2), 4, "no"),)
+
+    def test_a_pole_fails_every_open_check(self, square_system, square_config):
+        x1, _ = variables("x1 x2")
+        at = sample_interior(square_config, 5, 0)[3][0]
+        functions = (square_system.functions[0] / RationalFunction(x1 - at),) + square_system.functions[1:]
+        system = BlendingSystem(square_config, square_system.weights, functions, "custom", square_system.variables)
+        first, second = blending._holds_at_samples(
+            square_config, 5, 0, system._kernel, lambda xs, q, pairs: "no", lambda xs, q, pairs: None
+        )
+        assert first.index == 0 and first.reason == "no"
+        assert second.index == 3 and "vanishes" in second.reason
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_joint_verdicts_equal_separate_checks(self, seed):
@@ -319,6 +339,53 @@ class TestOneEvaluationPerSample:
                     verify_interior_positivity(system, poly, 12, seed),
                 )
                 assert (report.toric_membership, report.interior_positivity) == separate == expected, name
+
+
+WITNESS = re.compile(r"^interior sample (\d+) \(seed (\d+)\) at \((.*)\): (.*)$")
+
+
+def fraction_binomial_holds(system, vector, point):
+    scaled = [v / w for v, w in zip(system.evaluate(point), system.weights.weights)]
+    left = right = Fraction(1)
+    for x, e in zip(scaled, vector):
+        if e > 0:
+            left *= x**e
+        elif e < 0:
+            right *= x**-e
+    return left == right
+
+
+class TestWitnesses:
+    def test_membership_names_the_first_failing_sample_and_vector(self, beta_tilde_system):
+        wrong = BlendingSystem(
+            beta_tilde_system.config, WeightVector.ones(5), beta_tilde_system.functions, "custom", ("y1", "y2")
+        )
+        report = verify_rational_linear_precision(wrong, samples=30, seed=4)
+        assert not report.toric_membership and report.interior_positivity
+        index, seed, point, reason = WITNESS.match(report.details["toric_membership"]).groups()
+        samples = sample_interior(wrong.config, 30, 4)
+        index = int(index)
+        assert seed == "4"
+        assert point == ", ".join(str(c) for c in samples[index])
+        vector = tuple(int(e) for e in re.fullmatch(r"the binomial of kernel vector \((.*)\) fails", reason)[1].split(", "))
+        dm = design_matrix(wrong.config)
+        kernel = [tuple(v) for v in integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns)]
+        assert vector in kernel
+        assert not fraction_binomial_holds(wrong, vector, samples[index])
+        for earlier in samples[:index]:
+            assert all(fraction_binomial_holds(wrong, v, earlier) for v in kernel)
+
+    def test_positivity_names_the_function(self, square_system, square_poly):
+        negated = BlendingSystem(
+            square_system.config, square_system.weights, tuple(-f for f in square_system.functions), "custom"
+        )
+        report = verify_rational_linear_precision(negated, square_poly, samples=10, seed=0)
+        assert report.details["interior_positivity"] == (
+            "interior sample 0 (seed 0) at (1/2, 1/2): function 0 is negative"
+        )
+
+    def test_passing_checks_have_no_details(self, beta_tilde_system):
+        assert verify_rational_linear_precision(beta_tilde_system, samples=10, seed=0).details == {}
 
 
 class TestBernsteinBoxesAtScale:

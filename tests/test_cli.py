@@ -68,6 +68,18 @@ class TestVerify:
         assert code == 1
         assert "linear_precision: FAIL" in out
 
+    def test_failed_membership_names_a_sample_and_a_kernel_vector(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("trapezoid_beta_tilde.json").read_text(encoding="utf-8"))
+        data["weights"] = ["1"] * 5
+        path = tmp_path / "unit_weights.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "20", "--seed", "2")
+        assert code == 1
+        line = next(s for s in out.splitlines() if s.startswith("toric_membership"))
+        assert line.startswith("toric_membership: FAIL (interior sample ")
+        assert "(seed 2) at (" in line and "the binomial of kernel vector (" in line
+        assert "interior_positivity: pass" in out
+
     def test_graded_model_input(self, capsys):
         code, out, _ = run(capsys, "verify", "square.json", "--samples", "20")
         assert code == 0
@@ -113,6 +125,50 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"input error: {path}.weights: unknown key" in err
+
+
+class TestStrayKeys:
+    def test_renamed_column_labels_exit_2(self, capsys, tmp_path):
+        # "labels" is a configuration key; on a Horn pair it used to be
+        # ignored, and the columns silently lost their labels.
+        data = json.loads(resolve_input_path("square.horn.json").read_text(encoding="utf-8"))
+        data["labels"] = data.pop("column_labels")
+        path = tmp_path / "square.horn.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "horn-validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"input error: {path}.labels: unknown key" in err
+
+    @pytest.mark.parametrize(
+        "verb, fixture, edit, field",
+        [
+            ("verify", "square.json", lambda d: d.update(extra=1), ".extra"),
+            ("verify", "square.json", lambda d: d["grading"].update(B=[[1]]), ".grading.B"),
+            ("verify", "trapezoid_beta_tilde.json", lambda d: d.update(name="b"), ".name"),
+            ("verify", "trapezoid_beta_tilde.json", lambda d: d["functions"][2].update(numerator=[]),
+             ".functions[2].numerator"),
+            ("horn-validate", "trapezoid.horn.json", lambda d: d.update(kind="horn"), ".kind"),
+        ],
+        ids=["model", "grading", "system", "function", "horn"],
+    )
+    def test_every_object_level(self, capsys, tmp_path, verb, fixture, edit, field):
+        data = json.loads(resolve_input_path(fixture).read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, verb, str(path))
+        assert code == 2
+        assert f"input error: {path}{field}: unknown key" in err
+
+    def test_block_grading(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("grading.json").read_text(encoding="utf-8"))
+        data["block_index_D"] = [1]
+        path = tmp_path / "grading.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, "horn-tfp", "square.horn.json", "trapezoid.horn.json", str(path))
+        assert code == 2
+        assert "grading.json.block_index_D: unknown key (a block grading has A, block_index_B, block_index_C)" in err
 
 
 class TestBlendAndPatch:

@@ -18,7 +18,7 @@ from toric_precision.errors import (
     NoDegreeMapError,
     NotAFaceError,
 )
-from toric_precision.geometry import PointConfiguration, convex_hull_facets
+from toric_precision.geometry import PointConfiguration, convex_hull_facets, sample_interior
 from toric_precision.polynomials import RationalFunction, variables
 from toric_precision.tfp import (
     GradedConfiguration,
@@ -258,6 +258,37 @@ class TestFacePartition:
         assert class1 == RationalFunction(1 - x2, 1)
         assert class1.evaluate((Fraction(1, 2), 0)) == 1
         assert verify_face_partition(square_system, square_graded, square_poly, 1, 20, 0)
+
+
+class TestSampledChecksFail:
+    """Failing verdicts without a pole, against the same sums in Fractions."""
+
+    def test_face_partition_of_a_scaled_function(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
+        functions = list(beta_tilde_system.functions)
+        functions[1] = functions[1] * Fraction(3, 2)
+        system = BlendingSystem(
+            beta_tilde_system.config, beta_tilde_system.weights, tuple(functions), "custom", ("y1", "y2")
+        )
+        face, _ = graded_face(trapezoid_graded, trapezoid_poly, 1)
+        point = sample_interior(face, 1, 0)[0]
+        assert sum(system.functions[p].evaluate(point) for p in (0, 1, 2)) != 1
+        assert not verify_face_partition(system, trapezoid_graded, trapezoid_poly, 1, 20, 0)
+        # class 2 does not contain the scaled function
+        assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, 2, 20, 0)
+
+    def test_forms_disagree_when_a_factor_is_scaled(
+        self, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        functions = list(beta_tilde_system.functions)
+        functions[3] = functions[3] * 2
+        scaled = BlendingSystem(
+            beta_tilde_system.config, beta_tilde_system.weights, tuple(functions), "custom", ("y1", "y2")
+        )
+        b_form, product = tfp_blending(square_system, scaled, square_trapezoid_grading, "B", check_factors=False)
+        c_form, _ = tfp_blending(square_system, scaled, square_trapezoid_grading, "C", check_factors=False)
+        point = sample_interior(product.config, 1, 0)[0]
+        assert b_form.evaluate(point) != c_form.evaluate(point)
+        assert not verify_form_agreement(square_system, scaled, square_trapezoid_grading, 20, 0)
 
 
 class TestSampledChecks:
