@@ -8,10 +8,18 @@ reproduces linear functions (linear precision), stays nonnegative on the
 interior, and lands on the weighted toric variety are separate checks:
 
 * partition of unity and linear precision are exact symbolic identities,
-* interior nonnegativity is checked on seeded interior samples,
-* membership in the variety is checked through binomial identities coming
-  from an integer kernel basis of the design matrix, evaluated exactly at
-  interior samples.
+* membership in the variety and interior positivity are structural for a
+  system built by :func:`toric_blending`, and sampled for every other one.
+
+A toric-built system carries the facets (n_i, a_i) and the exponents
+E[b][i] = h_i(b) of its factored form.  Confirming in integers that every
+E[b][i] is the lattice distance <n_i, b> + a_i >= 0 decides both checks:
+each column of E is affine in b, so every binomial of the design matrix's
+kernel cancels exponent by exponent, and each factor h_i with E[b][i] > 0
+is positive on the relative interior.  Every other system, including one
+loaded from JSON or copied with ``dataclasses.replace``, is checked through
+binomial identities from an integer kernel basis of the design matrix and
+through signs, exactly at seeded interior samples.
 
 Sampled checks run in integers from the draw to the verdict: each sample is
 an unreduced integer point ``(xs, q)``, evaluated once by the system's
@@ -30,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import linalg
 from .errors import PoleError, PointOutsidePolytopeError
 from .geometry import (
+    Facet,
     LatticePolytope,
     PointConfiguration,
     _integer_samples,
@@ -76,6 +85,9 @@ class BlendingSystem:
 
     ``kind`` records provenance: "toric" for systems built by
     :func:`toric_blending`, "custom" for user-supplied or derived families.
+    Only the systems :func:`toric_blending` returns carry its record of the
+    factored form; ``==``, serialization and ``dataclasses.replace``
+    neither see nor copy it.
     """
 
     config: PointConfiguration
@@ -83,6 +95,9 @@ class BlendingSystem:
     functions: tuple[RationalFunction, ...]
     kind: str = "custom"
     variables: tuple[str, ...] = ()
+    # A _ToricRecord on the systems toric_blending returns.  Unannotated, so
+    # not a dataclass field.
+    _record = None
 
     def __post_init__(self):
         if len(self.weights) != len(self.config.points):
@@ -116,6 +131,13 @@ class BlendingSystem:
         return EvaluationKernel(self.functions)
 
 
+class _ToricRecord(NamedTuple):
+    """The factored form of a toric system: f_b = w_b * prod_i h_i**E[b][i] / sum."""
+
+    facets: tuple[Facet, ...]  # (n_i, a_i), so that h_i(p) = <p, n_i> + a_i
+    exponents: tuple[tuple[int, ...], ...]  # E[b][i] = h_i(b), one row per point
+
+
 def toric_blending(
     poly: LatticePolytope,
     points: PointConfiguration,
@@ -126,19 +148,23 @@ def toric_blending(
 
     Each point b gets w_b * prod_i h_i ** h_i(b) divided by the weighted sum
     over all points, where h_i are the lattice-distance forms of the facets.
-    The shared denominator is stored uncancelled.
+    The shared denominator is stored uncancelled.  The returned system keeps
+    the facets and exponents, from which membership and positivity are
+    decided without samples.
     """
     if len(w) != len(points.points):
         raise ValueError("weight count does not match configuration")
     forms = lattice_distance_forms(poly, names)
+    rows = []
     numerators: list[Polynomial] = []
     for b in points.points:
-        exponents = [int(d) for d in poly.lattice_distances(b)]
+        exponents = tuple([int(d) for d in poly.lattice_distances(b)])
         if any(e < 0 for e in exponents):
             raise PointOutsidePolytopeError(f"point {b} lies outside the polytope")
         beta = Polynomial.constant(1, forms[0].variables)
         for h, e in zip(forms, exponents):
             beta = beta * h**e
+        rows.append(exponents)
         numerators.append(beta)
     beta_w = Polynomial.zero(forms[0].variables)
     for w_b, beta in zip(w.weights, numerators):
@@ -146,7 +172,9 @@ def toric_blending(
     functions = tuple(
         RationalFunction(w_b * beta, beta_w) for w_b, beta in zip(w.weights, numerators)
     )
-    return BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
+    system = BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
+    object.__setattr__(system, "_record", _ToricRecord(poly.facets, tuple(rows)))
+    return system
 
 
 def verify_partition_of_unity(sys: BlendingSystem) -> bool:
@@ -185,7 +213,11 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
     fiber products) are tested after substituting a parametrization of the
     span.  A denominator vanishing identically on the span fails the check.
     """
-    span = _affine_span_substitution(sys.config)
+    return _linear_precision(sys, _affine_span_substitution(sys.config))
+
+
+def _linear_precision(sys: BlendingSystem, span: list[Polynomial] | None) -> bool:
+    """:func:`verify_linear_precision` with the configuration's span substitution given."""
     for c, name in enumerate(sys.variables):
         weighted = sum_rational_functions(
             f * Fraction(b[c]) for f, b in zip(sys.functions, sys.config.points)
@@ -249,6 +281,49 @@ def _holds_at_samples(
     return tuple(witnesses)
 
 
+def _structural_reason(sys: BlendingSystem) -> str | None:
+    """Why the record of a toric-built system certifies nothing, None when it certifies.
+
+    The record certifies membership and positivity when every exponent
+    E[b][i] is the lattice distance <n_i, b> + a_i >= 0.  Then each column of
+    E is affine in b and every kernel vector v of the design matrix has
+    sum_b v_b * E[b][i] = 0 and, because the ones vector lies in the row
+    span, sum_b v_b = 0, so prod_b (f_b / w_b)**v_b is 1 exponent by
+    exponent, the denominator included.  An affine form that is >= 0 on the
+    hull and positive at a configuration point is positive on the hull's
+    relative interior.  So every factor h_i**E[b][i] with E[b][i] > 0 and
+    every numerator are positive there, and the denominator has no pole.
+    """
+    facets, exponents = sys._record
+    distances = tuple([
+        tuple([sum(map(mul, b, normal)) + offset for normal, offset in facets])
+        for b in sys.config.points
+    ])
+    if distances != exponents or any(e < 0 for row in exponents for e in row):
+        return "the recorded exponents are not the lattice distances of the points"
+    return None
+
+
+def _decide(
+    sys: BlendingSystem, samples: int, seed: int, *checks: Callable[[], Check]
+) -> tuple[str | None, ...]:
+    """Why each check fails, None where it holds; the one rule that picks the mode.
+
+    A system that carries the record of :func:`toric_blending` is decided
+    structurally from it, with no sample, kernel basis or evaluation.  Every
+    other system runs the checks, built only then, in :func:`_holds_at_samples`,
+    and a failure names its first failing sample.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if sys._record is not None:
+        return (_structural_reason(sys),) * len(checks)
+    witnesses = _holds_at_samples(
+        sys.config, samples, seed, sys._kernel, *[build() for build in checks]
+    )
+    return tuple([None if w is None else w.describe(seed) for w in witnesses])
+
+
 def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
     if poly is not None and poly.dim != dim:
         raise ValueError(f"the polytope has dimension {poly.dim}, the samples {dim}")
@@ -269,14 +344,17 @@ def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
 def verify_interior_positivity(
     sys: BlendingSystem, poly: LatticePolytope | None = None, samples: int = 50, seed: int = 0
 ) -> bool:
-    """Sampled check that every function is defined and >= 0 on the relative interior.
+    """Check that every function is defined and >= 0 on the relative interior.
 
-    Samples are strictly positive convex combinations of the configuration
-    points.  When the polytope is supplied, each sample is asserted to have
+    A system built by :func:`toric_blending` is decided structurally from its
+    factored form, with no sample drawn; every other system is checked at
+    ``samples`` seeded interior points, strictly positive convex combinations
+    of the configuration points.  When the polytope is supplied, its
+    dimension must be the system's, and each sample is asserted to have
     positive lattice distance to every facet.
     """
     check = _positivity_check(poly, sys.config.dim)
-    return _holds_at_samples(sys.config, samples, seed, sys._kernel, check)[0] is None
+    return _decide(sys, samples, seed, lambda: check)[0] is None
 
 
 def _membership_check(sys: BlendingSystem) -> Check:
@@ -314,13 +392,15 @@ def _membership_check(sys: BlendingSystem) -> Check:
 
 
 def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> bool:
-    """Sampled binomial-identity check against the weighted toric variety.
+    """Binomial-identity check against the weighted toric variety.
 
-    For each integer kernel vector v of the design matrix, split v into its
-    positive and negative parts and compare the corresponding products of
-    f_b(p)/w_b exactly at interior sample points.  Every point of the variety
-    satisfies these binomials, so one failing sample certifies
-    non-membership; a pole at a sample also fails.
+    A system built by :func:`toric_blending` is decided structurally from its
+    factored form, with no sample drawn and no kernel basis built.  Every
+    other system is sampled: for each integer kernel vector v of the design
+    matrix, split v into its positive and negative parts and compare the
+    corresponding products of f_b(p)/w_b exactly at interior sample points.
+    Every point of the variety satisfies these binomials, so one failing
+    sample certifies non-membership; a pole at a sample also fails.
 
     The comparison runs in integers.  With f_b(p) = N_b/D_b and
     w_b = a_b/c_b, both sides are multiplied by the nonzero
@@ -330,8 +410,7 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     be reduced: scaling one pair (N_b, D_b) by k != 0 multiplies both sides
     by k**|v_b|.
     """
-    check = _membership_check(sys)
-    return _holds_at_samples(sys.config, samples, seed, sys._kernel, check)[0] is None
+    return _decide(sys, samples, seed, lambda: _membership_check(sys))[0] is None
 
 
 @dataclass(frozen=True)
@@ -374,39 +453,36 @@ def verify_rational_linear_precision(
 ) -> PrecisionReport:
     """Run all four checks.
 
-    The hull is computed from the configuration when omitted; configurations
-    that span a proper affine subspace have no facet description here, so
-    positivity then runs on relative-interior samples alone.  Membership and
-    positivity run in one sampled loop and read the same function values,
-    so every sample is evaluated once; their verdicts are those of
-    :func:`verify_toric_membership` and :func:`verify_interior_positivity`,
-    and a failure's detail names the first failing sample, reproducible as
+    Membership and positivity are decided as by :func:`verify_toric_membership`
+    and :func:`verify_interior_positivity`: structurally for a system built by
+    :func:`toric_blending`, which then needs no hull, and otherwise in one
+    sampled loop that reads the same function values, so every sample is
+    evaluated once.  For a sampled system the hull is computed from the
+    configuration when omitted; configurations that span a proper affine
+    subspace have no facet description here, so positivity then runs on
+    relative-interior samples alone.  A sampled failure's detail names the
+    first failing sample, reproducible as
     ``sample_interior(sys.config, samples, seed)[index]``.
     """
     from .geometry import convex_hull_facets
 
-    if poly is None and _affine_span_substitution(sys.config) is None:
+    span = _affine_span_substitution(sys.config)
+    if poly is None and span is None and sys._record is None:
         poly = convex_hull_facets(sys.config)
     details: dict[str, str] = {}
     partition = verify_partition_of_unity(sys)
     if not partition:
         total = sum_rational_functions(sys.functions)
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    witnesses = _holds_at_samples(
-        sys.config,
-        samples,
-        seed,
-        sys._kernel,
-        _membership_check(sys),
-        _positivity_check(poly, sys.config.dim),
-    )
-    for name, witness in zip(("toric_membership", "interior_positivity"), witnesses):
-        if witness is not None:
-            details[name] = witness.describe(seed)
-    linear = verify_linear_precision(sys)
+    positivity = _positivity_check(poly, sys.config.dim)
+    reasons = _decide(sys, samples, seed, lambda: _membership_check(sys), lambda: positivity)
+    for name, reason in zip(("toric_membership", "interior_positivity"), reasons):
+        if reason is not None:
+            details[name] = reason
+    linear = _linear_precision(sys, span)
     if not linear:
         details["linear_precision"] = "sum_b f_b * b does not reproduce the coordinate functions"
-    return PrecisionReport(partition, witnesses[0] is None, witnesses[1] is None, linear, details)
+    return PrecisionReport(partition, reasons[0] is None, reasons[1] is None, linear, details)
 
 
 def toric_patch_eval(

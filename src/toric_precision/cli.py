@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import serialize
 from .blending import BlendingSystem, toric_blending, toric_patch_eval, verify_rational_linear_precision
-from .errors import SchemaError, ToricPrecisionError
-from .geometry import PointConfiguration, convex_hull_facets, design_matrix
+from .errors import NotFullDimensionalError, SchemaError, ToricPrecisionError
+from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
     HornPair,
     format_horn_matrix,
@@ -69,19 +69,34 @@ def _load(path: str):
     return serialize.parse_model_file(resolve_input_path(path))
 
 
-def _as_system(model) -> BlendingSystem:
+def _hull(model, path: str) -> LatticePolytope:
+    """Hull of a model's points; points spanning too little are bad input at their field."""
+    if isinstance(model, PointConfiguration):
+        config, field = model, f"{path}.points"
+    else:
+        config, field = model.config, f"{path}.config.points"
+    try:
+        return convex_hull_facets(config)
+    except NotFullDimensionalError as exc:
+        raise SchemaError(f"{field}: {exc}") from None
+
+
+def _as_system(model, path: str = "model") -> BlendingSystem:
     """Accept a blending system directly, or build the toric one from a model."""
     if isinstance(model, BlendingSystem):
         return model
     if isinstance(model, GradedModel):
-        poly = convex_hull_facets(model.config)
-        return toric_blending(poly, model.config, model.weights)
+        return toric_blending(_hull(model, path), model.config, model.weights)
     if isinstance(model, PointConfiguration):
         from .blending import WeightVector
 
-        poly = convex_hull_facets(model)
-        return toric_blending(poly, model, WeightVector.ones(len(model.points)))
+        return toric_blending(_hull(model, path), model, WeightVector.ones(len(model.points)))
     raise SchemaError("expected a configuration, graded model, or blending system")
+
+
+def _load_system(path: str) -> BlendingSystem:
+    resolved = str(resolve_input_path(path))
+    return _as_system(serialize.parse_model_file(resolved), resolved)
 
 
 def _parse_data(raw: str, labels) -> DataVector:
@@ -115,14 +130,11 @@ def _emit(args, text_lines, json_data) -> None:
 
 
 def _cmd_facets(args) -> int:
-    model = _load(args.config)
-    if isinstance(model, (GradedModel, BlendingSystem)):
-        config = model.config
-    elif isinstance(model, PointConfiguration):
-        config = model
-    else:
+    path = str(resolve_input_path(args.config))
+    model = serialize.parse_model_file(path)
+    if not isinstance(model, (GradedModel, BlendingSystem, PointConfiguration)):
         raise SchemaError(f"{args.config}: no point configuration in this file")
-    poly = convex_hull_facets(config)
+    poly = _hull(model, path)
     lines = [f"dim {poly.dim}, {len(poly.facets)} facets, {len(poly.vertices)} vertices"]
     for normal, offset in poly.facets:
         terms = " + ".join(f"{n}*x{i + 1}" for i, n in enumerate(normal) if n)
@@ -133,7 +145,7 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_blend(args) -> int:
-    system = _as_system(_load(args.model))
+    system = _load_system(args.model)
     labels = system.config.effective_labels()
     lines = [f"{label}: {f}" for label, f in zip(labels, system.functions)]
     _emit(args, lines, serialize.blending_system_to_json(system))
@@ -141,7 +153,7 @@ def _cmd_blend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    system = _as_system(_load(args.system))
+    system = _load_system(args.system)
     report = verify_rational_linear_precision(system, samples=args.samples, seed=args.seed)
     lines = []
     for name in ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision"):
@@ -161,11 +173,10 @@ def _load_graded(path: str) -> GradedModel:
     return model
 
 
-def _factor_system(model: GradedModel, override: str | None) -> BlendingSystem:
+def _factor_system(model: GradedModel, path: str, override: str | None) -> BlendingSystem:
     """Toric system of the model, or a user-supplied system over the same points."""
     if override is None:
-        poly = convex_hull_facets(model.config)
-        return toric_blending(poly, model.config, model.weights)
+        return _as_system(model, str(resolve_input_path(path)))
     loaded = _load(override)
     if not isinstance(loaded, BlendingSystem):
         raise SchemaError(f"{override}: expected a blending system file")
@@ -180,8 +191,8 @@ def _cmd_tfp(args) -> int:
     if model_b.degrees.points != model_c.degrees.points:
         raise SchemaError("the two models carry different degree configurations")
     grading = validate_multigrading(model_b.graded, model_c.graded, model_b.degrees)
-    sys_b = _factor_system(model_b, args.system_b)
-    sys_c = _factor_system(model_c, args.system_c)
+    sys_b = _factor_system(model_b, args.model_b, args.system_b)
+    sys_c = _factor_system(model_c, args.model_c, args.system_c)
     system, product = tfp_blending(sys_b, sys_c, grading, form=args.form)
     labels = product.config.labels
     lines = [f"{len(product.config.points)} points, weights "
@@ -251,8 +262,7 @@ def _cmd_horn_minimize(args) -> int:
 
 
 def _cmd_mle(args) -> int:
-    model = _load(args.model)
-    system = _as_system(model)
+    system = _load_system(args.model)
     u = _parse_data(args.data, system.config.effective_labels())
     estimate = mle_closed_form(system, u)
     dm = design_matrix(system.config)
@@ -276,8 +286,7 @@ def _cmd_mle(args) -> int:
 
 
 def _cmd_ips(args) -> int:
-    model = _load(args.model)
-    system = _as_system(model)
+    system = _load_system(args.model)
     u = _parse_data(args.data, system.config.effective_labels())
     dm = design_matrix(system.config)
     ips = ips_fit(dm, system.weights, u, tol=args.tol, max_iter=args.max_iter)
@@ -296,8 +305,7 @@ def _cmd_ips(args) -> int:
 
 
 def _cmd_patch(args) -> int:
-    model = _load(args.system)
-    system = _as_system(model)
+    system = _load_system(args.system)
     point = _parse_point(args.point)
     raw = args.controls
     try:

@@ -1,10 +1,11 @@
 """Blending systems: construction and the four defining checks."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -30,6 +31,7 @@ from toric_precision.geometry import (
 )
 from toric_precision.linalg import integer_kernel_basis
 from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
+from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 
 
 class TestToricBlending:
@@ -386,6 +388,168 @@ class TestWitnesses:
 
     def test_passing_checks_have_no_details(self, beta_tilde_system):
         assert verify_rational_linear_precision(beta_tilde_system, samples=10, seed=0).details == {}
+
+
+def toric_system(points, weights=None):
+    config = PointConfiguration(len(points[0]), tuple(points))
+    weights = WeightVector(weights or (1,) * len(points))
+    return toric_blending(convex_hull_facets(config), config, weights)
+
+
+def bernstein_box(k, d, binomial=True):
+    points = list(product(range(k + 1), repeat=d))
+    return toric_system(points, [prod(comb(k, x) for x in p) for p in points] if binomial else None)
+
+
+def bernstein_simplex(k, d):
+    points = [p for p in product(range(k + 1), repeat=d) if sum(p) <= k]
+    return toric_system(
+        points, [factorial(k) // (prod(factorial(x) for x in p) * factorial(k - sum(p))) for p in points]
+    )
+
+
+def seeded_random_weights(seed):
+    rng = random.Random(seed)
+    systems = []
+    for points in (
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+        [(a, b) for a in range(3) for b in range(3 - a)],
+        [(0,), (1,), (2,), (3,)],
+        list(product(range(2), repeat=3)),
+    ):
+        systems.append(toric_system(points, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]))
+    return systems
+
+
+def sampled_copy(s):
+    """The same system without the record of toric_blending."""
+    return BlendingSystem(s.config, s.weights, s.functions, s.kind, s.variables)
+
+
+@pytest.fixture
+def counted_samples(monkeypatch):
+    """Counts the samples every sampled check evaluates."""
+    calls = []
+    pairs = EvaluationKernel.pairs
+
+    def counting(kernel, xs, q, point=None):
+        calls.append((tuple(xs), q))
+        return pairs(kernel, xs, q, point)
+
+    monkeypatch.setattr(EvaluationKernel, "pairs", counting)
+    return calls
+
+
+class TestStructuralChecks:
+    """Toric-built systems are decided from their factored form, every other system by samples."""
+
+    SAMPLES = 6
+
+    @pytest.fixture(scope="class")
+    def systems(self, square_system, trapezoid_toric_system):
+        systems = {"square": square_system, "trapezoid-toric-weights": trapezoid_toric_system}
+        for k in (2, 3, 4):
+            systems[f"box{k}x2-binomial"] = bernstein_box(k, 2)
+            systems[f"box{k}x2-unit"] = bernstein_box(k, 2, binomial=False)
+        for k, d in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3)):
+            systems[f"simplex{k}x{d}"] = bernstein_simplex(k, d)
+        systems["box2x3"] = bernstein_box(2, 3)
+        systems["box1x5"] = bernstein_box(1, 5)
+        for i, s in enumerate(seeded_random_weights(31)):
+            systems[f"random{i}"] = s
+        return systems
+
+    def test_structural_verdicts_equal_the_sampled_ones(self, systems, counted_samples):
+        for name, s in systems.items():
+            poly = convex_hull_facets(s.config)
+            structural = (
+                verify_toric_membership(s, self.SAMPLES, 2),
+                verify_interior_positivity(s, poly, self.SAMPLES, 2),
+            )
+            assert counted_samples == [], name
+            copy = sampled_copy(s)
+            assert copy._record is None
+            sampled = (
+                verify_toric_membership(copy, self.SAMPLES, 2),
+                verify_interior_positivity(copy, poly, self.SAMPLES, 2),
+            )
+            assert len(counted_samples) == 2 * self.SAMPLES, name
+            counted_samples.clear()
+            assert structural == sampled == (True, True), name
+
+    def test_reports_agree_and_only_copies_draw_samples(self, systems, counted_samples):
+        for name in ("square", "trapezoid-toric-weights", "box2x2-unit", "simplex2x2", "random0"):
+            s = systems[name]
+            structural = verify_rational_linear_precision(s, samples=self.SAMPLES, seed=1)
+            assert counted_samples == [], name
+            sampled = verify_rational_linear_precision(sampled_copy(s), samples=self.SAMPLES, seed=1)
+            assert len(counted_samples) == self.SAMPLES, name
+            counted_samples.clear()
+            assert structural == sampled, name
+        assert not verify_rational_linear_precision(systems["trapezoid-toric-weights"]).linear_precision
+
+    def test_the_record_is_not_a_field(self, square_system):
+        copy = sampled_copy(square_system)
+        assert square_system._record is not None
+        assert "_record" not in {f.name for f in dataclasses.fields(BlendingSystem)}
+        assert square_system == copy
+        assert blending_system_to_json(square_system) == blending_system_to_json(copy)
+
+    def test_replaced_weights_are_sampled_and_fail(self, square_system, counted_samples):
+        moved = dataclasses.replace(square_system, weights=WeightVector((1, 1, 1, 2)))
+        assert moved._record is None
+        assert not verify_toric_membership(moved, self.SAMPLES, 0)
+        # the first sample already fails the one binomial, so the loop stops there
+        assert len(counted_samples) == 1
+        report = verify_rational_linear_precision(moved, samples=self.SAMPLES, seed=0)
+        assert not report.toric_membership and report.interior_positivity
+        assert report.details["toric_membership"].startswith("interior sample 0 (seed 0)")
+
+    def test_json_round_trip_is_sampled_with_the_same_verdicts(self, systems, counted_samples):
+        for name in ("square", "trapezoid-toric-weights", "box3x2-binomial", "random1"):
+            s = systems[name]
+            loaded = blending_system_from_json(blending_system_to_json(s))
+            assert loaded.kind == "toric" and loaded._record is None
+            structural = verify_rational_linear_precision(s, samples=self.SAMPLES, seed=4)
+            sampled = verify_rational_linear_precision(loaded, samples=self.SAMPLES, seed=4)
+            assert structural == sampled, name
+            assert len(counted_samples) == self.SAMPLES, name
+            counted_samples.clear()
+
+    def test_no_kernel_basis_hull_or_evaluation(self, square_system, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not needed by a structural decision")
+
+        monkeypatch.setattr(blending.linalg, "integer_kernel_basis", forbidden)
+        monkeypatch.setattr("toric_precision.geometry.convex_hull_facets", forbidden)
+        monkeypatch.setattr(blending, "_integer_samples", forbidden)
+        s = toric_system(square_system.config.points)
+        report = verify_rational_linear_precision(s, samples=10, seed=0)
+        assert report.all_pass
+        assert "_kernel" not in vars(s)
+
+    def test_input_checks_hold(self, square_system, segment_system, trapezoid_poly):
+        for check in (
+            lambda n: verify_toric_membership(square_system, n, 0),
+            lambda n: verify_interior_positivity(square_system, None, n, 0),
+            lambda n: verify_rational_linear_precision(square_system, samples=n),
+        ):
+            assert check(1)
+            with pytest.raises(ValueError, match="need at least one sample"):
+                check(0)
+        with pytest.raises(ValueError, match="the polytope has dimension 2, the samples 1"):
+            verify_interior_positivity(segment_system, trapezoid_poly, 10, 0)
+
+    def test_a_record_that_does_not_hold_certifies_nothing(self, square_config, square_poly):
+        s = toric_blending(square_poly, square_config, WeightVector.ones(4))
+        rows = s._record.exponents
+        object.__setattr__(s, "_record", s._record._replace(exponents=rows[1:] + rows[:1]))
+        assert not verify_toric_membership(s, 5, 0)
+        assert not verify_interior_positivity(s, None, 5, 0)
+        report = verify_rational_linear_precision(s, samples=5)
+        assert report.details["toric_membership"] == (
+            "the recorded exponents are not the lattice distances of the points"
+        )
 
 
 class TestBernsteinBoxesAtScale:

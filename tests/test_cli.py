@@ -127,6 +127,37 @@ class TestVerify:
         assert f"input error: {path}.weights: unknown key" in err
 
 
+    def test_no_samples_on_a_toric_built_system(self, capsys):
+        # square.json is a graded model, so verify builds a toric system and
+        # decides membership and positivity without samples; --samples 0 is
+        # still bad input
+        code, out, err = run(capsys, "verify", "square.json", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "need at least one sample" in err
+
+
+class TestLowerDimensionalPoints:
+    @pytest.mark.parametrize("verb, extra", [
+        ("verify", ()), ("facets", ()), ("blend", ()), ("mle", ("--data", "1,1,1")), ("ips", ("--data", "1,1,1")),
+    ])
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded-model", "configuration"])
+    def test_the_points_field_is_named(self, capsys, tmp_path, verb, extra, graded):
+        points = [[0, 0], [1, 1], [2, 2]]
+        if graded:
+            data = {"config": {"dim": 2, "points": points}, "weights": ["1", "2", "1"],
+                    "grading": {"A": [[1]], "assignment": [1, 1, 1]}}
+            field = ".config.points"
+        else:
+            data, field = {"dim": 2, "points": points}, ".points"
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, verb, str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {path}{field}: points affinely span dimension 1 < 2\n"
+
+
 class TestStrayKeys:
     def test_renamed_column_labels_exit_2(self, capsys, tmp_path):
         # "labels" is a configuration key; on a Horn pair it used to be
