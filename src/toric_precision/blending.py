@@ -120,6 +120,13 @@ class BlendingSystem:
                 f"expected {len(self.variables)} values for {self.variables}, got {len(point)}"
             )
         xs, q = integer_point(point)
+        return self._values(xs, q, point)
+
+    def _values(
+        self, xs: Sequence[int], q: int, point: Sequence[Fraction | int] | None = None
+    ) -> tuple[Fraction, ...]:
+        """All function values at ``xs / q``; a PoleError names ``point`` if
+        given, else ``xs / q`` as ``p/q`` coordinates."""
         # From a list, not a generator: tuple() of a generator allocates for
         # a guessed length and resizes, so every call would leave one more
         # tuple of the system's size on CPython's free lists.

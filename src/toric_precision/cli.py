@@ -3,8 +3,9 @@
 Every verb loads JSON model files, runs the corresponding library calls,
 and prints a text or JSON report.  Exit codes: 0 when the computation
 succeeds and every checked property holds, 1 when a property fails (the
-report carries a witness), 2 on bad input.  Output is deterministic for a
-fixed seed.
+report carries a witness), 2 on bad input, 141 when the reader of stdout
+closes it early (nothing is printed to stderr).  Output is deterministic
+for a fixed seed.
 
 Input paths are resolved literally first, then against the fixture
 directory (the TORIC_PRECISION_FIXTURES environment variable when set,
@@ -173,10 +174,10 @@ def _load_graded(path: str) -> GradedModel:
     return model
 
 
-def _factor_system(model: GradedModel, path: str, override: str | None) -> BlendingSystem:
+def _factor_system(model: GradedModel, hull: LatticePolytope, override: str | None) -> BlendingSystem:
     """Toric system of the model, or a user-supplied system over the same points."""
     if override is None:
-        return _as_system(model, str(resolve_input_path(path)))
+        return toric_blending(hull, model.config, model.weights)
     loaded = _load(override)
     if not isinstance(loaded, BlendingSystem):
         raise SchemaError(f"{override}: expected a blending system file")
@@ -190,9 +191,13 @@ def _cmd_tfp(args) -> int:
     model_c = _load_graded(args.model_c)
     if model_b.degrees.points != model_c.degrees.points:
         raise SchemaError("the two models carry different degree configurations")
+    # Points spanning too little are named at their field before the grading
+    # is checked, whose message could name neither file.
+    hull_b = _hull(model_b, str(resolve_input_path(args.model_b)))
+    hull_c = _hull(model_c, str(resolve_input_path(args.model_c)))
     grading = validate_multigrading(model_b.graded, model_c.graded, model_b.degrees)
-    sys_b = _factor_system(model_b, args.model_b, args.system_b)
-    sys_c = _factor_system(model_c, args.model_c, args.system_c)
+    sys_b = _factor_system(model_b, hull_b, args.system_b)
+    sys_c = _factor_system(model_c, hull_c, args.system_c)
     system, product = tfp_blending(sys_b, sys_c, grading, form=args.form)
     labels = product.config.labels
     lines = [f"{len(product.config.points)} points, weights "
@@ -395,7 +400,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # os.devnull so the flush at exit cannot fail again, and exit with
+        # 141 = 128 + SIGPIPE, as a shell reports a process SIGPIPE ended.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     ZeroToNegativePowerError,
 )
 from .linalg import primitive_integer
-from .polynomials import Polynomial, lcm_sum
+from .polynomials import Polynomial, integer_point, lcm_sum
 from .tfp import Multigrading, enumerate_product_indices
 
 
@@ -89,17 +90,18 @@ def horn_parametrize(pair: HornPair, u: Sequence[int | Fraction]) -> tuple[Fract
 
     Conventions: 0 ** 0 = 1 and 0 ** positive = 0; a vanishing row with a
     negative exponent raises ZeroToNegativePowerError naming the row.
+
+    The map runs in integers: with u = xs / q, each row value is R / q for
+    the integer R = row . xs, and since every column sums to zero the powers
+    of q cancel, leaving lambda * prod_{e > 0} R**e / prod_{e < 0} R**-e.
     """
     if len(u) != pair.n_columns:
         raise ValueError(f"expected {pair.n_columns} counts, got {len(u)}")
-    values = [Fraction(x) for x in u]
-    row_values = [
-        sum((Fraction(e) * x for e, x in zip(row, values)), Fraction(0))
-        for row in pair.matrix.entries
-    ]
+    xs, _ = integer_point(u)
+    row_values = [sum(map(mul, row, xs)) for row in pair.matrix.entries]
     out = []
-    for c in range(pair.n_columns):
-        coordinate = pair.coefficients[c]
+    for c, coefficient in enumerate(pair.coefficients):
+        numerator, denominator = coefficient.numerator, coefficient.denominator
         vanished = False
         for alpha, (row_value, row) in enumerate(zip(row_values, pair.matrix.entries)):
             e = row[c]
@@ -109,9 +111,13 @@ def horn_parametrize(pair: HornPair, u: Sequence[int | Fraction]) -> tuple[Fract
                 if e < 0:
                     raise ZeroToNegativePowerError(alpha)
                 vanished = True
-            elif not vanished:
-                coordinate *= row_value**e
-        out.append(Fraction(0) if vanished else coordinate)
+            elif vanished:
+                continue
+            elif e > 0:
+                numerator *= row_value**e
+            else:
+                denominator *= row_value**-e
+        out.append(Fraction(0) if vanished else Fraction(numerator, denominator))
     return tuple(out)
 
 

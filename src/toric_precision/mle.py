@@ -2,26 +2,31 @@
 
 The closed form evaluates a linear-precision blending system at the data
 barycenter; its output matches the data's sufficient statistics exactly
-(zero Birch residual).  Iterative proportional scaling provides an
-independent floating-point oracle: the design matrix is rescaled to a
-nonnegative matrix with constant column sums and the classical
-multiplicative update is iterated until the margins match.  The design
-matrices are small (a few rows; the fiber product of the fixtures has 10
-columns), so the oracle runs in plain Python floats and the package needs
-nothing beyond the standard library.
+(zero Birch residual).  Both run in integers over one denominator: the
+barycenter is sum u_j * p_j over |u|, handed straight to the system's
+evaluation kernel, and the residual is formed over the common denominator
+of the estimate and the total count.  Iterative proportional scaling
+provides an independent floating-point oracle: the design matrix is
+rescaled to a nonnegative matrix with constant column sums and the
+classical multiplicative update is iterated until the margins match, with
+one product M p per step shared by the update and the stopping test.  The
+design matrices are small (a few rows; the fiber product of the fixtures
+has 10 columns), so the oracle runs in plain Python floats and the package
+needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .blending import BlendingSystem, WeightVector
 from .errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from .geometry import DesignMatrix
+from .polynomials import integer_point, point_text
 from .tfp import Multigrading, enumerate_product_indices
 
 
@@ -43,10 +48,6 @@ class DataVector:
     def total(self) -> int:
         return sum(self.counts)
 
-    def frequencies(self) -> tuple[Fraction, ...]:
-        total = self.total
-        return tuple(Fraction(c, total) for c in self.counts)
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -64,7 +65,8 @@ class Distribution:
             object.__setattr__(self, "probs", probs)
             if any(p < 0 for p in probs):
                 raise ValueError("negative probability")
-            if sum(probs) != 1:
+            xs, q = integer_point(probs)
+            if sum(xs) != q:
                 raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
         else:
             probs = tuple(float(p) for p in self.probs)
@@ -89,15 +91,12 @@ def mle_closed_form(sys: BlendingSystem, u: DataVector) -> Distribution:
     """
     if len(u) != len(sys.config.points):
         raise ValueError("data length does not match configuration")
-    frequencies = u.frequencies()
-    barycenter = tuple(
-        sum((f * p[i] for f, p in zip(frequencies, sys.config.points)), Fraction(0))
-        for i in range(sys.config.dim)
-    )
+    # The barycenter sum_j u_j * p_j / |u| as integers over the total count.
+    xs = [sum(map(mul, u.counts, column)) for column in zip(*sys.config.points)]
     try:
-        values = sys.evaluate(barycenter)
+        values = sys._values(xs, u.total)
     except PoleError as exc:
-        raise PoleError(f"data barycenter {barycenter} hits a pole: {exc}") from exc
+        raise PoleError(f"data barycenter {point_text(xs, u.total)} hits a pole: {exc}") from exc
     return Distribution(values, exact=True)
 
 
@@ -147,13 +146,18 @@ def birch_residual(
 ) -> tuple[Fraction, ...]:
     """Exact difference between model margins and empirical margins.
 
-    All zeros certifies that the sufficient statistics match.
+    All zeros certifies that the sufficient statistics match.  With p as
+    integers xs over q and n the total count, row a's entry is
+    (A_a . xs * n - A_a . u * q) / (q * n).
     """
     if len(u) != dm.n_columns or len(p) != dm.n_columns:
         raise ValueError("dimension mismatch")
-    model = dm.apply([Fraction(x) for x in p.probs])
-    empirical = dm.apply(u.frequencies())
-    return tuple(m - e for m, e in zip(model, empirical))
+    xs, q = integer_point(p.probs)
+    n = u.total
+    return tuple([
+        Fraction(sum(map(mul, row, xs)) * n - sum(map(mul, row, u.counts)) * q, q * n)
+        for row in dm.rows
+    ])
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,11 @@ def ips_fit(
     Positivity of every scaled margin is checked exactly, in integers, before
     any float is formed.  The iteration then runs in Python floats: with M the
     scaled design, s its column sum and t = M u/|u|, each step is
-    p <- p * exp(M^T (log t - log Mp) / s) followed by normalisation.
+    p <- p * exp(M^T (log t - log Mp) / s) followed by normalisation.  One
+    product Mp per step, over the distinct rows of M, serves both that step
+    and the stopping test: a design row that M keeps unchanged reads its
+    margin from it, and only the rows the shift changed or dropped get a
+    product of their own.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -209,29 +217,40 @@ def ips_fit(
         if sum(e * c for e, c in zip(row, u.counts)) <= 0:
             raise DomainError(f"margin of row {row} is not positive for counts {u.counts}")
 
+    # Each distinct row of M is multiplied once per step; rows[i] reads the
+    # margin of the equal row of M, or is multiplied itself (slot None).
+    slot_of: dict[tuple[int, ...], int] = {}
+    shifted_slots = [slot_of.setdefault(tuple(row), len(slot_of)) for row in shifted]
+    margin_rows = list(slot_of)
     columns = list(zip(*shifted))
     u_hat = [c / u.total for c in u.counts]
-    target_original = [sum(map(operator.mul, row, u_hat)) for row in rows]
-    log_target = [math.log(sum(map(operator.mul, row, u_hat))) for row in shifted]
+    stop_rows = [(slot_of.get(tuple(row)), row, sum(map(mul, row, u_hat))) for row in rows]
+    log_target = [math.log(sum(map(mul, row, u_hat))) for row in shifted]
     p = [float(x) for x in w.weights]
     norm = sum(p)
     p = [x / norm for x in p]
-    residual = _max_residual(rows, p, target_original)
+    margins, residual = _margins_and_residual(margin_rows, stop_rows, p)
     iterations = 0
     while residual >= tol:
         if iterations >= max_iter:
             raise NotConvergedError(max_iter, residual)
-        step = [lt - math.log(sum(map(operator.mul, row, p))) for lt, row in zip(log_target, shifted)]
-        p = [x * math.exp(sum(map(operator.mul, col, step)) / s) for x, col in zip(p, columns)]
+        step = [lt - math.log(margins[k]) for lt, k in zip(log_target, shifted_slots)]
+        p = [x * math.exp(sum(map(mul, col, step)) / s) for x, col in zip(p, columns)]
         norm = sum(p)
         p = [x / norm for x in p]
         iterations += 1
-        residual = _max_residual(rows, p, target_original)
+        margins, residual = _margins_and_residual(margin_rows, stop_rows, p)
     return IpsResult(Distribution(tuple(p), exact=False), iterations, residual)
 
 
-def _max_residual(rows, p, target) -> float:
-    return max(abs(sum(map(operator.mul, row, p)) - t) for row, t in zip(rows, target))
+def _margins_and_residual(margin_rows, stop_rows, p) -> tuple[list[float], float]:
+    """Margins of the distinct rows of M at p, and the max-norm residual of
+    the design rows against their targets."""
+    margins = [sum(map(mul, row, p)) for row in margin_rows]
+    residual = max([
+        abs((sum(map(mul, row, p)) if k is None else margins[k]) - t) for k, row, t in stop_rows
+    ])
+    return margins, residual
 
 
 def log_likelihood(u: DataVector, p: Distribution) -> float:

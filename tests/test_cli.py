@@ -1,9 +1,16 @@
 """Command-line behavior: verbs, exit codes, determinism, fixture resolution."""
 
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toric_precision
 from toric_precision.cli import main, resolve_input_path
 from toric_precision.errors import SchemaError
 
@@ -156,6 +163,19 @@ class TestLowerDimensionalPoints:
         assert code == 2
         assert out == ""
         assert err == f"input error: {path}{field}: points affinely span dimension 1 < 2\n"
+
+    @pytest.mark.parametrize("factor", [0, 1], ids=["first", "second"])
+    def test_tfp_names_the_points_field(self, capsys, tmp_path, factor):
+        # The grading check would reject these points too, naming no file.
+        data = json.loads(resolve_input_path("square.json").read_text(encoding="utf-8"))
+        data["config"]["points"] = [[0, 0], [1, 1], [2, 2], [3, 3]]
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        models = [str(path), "trapezoid.json"] if factor == 0 else ["trapezoid.json", str(path)]
+        code, out, err = run(capsys, "tfp", *models)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {path}.config.points: points affinely span dimension 1 < 2\n"
 
 
 class TestStrayKeys:
@@ -434,3 +454,25 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # blend on Bernstein [0,5]^3 prints about 208 KB, well past a pipe
+    # buffer, so the writer is still writing when the reader closes its end.
+    points = [list(p) for p in itertools.product(range(6), repeat=3)]
+    weights = [str(math.prod(math.comb(5, x) for x in p)) for p in points]
+    model = {"config": {"dim": 3, "points": points}, "weights": weights,
+             "grading": {"A": [[1]], "assignment": [1] * len(points)}}
+    path = tmp_path / "bernstein5x3.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    src = str(Path(toric_precision.__file__).resolve().parents[1])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "toric_precision.cli", "blend", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert process.stdout.readline().startswith(b"0,0,0: ")
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 141
+    assert err == b""

@@ -324,3 +324,77 @@ class TestFormatting:
         pair = simplex_horn_pair(2)
         text = format_horn_matrix(pair.matrix)
         assert text.splitlines() == [" 1   0", " 0   1", "-1  -1"]
+
+
+def _reference_parametrize(pair, u):
+    """The map in Fractions, row values and all, as a reference."""
+    values = [Fraction(x) for x in u]
+    row_values = [
+        sum((Fraction(e) * x for e, x in zip(row, values)), Fraction(0))
+        for row in pair.matrix.entries
+    ]
+    out = []
+    for c in range(pair.n_columns):
+        coordinate = pair.coefficients[c]
+        vanished = False
+        for alpha, (row_value, row) in enumerate(zip(row_values, pair.matrix.entries)):
+            e = row[c]
+            if e == 0:
+                continue
+            if row_value == 0:
+                if e < 0:
+                    raise ZeroToNegativePowerError(alpha)
+                vanished = True
+            elif not vanished:
+                coordinate *= row_value**e
+        out.append(Fraction(0) if vanished else coordinate)
+    return tuple(out)
+
+
+def _outcome(u, pair, parametrize):
+    try:
+        return parametrize(pair, u)
+    except ZeroToNegativePowerError as exc:
+        return ("ZeroToNegativePowerError", exc.row)
+
+
+class TestHornParametrizeMatchesTheFractionReference:
+    @pytest.fixture
+    def pairs(self, square_horn, trapezoid_horn):
+        rng = random.Random(5)
+        scaled = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5))
+        return {
+            "square": square_horn,
+            "trapezoid-rational-lambda": HornPair(trapezoid_horn.matrix, scaled),
+            "product": HornPair(HornMatrix(PRODUCT_MATRIX), PRODUCT_LAMBDA),
+            "simplex": simplex_horn_pair(3),
+            # mixed signs: row values can be negative, and zero with either sign of exponent
+            "mixed": HornPair(HornMatrix(((1, -1, 2), (-1, 2, -1), (0, -1, -1))), (2, Fraction(-1, 3), 5)),
+        }
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
+    def test_sweep(self, pairs, kind):
+        rng = random.Random(13)
+        raised = 0
+        for name, pair in pairs.items():
+            low = -3 if name == "mixed" else 0
+            for _ in range(60):
+                if kind == "int":
+                    u = [rng.randint(low, 5) for _ in range(pair.n_columns)]
+                else:
+                    u = [Fraction(rng.randint(low, 5), rng.randint(1, 4)) for _ in range(pair.n_columns)]
+                want = _outcome(u, pair, _reference_parametrize)
+                got = _outcome(u, pair, horn_parametrize)
+                assert got == want, (name, u)
+                if want[0] == "ZeroToNegativePowerError":
+                    raised += 1
+                else:
+                    assert all(type(x) is Fraction for x in got)
+        assert raised > 0
+
+    def test_zero_counts_and_the_named_row(self):
+        pair = simplex_horn_pair(3)
+        assert horn_parametrize(pair, (0, Fraction(1, 2), 0)) == (0, 1, 0)
+        with pytest.raises(ZeroToNegativePowerError) as info:
+            horn_parametrize(pair, (0, 0, Fraction(0, 7)))
+        assert info.value.row == 3

@@ -1,5 +1,7 @@
 """Closed-form estimates, Birch residuals, the IPS oracle, and likelihood."""
 
+import math
+import operator
 import os
 import random
 import subprocess
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import toric_precision
-from toric_precision.blending import WeightVector, toric_blending
-from toric_precision.errors import DomainError, NotConvergedError, ZeroClassTotalError
+from toric_precision.blending import BlendingSystem, WeightVector, toric_blending
+from toric_precision.errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
 from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
 from toric_precision.mle import (
@@ -25,6 +27,7 @@ from toric_precision.mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
+from toric_precision.polynomials import RationalFunction, variables
 from toric_precision.tfp import tfp_blending
 
 
@@ -44,6 +47,25 @@ class TestClosedForm:
     def test_uniform_data_symmetric_square(self, square_system):
         out = mle_closed_form(square_system, DataVector((2, 2, 2, 2)))
         assert out.probs == (F("1/4"),) * 4
+
+
+class TestPoleAtTheBarycenter:
+    def test_message_names_the_barycenter_as_rationals(self, square_config):
+        x1, x2 = variables("x1 x2")
+        functions = (RationalFunction(x1, x1 + x2 - 1),) * 4
+        system = BlendingSystem(square_config, WeightVector.ones(4), functions)
+        with pytest.raises(PoleError) as info:
+            mle_closed_form(system, DataVector((1, 1, 1, 1)))
+        assert str(info.value) == (
+            "data barycenter (1/2, 1/2) hits a pole: denominator x1 + x2 - 1 vanishes at (1/2, 1/2)"
+        )
+
+
+class TestDistribution:
+    def test_exact_sum_over_mixed_denominators(self):
+        assert Distribution((F("1/3"), F("1/6"), F("1/2"))).probs == (F("1/3"), F("1/6"), F("1/2"))
+        with pytest.raises(ValueError, match="probabilities sum to 5/6, not 1"):
+            Distribution((F("1/3"), F("1/3"), F("1/6")))
 
 
 class TestBirchResidual:
@@ -302,3 +324,161 @@ class TestTripleAgreement:
             ips = ips_fit(dm, system.weights, u, 1e-10, 10000)
             gap = max(abs(float(e) - f) for e, f in zip(exact.probs, ips.distribution.probs))
             assert gap < 1e-8
+
+
+# -- References: IPS with a separate product for every row in every step,
+# and the closed form and Birch residual in Fractions.
+
+
+def _reference_ips(dm, w, u, tol, max_iter):
+    """IPS multiplying every design row and every scaled row anew each step.
+
+    Returns (p, iterations, residual, converged)."""
+    rows = [list(r) for r in dm.rows]
+    shifted = []
+    for row in rows:
+        offset = max(0, -min(row))
+        candidate = [x + offset for x in row]
+        if any(candidate):
+            shifted.append(candidate)
+    column_sums = [sum(row[c] for row in shifted) for c in range(dm.n_columns)]
+    s = max(column_sums)
+    slack = [s - cs for cs in column_sums]
+    if any(slack):
+        shifted.append(slack)
+    columns = list(zip(*shifted))
+    u_hat = [c / u.total for c in u.counts]
+    target_original = [sum(map(operator.mul, row, u_hat)) for row in rows]
+    log_target = [math.log(sum(map(operator.mul, row, u_hat))) for row in shifted]
+
+    def max_residual(p):
+        return max(abs(sum(map(operator.mul, row, p)) - t) for row, t in zip(rows, target_original))
+
+    p = [float(x) for x in w.weights]
+    norm = sum(p)
+    p = [x / norm for x in p]
+    residual = max_residual(p)
+    iterations = 0
+    while residual >= tol:
+        if iterations >= max_iter:
+            return tuple(p), iterations, residual, False
+        step = [lt - math.log(sum(map(operator.mul, row, p))) for lt, row in zip(log_target, shifted)]
+        p = [x * math.exp(sum(map(operator.mul, col, step)) / s) for x, col in zip(p, columns)]
+        norm = sum(p)
+        p = [x / norm for x in p]
+        iterations += 1
+        residual = max_residual(p)
+    return tuple(p), iterations, residual, True
+
+
+def _reference_closed_form(system, u):
+    frequencies = [Fraction(c, u.total) for c in u.counts]
+    barycenter = tuple(
+        sum((f * p[i] for f, p in zip(frequencies, system.config.points)), Fraction(0))
+        for i in range(system.config.dim)
+    )
+    return system.evaluate(barycenter)
+
+
+def _reference_birch(dm, u, p):
+    model = dm.apply([Fraction(x) for x in p.probs])
+    empirical = dm.apply([Fraction(c, u.total) for c in u.counts])
+    return tuple(m - e for m, e in zip(model, empirical))
+
+
+def _simplex3x2():
+    points = tuple((i, j) for i in range(4) for j in range(4 - i))
+    weights = [math.factorial(3) // (math.factorial(i) * math.factorial(j) * math.factorial(3 - i - j))
+               for i, j in points]
+    config = PointConfiguration(2, points)
+    return toric_blending(convex_hull_facets(config), config, WeightVector(weights))
+
+
+def _square_at(points):
+    config = PointConfiguration(2, points)
+    return toric_blending(convex_hull_facets(config), config, WeightVector.ones(4))
+
+
+@pytest.fixture(scope="module")
+def sweep_systems(square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading):
+    product, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
+    return {
+        "square": square_system,
+        "beta-tilde": beta_tilde_system,
+        "trapezoid-toric": trapezoid_toric_system,
+        "square-at-minus-one": _square_at(((-1, -1), (0, -1), (-1, 0), (0, 0))),
+        "square-at-minus-three-two": _square_at(((-3, 2), (-2, 2), (-3, 3), (-2, 3))),
+        "square-x-beta-tilde": product,
+        "simplex3x2": _simplex3x2(),
+    }
+
+
+SWEEP = ["square", "beta-tilde", "trapezoid-toric", "square-at-minus-one", "square-at-minus-three-two",
+         "square-x-beta-tilde", "simplex3x2"]
+
+
+class TestIpsMatchesTheReferenceLoop:
+    """One margin product per step changes no float: every iterate, the
+    iteration count and the residual are bit-identical."""
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_seeded_fits(self, sweep_systems, name):
+        system = sweep_systems[name]
+        dm = design_matrix(system.config)
+        for u in random_data_vectors(12, len(system.config.points), seed=17):
+            result = ips_fit(dm, system.weights, u, 1e-10, 10000)
+            p, iterations, residual, converged = _reference_ips(dm, system.weights, u, 1e-10, 10000)
+            assert converged
+            assert (result.distribution.probs, result.iterations, result.residual) == (p, iterations, residual)
+
+    def test_product_design_repeats_a_row(self, sweep_systems):
+        rows = design_matrix(sweep_systems["square-x-beta-tilde"].config).rows
+        assert len(set(rows)) < len(rows)
+
+    @pytest.mark.parametrize("name", ["trapezoid-toric", "square-at-minus-three-two", "simplex3x2"])
+    def test_random_weights(self, sweep_systems, name):
+        config = sweep_systems[name].config
+        dm = design_matrix(config)
+        rng = random.Random(23)
+        for u in random_data_vectors(8, len(config.points), seed=29):
+            w = WeightVector(tuple(Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in config.points))
+            result = ips_fit(dm, w, u, 1e-10, 10000)
+            p, iterations, residual, converged = _reference_ips(dm, w, u, 1e-10, 10000)
+            assert converged
+            assert (result.distribution.probs, result.iterations, result.residual) == (p, iterations, residual)
+
+    @pytest.mark.parametrize("name", ["square", "square-at-minus-one", "square-x-beta-tilde"])
+    def test_not_converged_with_the_same_residual(self, sweep_systems, name):
+        system = sweep_systems[name]
+        dm = design_matrix(system.config)
+        u = random_data_vectors(1, len(system.config.points), seed=31)[0]
+        with pytest.raises(NotConvergedError) as info:
+            ips_fit(dm, system.weights, u, 1e-12, 3)
+        _, iterations, residual, converged = _reference_ips(dm, system.weights, u, 1e-12, 3)
+        assert not converged and iterations == 3
+        assert (info.value.max_iter, info.value.residual) == (3, residual)
+
+
+class TestExactEstimatorMatchesTheFractionReference:
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_closed_form_and_residual(self, sweep_systems, name):
+        system = sweep_systems[name]
+        dm = design_matrix(system.config)
+        for u in random_data_vectors(12, len(system.config.points), seed=37, low=0):
+            estimate = mle_closed_form(system, u)
+            assert estimate.probs == _reference_closed_form(system, u)
+            assert all(type(x) is Fraction for x in estimate.probs)
+            residual = birch_residual(dm, u, estimate)
+            assert residual == _reference_birch(dm, u, estimate)
+            assert all(type(r) is Fraction for r in residual)
+
+    def test_residual_off_the_estimate(self, sweep_systems):
+        system = sweep_systems["trapezoid-toric"]
+        dm = design_matrix(system.config)
+        rng = random.Random(41)
+        for u in random_data_vectors(12, 5, seed=43):
+            raw = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(5)]
+            exact = Distribution(tuple(x / sum(raw) for x in raw))
+            floats = ips_fit(dm, system.weights, u, 1e-10, 10000).distribution
+            for p in (exact, floats, mle_closed_form(system, u)):
+                assert birch_residual(dm, u, p) == _reference_birch(dm, u, p)
