@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
@@ -165,7 +164,7 @@ def toric_blending(
     rows = []
     numerators: list[Polynomial] = []
     for b in points.points:
-        exponents = tuple([int(d) for d in poly.lattice_distances(b)])
+        exponents = tuple([f.distance(b) for f in poly.facets])
         if any(e < 0 for e in exponents):
             raise PointOutsidePolytopeError(f"point {b} lies outside the polytope")
         beta = Polynomial.constant(1, forms[0].variables)
@@ -196,11 +195,9 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     t1..ts where s is the affine dimension.
     """
     base = config.points[0]
-    diffs = [[Fraction(p[i] - base[i]) for i in range(config.dim)] for p in config.points[1:]]
-    reduced, pivots = linalg.rref(diffs)
-    if len(pivots) == config.dim:
+    basis, _ = linalg._echelon([[x - b for x, b in zip(p, base)] for p in config.points[1:]])
+    if len(basis) == config.dim:
         return None
-    basis = [reduced[r] for r in range(len(pivots))]
     t_names = tuple(f"t{i + 1}" for i in range(len(basis)))
     images = []
     for c in range(config.dim):
@@ -302,10 +299,7 @@ def _structural_reason(sys: BlendingSystem) -> str | None:
     every numerator are positive there, and the denominator has no pole.
     """
     facets, exponents = sys._record
-    distances = tuple([
-        tuple([sum(map(mul, b, normal)) + offset for normal, offset in facets])
-        for b in sys.config.points
-    ])
+    distances = tuple([tuple([f.distance(b) for f in facets]) for b in sys.config.points])
     if distances != exponents or any(e < 0 for row in exponents for e in row):
         return "the recorded exponents are not the lattice distances of the points"
     return None
@@ -338,7 +332,7 @@ def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
 
     def check(xs, q, pairs) -> str | None:
         # q > 0, so the lattice distance (<xs, n> + a * q) / q has the sign of its numerator.
-        if any(sum(map(mul, xs, normal)) + offset * q <= 0 for normal, offset in facets):
+        if any(f.distance(xs, q) <= 0 for f in facets):
             raise ValueError(f"sample {point_text(xs, q)} is not interior to the polytope")
         for b, (n, d) in enumerate(pairs):
             if n * d < 0:
@@ -452,12 +446,7 @@ class PrecisionReport:
         return out
 
 
-def verify_rational_linear_precision(
-    sys: BlendingSystem,
-    poly: LatticePolytope | None = None,
-    samples: int = 50,
-    seed: int = 0,
-) -> PrecisionReport:
+def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> PrecisionReport:
     """Run all four checks.
 
     Membership and positivity are decided as by :func:`verify_toric_membership`
@@ -465,17 +454,16 @@ def verify_rational_linear_precision(
     :func:`toric_blending`, which then needs no hull, and otherwise in one
     sampled loop that reads the same function values, so every sample is
     evaluated once.  For a sampled system the hull is computed from the
-    configuration when omitted; configurations that span a proper affine
-    subspace have no facet description here, so positivity then runs on
-    relative-interior samples alone.  A sampled failure's detail names the
-    first failing sample, reproducible as
-    ``sample_interior(sys.config, samples, seed)[index]``.
+    configuration, and each sample is asserted to be interior to it;
+    configurations that span a proper affine subspace have no facet
+    description here, so positivity then runs on relative-interior samples
+    alone.  A sampled failure's detail names the first failing sample,
+    reproducible as ``sample_interior(sys.config, samples, seed)[index]``.
     """
     from .geometry import convex_hull_facets
 
     span = _affine_span_substitution(sys.config)
-    if poly is None and span is None and sys._record is None:
-        poly = convex_hull_facets(sys.config)
+    poly = convex_hull_facets(sys.config) if span is None and sys._record is None else None
     details: dict[str, str] = {}
     partition = verify_partition_of_unity(sys)
     if not partition:

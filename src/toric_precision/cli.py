@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from . import serialize
 from .blending import BlendingSystem, toric_blending, toric_patch_eval, verify_rational_linear_precision
@@ -66,8 +67,27 @@ def resolve_input_path(path: str) -> Path:
     raise SchemaError(f"cannot read {path}: no such file")
 
 
-def _load(path: str):
-    return serialize.parse_model_file(resolve_input_path(path))
+_POINT_MODELS = (GradedModel, BlendingSystem, PointConfiguration)
+# What a verb expects in a model file: the model types it accepts and the
+# message for a file holding none of them, where {path} is the path as given.
+_EXPECTED = {
+    "points": (_POINT_MODELS, "{path}: no point configuration in this file"),
+    "model": (_POINT_MODELS, "expected a configuration, graded model, or blending system"),
+    "graded": (GradedModel, "{path}: expected a graded model (config + weights + grading)"),
+    "system": (BlendingSystem, "{path}: expected a blending system file"),
+    "horn": (HornPair, "{path}: expected a Horn pair file"),
+}
+
+
+def _load(path: str, expected: str) -> tuple[Any, str]:
+    """The model in the file at ``path``, checked against ``_EXPECTED[expected]``,
+    and the path it resolved to.  The path is resolved once."""
+    kinds, message = _EXPECTED[expected]
+    resolved = str(resolve_input_path(path))
+    model = serialize.parse_model_file(resolved)
+    if not isinstance(model, kinds):
+        raise SchemaError(message.format(path=path))
+    return model, resolved
 
 
 def _hull(model, path: str) -> LatticePolytope:
@@ -92,12 +112,7 @@ def _as_system(model, path: str = "model") -> BlendingSystem:
         from .blending import WeightVector
 
         return toric_blending(_hull(model, path), model, WeightVector.ones(len(model.points)))
-    raise SchemaError("expected a configuration, graded model, or blending system")
-
-
-def _load_system(path: str) -> BlendingSystem:
-    resolved = str(resolve_input_path(path))
-    return _as_system(serialize.parse_model_file(resolved), resolved)
+    raise SchemaError(_EXPECTED["model"][1])
 
 
 def _parse_data(raw: str, labels) -> DataVector:
@@ -131,11 +146,7 @@ def _emit(args, text_lines, json_data) -> None:
 
 
 def _cmd_facets(args) -> int:
-    path = str(resolve_input_path(args.config))
-    model = serialize.parse_model_file(path)
-    if not isinstance(model, (GradedModel, BlendingSystem, PointConfiguration)):
-        raise SchemaError(f"{args.config}: no point configuration in this file")
-    poly = _hull(model, path)
+    poly = _hull(*_load(args.config, "points"))
     lines = [f"dim {poly.dim}, {len(poly.facets)} facets, {len(poly.vertices)} vertices"]
     for normal, offset in poly.facets:
         terms = " + ".join(f"{n}*x{i + 1}" for i, n in enumerate(normal) if n)
@@ -146,7 +157,7 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_blend(args) -> int:
-    system = _load_system(args.model)
+    system = _as_system(*_load(args.model, "model"))
     labels = system.config.effective_labels()
     lines = [f"{label}: {f}" for label, f in zip(labels, system.functions)]
     _emit(args, lines, serialize.blending_system_to_json(system))
@@ -154,7 +165,7 @@ def _cmd_blend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    system = _load_system(args.system)
+    system = _as_system(*_load(args.system, "model"))
     report = verify_rational_linear_precision(system, samples=args.samples, seed=args.seed)
     lines = []
     for name in ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision"):
@@ -167,34 +178,25 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _load_graded(path: str) -> GradedModel:
-    model = _load(path)
-    if not isinstance(model, GradedModel):
-        raise SchemaError(f"{path}: expected a graded model (config + weights + grading)")
-    return model
-
-
 def _factor_system(model: GradedModel, hull: LatticePolytope, override: str | None) -> BlendingSystem:
     """Toric system of the model, or a user-supplied system over the same points."""
     if override is None:
         return toric_blending(hull, model.config, model.weights)
-    loaded = _load(override)
-    if not isinstance(loaded, BlendingSystem):
-        raise SchemaError(f"{override}: expected a blending system file")
+    loaded, _ = _load(override, "system")
     if loaded.config.points != model.config.points:
         raise SchemaError(f"{override}: system points do not match the graded model")
     return loaded
 
 
 def _cmd_tfp(args) -> int:
-    model_b = _load_graded(args.model_b)
-    model_c = _load_graded(args.model_c)
+    model_b, path_b = _load(args.model_b, "graded")
+    model_c, path_c = _load(args.model_c, "graded")
     if model_b.degrees.points != model_c.degrees.points:
         raise SchemaError("the two models carry different degree configurations")
     # Points spanning too little are named at their field before the grading
     # is checked, whose message could name neither file.
-    hull_b = _hull(model_b, str(resolve_input_path(args.model_b)))
-    hull_c = _hull(model_c, str(resolve_input_path(args.model_c)))
+    hull_b = _hull(model_b, path_b)
+    hull_c = _hull(model_c, path_c)
     grading = validate_multigrading(model_b.graded, model_c.graded, model_b.degrees)
     sys_b = _factor_system(model_b, hull_b, args.system_b)
     sys_c = _factor_system(model_c, hull_c, args.system_c)
@@ -221,16 +223,9 @@ def _cmd_tfp(args) -> int:
     return 0
 
 
-def _load_horn(path: str) -> HornPair:
-    model = _load(path)
-    if not isinstance(model, HornPair):
-        raise SchemaError(f"{path}: expected a Horn pair file")
-    return model
-
-
 def _cmd_horn_tfp(args) -> int:
-    pair_b = _load_horn(args.horn_b)
-    pair_c = _load_horn(args.horn_c)
+    pair_b = _load(args.horn_b, "horn")[0]
+    pair_c = _load(args.horn_c, "horn")[0]
     grading_data = serialize.load_json(resolve_input_path(args.grading))
     r, blocks_b, blocks_c = serialize.block_grading_from_json(grading_data, args.grading)
     pair = tfp_horn_pair(pair_b, pair_c, r, blocks_b, blocks_c)
@@ -241,7 +236,7 @@ def _cmd_horn_tfp(args) -> int:
 
 
 def _cmd_horn_validate(args) -> int:
-    pair = _load_horn(args.horn)
+    pair = _load(args.horn, "horn")[0]
     report = validate_horn_pair(pair, trials=args.samples, seed=args.seed)
     lines = [
         f"sums_to_one: {'pass' if report.sums_to_one else 'FAIL'}",
@@ -255,7 +250,7 @@ def _cmd_horn_validate(args) -> int:
 
 
 def _cmd_horn_minimize(args) -> int:
-    pair = _load_horn(args.horn)
+    pair = _load(args.horn, "horn")[0]
     minimized = minimize_horn_pair(pair, strict=args.strict)
     lines = [
         f"rows: {pair.matrix.n_rows} -> {minimized.matrix.n_rows}",
@@ -267,7 +262,7 @@ def _cmd_horn_minimize(args) -> int:
 
 
 def _cmd_mle(args) -> int:
-    system = _load_system(args.model)
+    system = _as_system(*_load(args.model, "model"))
     u = _parse_data(args.data, system.config.effective_labels())
     estimate = mle_closed_form(system, u)
     dm = design_matrix(system.config)
@@ -291,7 +286,7 @@ def _cmd_mle(args) -> int:
 
 
 def _cmd_ips(args) -> int:
-    system = _load_system(args.model)
+    system = _as_system(*_load(args.model, "model"))
     u = _parse_data(args.data, system.config.effective_labels())
     dm = design_matrix(system.config)
     ips = ips_fit(dm, system.weights, u, tol=args.tol, max_iter=args.max_iter)
@@ -310,7 +305,7 @@ def _cmd_ips(args) -> int:
 
 
 def _cmd_patch(args) -> int:
-    system = _load_system(args.system)
+    system = _as_system(*_load(args.system, "model"))
     point = _parse_point(args.point)
     raw = args.controls
     try:

@@ -2,10 +2,10 @@
 
 Facets come from an incremental double-description hull whose time grows
 with the output, not with the number of point subsets.  The first facets
-are those of a simplex on the input, each with the normal given by the
-signed integer minors of its difference vectors; later facets are integer
-combinations of two adjacent ones, so hull construction runs in Python
-integers.
+are those of a simplex on the input, each with the primitive normal of the
+kernel of its difference vectors, found by the integer elimination of
+:mod:`~toric_precision.linalg`; later facets are integer combinations of
+two adjacent ones, so hull construction runs in Python integers.
 Every facet is stored as a primitive inward normal ``n`` and an integer
 offset ``a`` so that the polytope is ``{p : <p, n> + a >= 0 for all facets}``
 and ``h(p) = <p, n> + a`` is the lattice distance to the facet.
@@ -69,6 +69,10 @@ class Facet(NamedTuple):
     normal: IntVector
     offset: int
 
+    def distance(self, xs: Sequence[int], q: int = 1) -> int:
+        """``<xs, n> + a * q``: q times the lattice distance of the point ``xs / q``."""
+        return sum(map(mul, xs, self.normal)) + self.offset * q
+
 
 @dataclass(frozen=True)
 class LatticePolytope:
@@ -86,24 +90,17 @@ class LatticePolytope:
         for v in vertices:
             if len(v) != self.dim:
                 raise ValueError(f"vertex {v} does not have dimension {self.dim}")
-        for normal, offset in facets:
-            if len(normal) != self.dim:
-                raise ValueError(f"normal {normal} does not have dimension {self.dim}")
-            g = 0
-            for x in normal:
-                g = gcd(g, abs(x))
-            if g != 1:
-                raise ValueError(f"normal {normal} is not primitive")
-            tight = sum(1 for v in vertices if self._distance(v, normal, offset) == 0)
+        for facet in facets:
+            if len(facet.normal) != self.dim:
+                raise ValueError(f"normal {facet.normal} does not have dimension {self.dim}")
+            if gcd(*facet.normal) != 1:
+                raise ValueError(f"normal {facet.normal} is not primitive")
+            tight = sum(1 for v in vertices if facet.distance(v) == 0)
             if tight < self.dim:
-                raise ValueError(f"facet {normal, offset} touches only {tight} vertices")
+                raise ValueError(f"facet {tuple(facet)} touches only {tight} vertices")
         for v in vertices:
-            if any(self._distance(v, n, a) < 0 for n, a in facets):
+            if any(f.distance(v) < 0 for f in facets):
                 raise ValueError(f"vertex {v} lies outside a facet")
-
-    @staticmethod
-    def _distance(point: Sequence[int], normal: IntVector, offset: int) -> int:
-        return sum(p * n for p, n in zip(point, normal)) + offset
 
     def lattice_distances(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         """Lattice distance of a (rational) point to each facet, in facet order.
@@ -115,60 +112,15 @@ class LatticePolytope:
                 f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {self.dim}"
             )
         xs, q = integer_point(point)
-        return tuple(
-            Fraction(sum(x * n for x, n in zip(xs, normal)) + offset * q, q)
-            for normal, offset in self.facets
-        )
+        return tuple(Fraction(f.distance(xs, q), q) for f in self.facets)
 
     def contains(self, point: Sequence[int | Fraction]) -> bool:
         return all(d >= 0 for d in self.lattice_distances(point))
 
 
-def _affine_rank(points: Sequence[IntVector]) -> int:
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return linalg.rank(diffs)
-
-
-def _determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by Bareiss fraction-free elimination."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k]
-            m[i] = [0] * (k + 1) + [
-                (m[i][j] * pivot - factor * m[k][j]) // previous for j in range(k + 1, n)
-            ]
-        previous = pivot
-    return sign * m[-1][-1] if n else 1
-
-
-def _hyperplane_normal(diffs: Sequence[Sequence[int]], d: int) -> IntVector | None:
-    """Primitive integer normal (of either sign) of the span of d-1 vectors in
-    Z^d, or None when they span less than a hyperplane.
-
-    The normal is the vector of signed (d-1)-minors divided by its gcd.
-    """
-    normal = [
-        (-1) ** j * _determinant([row[:j] + row[j + 1:] for row in diffs]) for j in range(d)
-    ]
-    g = 0
-    for x in normal:
-        g = gcd(g, x)
-    if g == 0:
-        return None
-    return tuple(x // g for x in normal)
+def _differences(points: Sequence[IntVector]) -> list[list[int]]:
+    """The vectors from the first point to each later one."""
+    return [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
 
 
 def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
@@ -188,59 +140,53 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     points = list(dict.fromkeys(config.points))
     simplex = points[:1]
     for p in points[1:]:
-        if len(simplex) <= d and _affine_rank(simplex + [p]) == len(simplex):
+        if len(simplex) <= d and linalg.rank(_differences(simplex + [p])) == len(simplex):
             simplex.append(p)
     if len(simplex) <= d:
         raise NotFullDimensionalError(
-            f"points affinely span dimension {_affine_rank(points)} < {d}"
+            f"points affinely span dimension {linalg.rank(_differences(points))} < {d}"
         )
     points = simplex + [p for p in points if p not in simplex]
-    # A facet is (normal, offset, tight) where bit i of tight stands for points[i].
+    # A facet is (Facet, tight) where bit i of tight stands for points[i].
     facets = []
     for i, p in enumerate(simplex):
         others = simplex[:i] + simplex[i + 1:]
-        base = others[0]
-        normal = _hyperplane_normal([[q[j] - base[j] for j in range(d)] for q in others[1:]], d)
-        offset = -sum(b * n for b, n in zip(base, normal))
-        if sum(x * n for x, n in zip(p, normal)) + offset < 0:
-            normal, offset = tuple(-n for n in normal), -offset
-        facets.append((normal, offset, ((1 << (d + 1)) - 1) ^ (1 << i)))
+        normal = linalg.primitive_integer(linalg.nullspace(_differences(others), d)[0])
+        facet = Facet(tuple(normal), -sum(map(mul, others[0], normal)))
+        if facet.distance(p) < 0:
+            facet = Facet(tuple([-n for n in normal]), -facet.offset)
+        facets.append((facet, ((1 << (d + 1)) - 1) ^ (1 << i)))
     for index in range(d + 1, len(points)):
         p, bit = points[index], 1 << index
-        values = [sum(x * n for x, n in zip(p, normal)) + offset for normal, offset, _ in facets]
+        values = [facet.distance(p) for facet, _ in facets]
         kept = [
-            (normal, offset, tight | bit if v == 0 else tight)
-            for (normal, offset, tight), v in zip(facets, values)
+            (facet, tight | bit if v == 0 else tight)
+            for (facet, tight), v in zip(facets, values)
             if v >= 0
         ]
-        for i, (n_neg, a_neg, t_neg) in enumerate(facets):
+        for i, ((n_neg, a_neg), t_neg) in enumerate(facets):
             v_neg = values[i]
             if v_neg >= 0:
                 continue
-            for j, (n_pos, a_pos, t_pos) in enumerate(facets):
+            for j, ((n_pos, a_pos), t_pos) in enumerate(facets):
                 v_pos = values[j]
                 common = t_pos & t_neg
                 if v_pos <= 0 or common.bit_count() < d - 1 or any(
                     k != i and k != j and tight & common == common
-                    for k, (_, _, tight) in enumerate(facets)
+                    for k, (_, tight) in enumerate(facets)
                 ):
                     continue
                 # The new hyperplane passes through the lattice point p, so the
                 # gcd of its normal also divides its offset.
                 normal = [v_pos * m - v_neg * n for m, n in zip(n_neg, n_pos)]
-                g = 0
-                for x in normal:
-                    g = gcd(g, x)
-                kept.append((
-                    tuple(x // g for x in normal),
-                    (v_pos * a_neg - v_neg * a_pos) // g,
-                    common | bit,
-                ))
+                g = gcd(*normal)
+                facet = Facet(tuple([x // g for x in normal]), (v_pos * a_neg - v_neg * a_pos) // g)
+                kept.append((facet, common | bit))
         facets = kept
-    ordered = tuple(sorted(Facet(normal, offset) for normal, offset, _ in facets))
+    ordered = tuple(sorted(facet for facet, _ in facets))
     vertices = []
     for p in points:
-        tight = [f.normal for f in ordered if LatticePolytope._distance(p, f.normal, f.offset) == 0]
+        tight = [f.normal for f in ordered if f.distance(p) == 0]
         if len(tight) >= d and linalg.rank(tight) == d:
             vertices.append(p)
     vertices = tuple(sorted(set(vertices)))

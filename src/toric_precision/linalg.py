@@ -1,50 +1,62 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, run in integers.
 
-Plain Gaussian elimination on lists of Fractions.  Matrix sizes here are
-tiny (tens of rows), so clarity beats asymptotics; everything is exact.
+One Gauss–Jordan elimination serves every routine here.  It scales each
+row to integers once and keeps every row primitive (divided by the gcd of
+its entries) after each step, so no fraction is formed while eliminating,
+in the spirit of Bareiss's fraction-free elimination (Math. Comp. 22,
+1968).  A pivot row divided by its pivot entry is the row of the reduced
+row echelon form, so the results are those of rational elimination.
+Matrix sizes here are small (hundreds of rows at most).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries; a zero row stays zero."""
+    g = gcd(*row) or 1
+    return [x // g for x in row]
 
 
-def _to_matrix(rows: Sequence[Sequence[int | Fraction]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational row, signs kept."""
+    scale = lcm(*[x.denominator for x in row])
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = _to_matrix(rows)
-    if not m:
-        return [], []
-    n_rows, n_cols = len(m), len(m[0])
+def _echelon(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced echelon rows, one per pivot, and the pivot columns.
+
+    Row r is zero in every pivot column but ``pivots[r]``; divided by its
+    entry there it is row r of the reduced row echelon form.
+    """
+    m = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _primitive([p * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    return m[:r], pivots
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def in_row_span(rows: Sequence[Sequence[int | Fraction]], vector: Sequence[int | Fraction]) -> bool:
@@ -63,14 +75,13 @@ def solve(
         raise ValueError("rhs length does not match row count")
     if not rows:
         return []
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
+    reduced, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
     n_cols = len(rows[0])
     if n_cols in pivots:
         return None
     solution = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r][n_cols]
+    for row, c in zip(reduced, pivots):
+        solution[c] = Fraction(row[n_cols], row[c])
     return solution
 
 
@@ -80,37 +91,25 @@ def nullspace(rows: Sequence[Sequence[int | Fraction]], n_cols: int | None = Non
         if not rows:
             raise ValueError("empty matrix needs an explicit column count")
         n_cols = len(rows[0])
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(n_cols)] for i in range(n_cols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(n_cols) if c not in pivots]
+    reduced, pivots = _echelon(rows)
     basis = []
-    for f in free:
+    for f in range(n_cols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * n_cols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+        for row, c in zip(reduced, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
 
 
 def primitive_integer(vector: Sequence[Fraction | int]) -> list[int]:
     """Scale a nonzero rational vector to coprime integers, first nonzero entry positive."""
-    v = [Fraction(x) for x in vector]
-    if all(x == 0 for x in v):
+    ints = _integer_row(vector)
+    if not any(ints):
         raise ValueError("zero vector has no primitive representative")
-    scale = 1
-    for x in v:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
+    return ints if next(x for x in ints if x) > 0 else [-x for x in ints]
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n_cols: int | None = None) -> list[list[int]]:

@@ -55,7 +55,7 @@ def report(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")
 
 
-def test_criterion_1_square_strict_linear_precision(square_system, square_poly):
+def test_criterion_1_square_strict_linear_precision(square_system):
     x1, x2 = variables("x1 x2")
     expected = (
         (1 - x1) * (1 - x2),
@@ -65,7 +65,7 @@ def test_criterion_1_square_strict_linear_precision(square_system, square_poly):
     )
     for f, p in zip(square_system.functions, expected):
         assert (f.numerator, f.denominator) == (p, 1)
-    result = verify_rational_linear_precision(square_system, square_poly, samples=50, seed=0)
+    result = verify_rational_linear_precision(square_system, samples=50, seed=0)
     assert result.all_pass
     assert square_system.kind == "toric"
     report(1, "square toric functions are the four products and satisfy all four checks exactly")

@@ -377,11 +377,11 @@ class TestWitnesses:
         for earlier in samples[:index]:
             assert all(fraction_binomial_holds(wrong, v, earlier) for v in kernel)
 
-    def test_positivity_names_the_function(self, square_system, square_poly):
+    def test_positivity_names_the_function(self, square_system):
         negated = BlendingSystem(
             square_system.config, square_system.weights, tuple(-f for f in square_system.functions), "custom"
         )
-        report = verify_rational_linear_precision(negated, square_poly, samples=10, seed=0)
+        report = verify_rational_linear_precision(negated, samples=10, seed=0)
         assert report.details["interior_positivity"] == (
             "interior sample 0 (seed 0) at (1/2, 1/2): function 0 is negative"
         )

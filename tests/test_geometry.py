@@ -10,7 +10,6 @@ from toric_precision import linalg
 from toric_precision.errors import NotFullDimensionalError
 from toric_precision.geometry import (
     Facet,
-    _hyperplane_normal,
     LatticePolytope,
     PointConfiguration,
     convex_hull_facets,
@@ -53,7 +52,7 @@ def brute_force_hull(config):
     """Facets and vertices by trying every d-subset of points (the oracle).
 
     A subset that spans a hyperplane with every point on one side gives a
-    facet, with the primitive normal of its integer minors oriented inward.
+    facet, with the primitive normal of its kernel oriented inward.
     """
     d, points = config.dim, config.points
     if linalg.rank([[p[i] - points[0][i] for i in range(d)] for p in points]) < d:
@@ -61,9 +60,10 @@ def brute_force_hull(config):
     facets = set()
     for subset in combinations(points, d):
         base = subset[0]
-        normal = _hyperplane_normal([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
-        if normal is None:
+        kernel = linalg.nullspace([[p[i] - base[i] for i in range(d)] for p in subset[1:]], d)
+        if len(kernel) != 1:
             continue
+        normal = tuple(linalg.primitive_integer(kernel[0]))
         offset = -sum(b * n for b, n in zip(base, normal))
         side = 0
         for p in points:

@@ -124,6 +124,16 @@ class TestValidateHornPair:
         report = validate_horn_pair(pair, 5, 0)
         assert not report.sums_to_one
 
+    def test_undefined_trial_is_witnessed(self):
+        # Both coordinates are (u1 - u2) / (u1 - u2) / 2, undefined where u1 = u2:
+        # the trials stop at the first such u and report it.
+        pair = HornPair(HornMatrix(((1, -1), (-1, 1))), (Fraction(-1, 2), Fraction(-1, 2)))
+        report = validate_horn_pair(pair, 100, 0)
+        assert not report.positive and not report.valid
+        assert report.witness == "u=[6, 6]: undefined (row 1 evaluates to 0 and carries a negative exponent)"
+        with pytest.raises(ZeroToNegativePowerError):
+            horn_parametrize(pair, (6, 6))
+
 
 class TestSumToOneAgreesWithRationalFunctionSum:
     """The Horn check (factored over row forms) and ``sum_rational_functions``
