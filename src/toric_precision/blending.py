@@ -49,6 +49,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     integer_point,
+    lcm_sum,
     point_text,
     sum_rational_functions,
 )
@@ -221,19 +222,25 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
 
 
 def _linear_precision(sys: BlendingSystem, span: list[Polynomial] | None) -> bool:
-    """:func:`verify_linear_precision` with the configuration's span substitution given."""
-    for c, name in enumerate(sys.variables):
-        weighted = sum_rational_functions(
-            f * Fraction(b[c]) for f, b in zip(sys.functions, sys.config.points)
-        )
-        coordinate = RationalFunction(Polynomial.variable(name, sys.variables))
-        if span is None:
-            if not weighted.equals(coordinate):
-                return False
-            continue
-        difference = weighted - coordinate
-        num = difference.numerator.reindexed(sys.variables).substitute(span)
-        den = difference.denominator.reindexed(sys.variables).substitute(span)
+    """:func:`verify_linear_precision` with the configuration's span substitution given.
+
+    For each coordinate c, one :func:`~toric_precision.polynomials.lcm_sum` of
+    f_b's numerator times b_c over f_b's denominator, for the b with b_c != 0,
+    gives N / D; (N - x_c * D) / D must have a zero numerator and a nonzero
+    denominator on the span, substituted when it is proper.
+    """
+    names = sys.variables
+    for c, name in enumerate(names):
+        terms = [
+            (f.numerator * b[c], {f.denominator: 1})
+            for f, b in zip(sys.functions, sys.config.points)
+            if b[c]
+        ]
+        total, denominator = lcm_sum(terms, lambda d: d, names)
+        difference = RationalFunction(total - Polynomial.variable(name, names) * denominator, denominator)
+        num, den = difference.numerator, difference.denominator
+        if span is not None:
+            num, den = num.substitute(span), den.substitute(span)
         if den.is_zero or not num.is_zero:
             return False
     return True
@@ -465,9 +472,9 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
     span = _affine_span_substitution(sys.config)
     poly = convex_hull_facets(sys.config) if span is None and sys._record is None else None
     details: dict[str, str] = {}
-    partition = verify_partition_of_unity(sys)
+    total = sum_rational_functions(sys.functions)
+    partition = total.equals(1)
     if not partition:
-        total = sum_rational_functions(sys.functions)
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
     positivity = _positivity_check(poly, sys.config.dim)
     reasons = _decide(sys, samples, seed, lambda: _membership_check(sys), lambda: positivity)

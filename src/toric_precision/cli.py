@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from . import serialize
-from .blending import BlendingSystem, toric_blending, toric_patch_eval, verify_rational_linear_precision
+from .blending import BlendingSystem, WeightVector, toric_blending, toric_patch_eval, verify_rational_linear_precision
 from .errors import NotFullDimensionalError, SchemaError, ToricPrecisionError
 from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
@@ -102,25 +102,25 @@ def _hull(model, path: str) -> LatticePolytope:
         raise SchemaError(f"{field}: {exc}") from None
 
 
-def _as_system(model, path: str = "model") -> BlendingSystem:
-    """Accept a blending system directly, or build the toric one from a model."""
+def _as_system(model, path: str) -> BlendingSystem:
+    """A blending system as given, or the toric one of a model ``_load(..., "model")`` returned."""
     if isinstance(model, BlendingSystem):
         return model
     if isinstance(model, GradedModel):
         return toric_blending(_hull(model, path), model.config, model.weights)
-    if isinstance(model, PointConfiguration):
-        from .blending import WeightVector
+    return toric_blending(_hull(model, path), model, WeightVector.ones(len(model.points)))
 
-        return toric_blending(_hull(model, path), model, WeightVector.ones(len(model.points)))
-    raise SchemaError(_EXPECTED["model"][1])
+
+def _file_or_inline(raw: str) -> Path | None:
+    """The file ``raw`` names, or None when it is an inline value."""
+    try:
+        return resolve_input_path(raw)
+    except SchemaError:
+        return None
 
 
 def _parse_data(raw: str, labels) -> DataVector:
-    path = None
-    try:
-        path = resolve_input_path(raw)
-    except SchemaError:
-        pass
+    path = _file_or_inline(raw)
     if path is not None:
         return serialize.data_vector_from_json(serialize.load_json(path), labels, str(path))
     try:
@@ -307,15 +307,11 @@ def _cmd_ips(args) -> int:
 def _cmd_patch(args) -> int:
     system = _as_system(*_load(args.system, "model"))
     point = _parse_point(args.point)
-    raw = args.controls
-    try:
-        control_path = resolve_input_path(raw)
-    except SchemaError:
-        control_path = None
+    control_path = _file_or_inline(args.controls)
     if control_path is not None:
         controls = serialize.controls_from_json(serialize.load_json(control_path))
     else:
-        controls = [_parse_point(chunk) for chunk in raw.split(";")]
+        controls = [_parse_point(chunk) for chunk in args.controls.split(";")]
     value = toric_patch_eval(system, controls, point)
     lines = ["value: (" + ", ".join(rational_str(v) for v in value) + ")"]
     _emit(args, lines, {"value": [rational_str(v) for v in value]})

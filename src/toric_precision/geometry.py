@@ -107,15 +107,20 @@ class LatticePolytope:
 
         Raises ValueError when the point's dimension is not the polytope's.
         """
+        xs, q = self._integer_point(point)
+        return tuple(Fraction(f.distance(xs, q), q) for f in self.facets)
+
+    def contains(self, point: Sequence[int | Fraction]) -> bool:
+        # q > 0, so each distance has the sign of its numerator.
+        xs, q = self._integer_point(point)
+        return all(f.distance(xs, q) >= 0 for f in self.facets)
+
+    def _integer_point(self, point: Sequence[int | Fraction]) -> tuple[list[int], int]:
         if len(point) != self.dim:
             raise ValueError(
                 f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {self.dim}"
             )
-        xs, q = integer_point(point)
-        return tuple(Fraction(f.distance(xs, q), q) for f in self.facets)
-
-    def contains(self, point: Sequence[int | Fraction]) -> bool:
-        return all(d >= 0 for d in self.lattice_distances(point))
+        return integer_point(point)
 
 
 def _differences(points: Sequence[IntVector]) -> list[list[int]]:

@@ -375,10 +375,10 @@ def align_horn_to_labels(pair: HornPair, labels: Sequence[str]) -> HornPair:
     return permute_horn_columns(pair, [current.index(s) for s in wanted])
 
 
-def format_horn_matrix(matrix: HornMatrix, with_labels: bool = True) -> str:
+def format_horn_matrix(matrix: HornMatrix) -> str:
     """Row-major text with right-aligned columns, for visual diffing."""
     cells = [[str(x) for x in row] for row in matrix.entries]
-    header = list(matrix.column_labels) if with_labels and matrix.column_labels else None
+    header = list(matrix.column_labels) if matrix.column_labels else None
     widths = [
         max(
             max(len(cells[r][c]) for r in range(matrix.n_rows)),

@@ -23,7 +23,10 @@ does not require multivariate GCDs:
 * a common monomial factor (and nothing else) is cancelled.
 
 Equality in the fraction field is decided by cross-multiplication, which is
-exact without any polynomial factorization.
+exact without any polynomial factorization.  Sums have one path,
+:func:`lcm_sum`, over the exponent-wise lcm of factored denominators; it is
+behind ``+``, :func:`sum_rational_functions`, the Horn sum-to-one and the
+linear-precision check.
 
 Evaluation has one path, in Python integers.  A rational point is written
 as an integer vector ``xs`` over a positive denominator ``q``
@@ -33,8 +36,9 @@ each call computes every distinct monomial, homogenised in ``q``, once and
 every distinct polynomial once (so a shared denominator once), and returns
 one unreduced integer pair ``(N, D)`` per function with ``f(xs / q) = N / D``.
 A function has a pole exactly where its ``D`` is 0.  ``evaluate`` on a
-polynomial or a rational function is the one-function case, and only its
-final value becomes a ``Fraction``.
+rational function is the kernel of that one function, a polynomial is
+evaluated as the rational function ``p / 1``, and only the final value
+becomes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -274,21 +278,7 @@ class Polynomial:
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point, given by position."""
-        _check_arity(values, self.variables)
-        value, scale = self._value_at(*integer_point(values))
-        return Fraction(value, scale)
-
-    def _value_at(self, xs: Sequence[int], q: int) -> tuple[int, int]:
-        """Integers ``(H, L * q**deg)`` with ``p(xs / q) = H / (L * q**deg)``.
-
-        ``L`` is the stored common denominator and ``deg`` the total degree
-        (0 for the zero polynomial); ``H`` is the one-polynomial case of
-        :class:`_HomogeneousPlan`.
-        """
-        deg = max(self.total_degree(), 0)
-        plan = _HomogeneousPlan([(self, deg)])
-        ((program, content),) = plan.slots
-        return plan(xs, q)[program] * content, self._denominator * q**deg
+        return RationalFunction(self).evaluate(values)
 
     def substitute(self, values: Sequence["Polynomial | int | Fraction"]) -> "Polynomial":
         """Compose with one polynomial (or constant) per variable, by position."""
@@ -379,11 +369,6 @@ def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(n, split) for n in split)
 
 
-def _check_arity(values: Sequence, variables: tuple[str, ...]) -> None:
-    if len(values) != len(variables):
-        raise ValueError(f"expected {len(variables)} values for {variables}, got {len(values)}")
-
-
 def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """A rational point as ``(xs, q)``: integers over one positive common denominator."""
     point = [Fraction(v) for v in values]
@@ -396,30 +381,36 @@ def point_text(xs: Sequence[int], q: int) -> str:
     return "(" + ", ".join(str(Fraction(x, q)) for x in xs) + ")"
 
 
-class _HomogeneousPlan:
-    """Integer values at ``(xs, q)`` of polynomials homogenised in ``q``.
+class EvaluationKernel:
+    """Shared-monomial evaluation of a fixed list of rational functions.
 
-    Planned once for a list of ``(polynomial, m)`` items, ``m`` at least the
-    polynomial's degree.  An item's value is ``sum c_e * xs**e * q**(m - |e|)``
-    over its integer coefficients ``c_e``, that is ``L * q**m * p(xs / q)``
-    with ``L`` the polynomial's stored denominator.  Each call computes every
-    distinct homogenised monomial once, as a product of powers of the
-    coordinates and of ``q``, and every distinct item once, up to its
-    integer content: items that differ by a constant factor, as the
-    canonical denominators of one toric system do, share one program.
+    Every function's numerator and denominator, integer polynomials, are
+    homogenised in ``q`` to the larger ``m`` of their two degrees, which
+    keeps their quotient: a part with coefficients ``c_e`` becomes the
+    program ``sum c_e * xs**e * q**(m - |e|)``.  Parts equal up to their
+    integer content, as the canonical denominators of one toric system are,
+    share one program.  Each call of :meth:`pairs` computes every distinct
+    monomial once, as a product of powers of the coordinates and of ``q``,
+    and every program once.
     """
 
-    __slots__ = ("_tops", "_monomials", "_programs", "slots")
+    __slots__ = ("functions", "_arity", "_tops", "_monomials", "_programs", "_pairs", "_denominators")
 
-    def __init__(self, items: Iterable[tuple[Polynomial, int]]):
-        # Plans are built per system, so they hold lists, not tuples of
+    def __init__(self, functions: Sequence["RationalFunction"]):
+        self.functions = tuple(functions)
+        variables = {f.variables for f in self.functions}
+        if len(variables) > 1:
+            raise ValueError("the functions of a kernel must share their variables")
+        self._arity = len(variables.pop()) if variables else None
+        # Kernels are built per system, so they hold lists, not tuples of
         # every length: CPython keeps up to 2000 freed tuples of each length
-        # up to 20 for reuse, which would keep the memory of old plans.
+        # up to 20 for reuse, which would keep the memory of old kernels.
         monomials: dict[Exponent, int] = {}
         programs: dict[tuple[int, Polynomial], int] = {}
         self._programs: list[tuple[list[int], list[int]]] = []
-        self.slots: list[tuple[int, int]] = []  # per item: (program, content)
-        for poly, m in items:
+
+        def slot(poly: Polynomial, m: int) -> tuple[int, int]:
+            """``(program, content)`` of an integer polynomial homogenised to degree m."""
             coefficients = poly._coefficients
             content = gcd(*coefficients.values()) or 1
             if content != 1:
@@ -430,7 +421,14 @@ class _HomogeneousPlan:
                 program = programs[m, poly] = len(self._programs)
                 columns = [monomials.setdefault((*e, m - sum(e)), len(monomials)) for e in coefficients]
                 self._programs.append((list(coefficients.values()), columns))
-            self.slots.append((program, content))
+            return program, content
+
+        # per function: (numerator program, content, denominator program, content)
+        self._pairs: list[tuple[int, int, int, int]] = []
+        for f in self.functions:
+            m = max(f.numerator.total_degree(), f.denominator.total_degree())
+            self._pairs.append((*slot(f.numerator, m), *slot(f.denominator, m)))
+        self._denominators = list(dict.fromkeys(pair[2] for pair in self._pairs))
         # Powers x**1 .. x**top of each coordinate (q last) sit in one flat
         # list; a monomial is the product of the entries its indices name.
         self._tops = [max(column) for column in zip(*monomials)]
@@ -440,49 +438,6 @@ class _HomogeneousPlan:
         self._monomials = [
             [offset + e - 1 for offset, e in zip(offsets, exp) if e] for exp in monomials
         ]
-
-    def __call__(self, xs: Sequence[int], q: int) -> list[int]:
-        """Each program's value, in program order (see :attr:`slots`)."""
-        powers = []
-        for x, top in zip((*xs, q), self._tops):
-            power = 1
-            for _ in range(top):
-                power *= x
-                powers.append(power)
-        monomials = [prod(map(powers.__getitem__, factors)) for factors in self._monomials]
-        return [
-            sum(map(mul, coefficients, map(monomials.__getitem__, columns)))
-            for coefficients, columns in self._programs
-        ]
-
-
-class EvaluationKernel:
-    """Shared-monomial evaluation of a fixed list of rational functions.
-
-    Planned once; each call :meth:`pairs` evaluates every distinct
-    homogenised monomial and every distinct numerator or denominator once,
-    so functions sharing a denominator pay for it once per point.  Every
-    function's numerator and denominator are homogenised to the larger of
-    their two degrees, which keeps their quotient and needs no reduction.
-    """
-
-    __slots__ = ("functions", "_arity", "_plan", "_pairs", "_denominators")
-
-    def __init__(self, functions: Sequence["RationalFunction"]):
-        self.functions = tuple(functions)
-        variables = {f.variables for f in self.functions}
-        if len(variables) > 1:
-            raise ValueError("the functions of a kernel must share their variables")
-        self._arity = len(variables.pop()) if variables else None
-        items = []
-        for f in self.functions:
-            m = max(f.numerator.total_degree(), f.denominator.total_degree())
-            # Both parts are integer polynomials (stored denominator 1).
-            items += ((f.numerator, m), (f.denominator, m))
-        self._plan = _HomogeneousPlan(items)
-        slots = self._plan.slots
-        self._pairs = [(*n, *d) for n, d in zip(slots[0::2], slots[1::2])]
-        self._denominators = tuple(dict.fromkeys(program for program, _ in slots[1::2]))
 
     def pairs(
         self, xs: Sequence[int], q: int, point: Sequence[int | Fraction] | None = None
@@ -495,7 +450,17 @@ class EvaluationKernel:
         """
         if self._arity is not None and len(xs) != self._arity:
             raise ValueError(f"expected {self._arity} coordinates, got {len(xs)}")
-        values = self._plan(xs, q)
+        powers = []
+        for x, top in zip((*xs, q), self._tops):
+            power = 1
+            for _ in range(top):
+                power *= x
+                powers.append(power)
+        monomials = [prod(map(powers.__getitem__, factors)) for factors in self._monomials]
+        values = [
+            sum(map(mul, coefficients, map(monomials.__getitem__, columns)))
+            for coefficients, columns in self._programs
+        ]
         for program in self._denominators:
             if not values[program]:
                 b = next(b for b, pair in enumerate(self._pairs) if pair[2] == program)
@@ -535,12 +500,6 @@ class RationalFunction:
         self.numerator = num
         self.denominator = den
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
-        return cls(poly, Polynomial.constant(1, poly.variables))
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -561,11 +520,7 @@ class RationalFunction:
 
     @staticmethod
     def _coerce(value) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, Polynomial):
-            return RationalFunction.from_polynomial(value)
-        return RationalFunction(value)
+        return value if isinstance(value, RationalFunction) else RationalFunction(value)
 
     def __add__(self, other) -> "RationalFunction":
         return sum_rational_functions((self, self._coerce(other)))
@@ -610,7 +565,8 @@ class RationalFunction:
 
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point; raises PoleError on a vanishing denominator."""
-        _check_arity(values, self.variables)
+        if len(values) != len(self.variables):
+            raise ValueError(f"expected {len(self.variables)} values for {self.variables}, got {len(values)}")
         ((num, den),) = EvaluationKernel((self,)).pairs(*integer_point(values), values)
         return Fraction(num, den)
 

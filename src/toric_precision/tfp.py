@@ -284,7 +284,9 @@ def graded_face(
     if not positions:
         raise EmptyDegreeClassError(f"class {i} is empty")
     class_points = [B.config.points[p] for p in positions]
-    distances = {p: poly.lattice_distances(B.config.points[p]) for p in range(len(B.config.points))}
+    if B.config.dim != poly.dim:
+        raise ValueError(f"the points have dimension {B.config.dim}, the polytope has dimension {poly.dim}")
+    distances = [[f.distance(p) for f in poly.facets] for p in B.config.points]
     certificate = tuple(
         f
         for f in range(len(poly.facets))

@@ -13,6 +13,7 @@ from toric_precision import blending
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
+    _affine_span_substitution,
     toric_blending,
     toric_patch_eval,
     verify_interior_positivity,
@@ -21,6 +22,7 @@ from toric_precision.blending import (
     verify_rational_linear_precision,
     verify_toric_membership,
 )
+from toric_precision.cli import _as_system, _load
 from toric_precision.errors import PointOutsidePolytopeError, PoleError
 from toric_precision.geometry import (
     PointConfiguration,
@@ -30,8 +32,15 @@ from toric_precision.geometry import (
     sample_interior,
 )
 from toric_precision.linalg import integer_kernel_basis
-from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
+from toric_precision.polynomials import (
+    EvaluationKernel,
+    Polynomial,
+    RationalFunction,
+    sum_rational_functions,
+    variables,
+)
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
+from toric_precision.tfp import tfp_blending
 
 
 class TestToricBlending:
@@ -151,6 +160,99 @@ class TestLinearPrecision:
         order = [2, 0, 4, 1, 3]
         assert verify_linear_precision(self._permuted(beta_tilde_system, order))
         assert not verify_linear_precision(self._permuted(trapezoid_toric_system, order))
+
+    def test_fails_on_a_proper_span(self, square_system, trapezoid_toric_system, square_trapezoid_grading):
+        system, _ = tfp_blending(
+            square_system, trapezoid_toric_system, square_trapezoid_grading, "B", check_factors=False
+        )
+        assert _affine_span_substitution(system.config) is not None
+        assert not verify_linear_precision(system)
+        report = verify_rational_linear_precision(system, samples=5)
+        assert (report.partition_of_unity, report.linear_precision) == (True, False)
+        assert report.details["linear_precision"] == (
+            "sum_b f_b * b does not reproduce the coordinate functions"
+        )
+        # Form C divides by the classes of the toric trapezoid itself, and that
+        # product reproduces the coordinates on its span.
+        system_c, _ = tfp_blending(
+            square_system, trapezoid_toric_system, square_trapezoid_grading, "C", check_factors=False
+        )
+        assert verify_linear_precision(system_c)
+
+
+def reference_linear_precision(sys):
+    """Linear precision with one RationalFunction per weighted function, as a reference.
+
+    Each f_b * b_c is canonicalised on its own and summed; a full-dimensional
+    configuration compares the sum with x_c by ``equals``, any other one
+    substitutes its span into the difference.
+    """
+    span = _affine_span_substitution(sys.config)
+    for c, name in enumerate(sys.variables):
+        weighted = sum_rational_functions(
+            f * Fraction(b[c]) for f, b in zip(sys.functions, sys.config.points)
+        )
+        coordinate = RationalFunction(Polynomial.variable(name, sys.variables))
+        if span is None:
+            if not weighted.equals(coordinate):
+                return False
+            continue
+        difference = weighted - coordinate
+        num = difference.numerator.reindexed(sys.variables).substitute(span)
+        den = difference.denominator.reindexed(sys.variables).substitute(span)
+        if den.is_zero or not num.is_zero:
+            return False
+    return True
+
+
+class TestLinearPrecisionMatchesTheReference:
+    def test_fixtures_and_ladder_systems(self, square_system, beta_tilde_system, trapezoid_toric_system):
+        systems = {"square": square_system, "beta-tilde": beta_tilde_system, "trapezoid-toric": trapezoid_toric_system}
+        for name in ("segment.json", "square.json", "trapezoid.json", "trapezoid_toric.json", "trapezoid_beta_tilde.json"):
+            systems[name] = _as_system(*_load(name, "model"))
+        for k in (2, 3, 4):
+            systems[f"box{k}x2"] = bernstein_box(k, 2)
+            systems[f"simplex{k}x2"] = bernstein_simplex(k, 2)
+        systems["box2x2-unit"] = bernstein_box(2, 2, binomial=False)
+        systems["box2x3"] = bernstein_box(2, 3)
+        systems["simplex2x3"] = bernstein_simplex(2, 3)
+        for i, s in enumerate(seeded_random_weights(32)):
+            systems[f"random{i}"] = s
+        verdicts = {name: verify_linear_precision(s) for name, s in systems.items()}
+        assert verdicts == {name: reference_linear_precision(s) for name, s in systems.items()}
+        assert sorted(name for name, ok in verdicts.items() if not ok) == [
+            "box2x2-unit", "random0", "random1", "random2", "random3",
+            "trapezoid-toric", "trapezoid.json", "trapezoid_toric.json",
+        ]
+
+    def test_perturbed_products(self, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading):
+        # The span of the square x beta-tilde product is x2 = y2.  The
+        # uncancelled factor (x2 - y2) / (x2 - y2) puts a denominator that
+        # vanishes there into every sum it enters, which fails a coordinate
+        # whose identity holds only on the span; (2*x1 - 1) / (2*x1 - 1)
+        # vanishes nowhere on it, and an added x2 - y2 vanishes on all of it.
+        x1, x2, y1, y2 = variables("x1 x2 y1 y2")
+        perturbations = (
+            lambda f: RationalFunction(f.numerator * (x2 - y2), f.denominator * (x2 - y2)),
+            lambda f: RationalFunction(f.numerator * (2 * x1 - 1), f.denominator * (2 * x1 - 1)),
+            lambda f: 2 * f,
+            lambda f: f + (x2 - y2),
+        )
+        systems = []
+        for form in ("B", "C"):
+            product_system, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)
+            systems.append(product_system)
+            for perturb in perturbations:
+                for b in range(len(product_system.functions)):
+                    functions = list(product_system.functions)
+                    functions[b] = perturb(functions[b])
+                    systems.append(dataclasses.replace(product_system, functions=tuple(functions)))
+            systems.append(tfp_blending(
+                square_system, trapezoid_toric_system, square_trapezoid_grading, form, check_factors=False
+            )[0])
+        verdicts = [verify_linear_precision(s) for s in systems]
+        assert verdicts == [reference_linear_precision(s) for s in systems]
+        assert verdicts.count(True) == 53
 
 
 class TestInteriorPositivity:

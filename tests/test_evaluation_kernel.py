@@ -13,11 +13,10 @@ from toric_precision.blending import (
     toric_blending,
     verify_rational_linear_precision,
 )
-from toric_precision.cli import _as_system, resolve_input_path
+from toric_precision.cli import _as_system, _load
 from toric_precision.errors import PoleError
 from toric_precision.geometry import PointConfiguration, _integer_samples, convex_hull_facets, sample_interior
 from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
-from toric_precision.serialize import parse_model_file
 from toric_precision.tfp import tfp_blending, verify_face_partition
 
 SYSTEM_FIXTURES = ("segment.json", "square.json", "trapezoid.json", "trapezoid_toric.json", "trapezoid_beta_tilde.json")
@@ -43,7 +42,7 @@ def simplex(k, d):
 
 
 def ladder_systems(square_system, beta_tilde_system, grading):
-    systems = {name: _as_system(parse_model_file(resolve_input_path(name))) for name in SYSTEM_FIXTURES}
+    systems = {name: _as_system(*_load(name, "model")) for name in SYSTEM_FIXTURES}
     systems.update({f"box{k}x2": box(k, 2) for k in (2, 3, 4)})
     systems["box2x3"] = box(2, 3)
     systems["box2x2-unit"] = unit_box(2, 2)
@@ -164,19 +163,19 @@ class TestSharing:
     def test_toric_denominator_is_one_program(self, request, system_name):
         system = request.getfixturevalue(system_name)
         assert len({f.denominator for f in system.functions}) == 1
-        plan = system._kernel._plan
+        kernel = system._kernel
         numerators = {f.numerator for f in system.functions}
-        assert len(plan._programs) == len(numerators) + 1
+        assert len(kernel._programs) == len(numerators) + 1
         # every function reads the one denominator program
-        assert len({program for program, _ in plan.slots[1::2]}) == 1
+        assert len({pair[2] for pair in kernel._pairs}) == 1
 
     def test_denominators_equal_up_to_content_share_a_program(self):
         # binomial weights make canonical denominators differ by constant factors
         system = box(2, 2)
         assert len({f.denominator for f in system.functions}) > 1
-        plan = system._kernel._plan
-        assert len({program for program, _ in plan.slots[1::2]}) == 1
-        assert len(plan._programs) == len(system.functions) + 1
+        kernel = system._kernel
+        assert len({pair[2] for pair in kernel._pairs}) == 1
+        assert len(kernel._programs) == len(system.functions) + 1
 
     def test_shared_denominator_is_evaluated_once_per_sample(self, trapezoid_toric_system):
         class Counting(list):
@@ -190,10 +189,10 @@ class TestSharing:
             trapezoid_toric_system.config, trapezoid_toric_system.weights,
             trapezoid_toric_system.functions, "toric", trapezoid_toric_system.variables,
         )
-        plan = system._kernel._plan
-        (denominator,) = {program for program, _ in plan.slots[1::2]}
-        coefficients, columns = plan._programs[denominator]
-        plan._programs[denominator] = (Counting(coefficients), columns)
+        kernel = system._kernel
+        (denominator,) = {pair[2] for pair in kernel._pairs}
+        coefficients, columns = kernel._programs[denominator]
+        kernel._programs[denominator] = (Counting(coefficients), columns)
         report = verify_rational_linear_precision(system, samples=20, seed=1)
         assert (report.toric_membership, report.interior_positivity) == (True, True)
         assert Counting.iterations == 20

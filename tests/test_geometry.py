@@ -381,6 +381,25 @@ class TestLatticeDistances:
         with pytest.raises(ValueError, match=message):
             square_poly.contains(point)
 
+    def test_contains_agrees_with_the_distances(self, trapezoid_poly):
+        rng = random.Random(90)
+        cube = convex_hull_facets(PointConfiguration(3, tuple(product(range(3), repeat=3))))
+        for poly in (trapezoid_poly, cube):
+            vertices = poly.vertices
+            points = []
+            for _ in range(60):
+                # rational points in and around the polytope, and points on its
+                # boundary: convex combinations of two vertices
+                points.append(tuple(Fraction(rng.randint(-7, 21), rng.randint(1, 7)) for _ in range(poly.dim)))
+                a, b = rng.sample(vertices, 2)
+                t = Fraction(rng.randint(0, 6), 6)
+                points.append(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
+            points += list(vertices)
+            inside = [poly.contains(p) for p in points]
+            assert inside == [all(d >= 0 for d in poly.lattice_distances(p)) for p in points]
+            assert 0 < inside.count(False) < inside.count(True)
+            assert any(min(poly.lattice_distances(p)) == 0 for p in points)
+
 
 class TestDesignMatrix:
     def test_square_gets_ones_row(self, square_config):

@@ -8,6 +8,7 @@ import pytest
 
 from toric_precision.errors import PoleError
 from toric_precision.polynomials import (
+    EvaluationKernel,
     Polynomial,
     RationalFunction,
     lcm_sum,
@@ -105,7 +106,8 @@ class TestIntegerEvaluation:
                 assert poly.evaluate(point) == reference_value(poly, point)
 
     def test_integer_evaluator_contract(self):
-        # p(xs / q) = H / (L * q**deg), L the lcm of the coefficient denominators.
+        # The kernel of p alone gives p(xs / q) = H / (L * q**deg), L the lcm
+        # of the coefficient denominators.
         rng = random.Random(21)
         for _ in range(100):
             names = tuple(f"x{i + 1}" for i in range(rng.randint(1, 3)))
@@ -115,14 +117,14 @@ class TestIntegerEvaluation:
             common = 1
             for c in poly.terms.values():
                 common = common * c.denominator // gcd(common, c.denominator)
-            value, scale = poly._value_at(xs, q)
+            ((value, scale),) = EvaluationKernel([RationalFunction(poly)]).pairs(xs, q)
             assert scale == common * q ** max(poly.total_degree(), 0)
             assert Fraction(value, scale) == reference_value(poly, [Fraction(x, q) for x in xs])
 
     def test_zero_polynomial(self):
         zero = Polynomial.zero(("x1", "x2"))
         assert zero.evaluate((F("3/7"), -2)) == 0
-        assert zero._value_at([3, -14], 7) == (0, 1)
+        assert EvaluationKernel([RationalFunction(zero)]).pairs([3, -14], 7) == [(0, 1)]
 
     def test_constants(self):
         for value in (F(5), F("-7/3"), F("1/12")):

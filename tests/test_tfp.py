@@ -219,6 +219,10 @@ class TestGradedFace:
         with pytest.raises(NotAFaceError):
             graded_face(diagonal, square_poly, 1)
 
+    def test_polytope_of_another_dimension(self, square_graded, segment_config):
+        with pytest.raises(ValueError, match="the polytope has dimension 1"):
+            graded_face(square_graded, convex_hull_facets(segment_config), 1)
+
     def test_membership_iff_on_certificate_facets(self, trapezoid_graded, trapezoid_poly):
         _, certificate = graded_face(trapezoid_graded, trapezoid_poly, 1)
         for idx, point in enumerate(trapezoid_graded.config.points):
