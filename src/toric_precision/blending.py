@@ -460,24 +460,20 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
     and :func:`verify_interior_positivity`: structurally for a system built by
     :func:`toric_blending`, which then needs no hull, and otherwise in one
     sampled loop that reads the same function values, so every sample is
-    evaluated once.  For a sampled system the hull is computed from the
-    configuration, and each sample is asserted to be interior to it;
-    configurations that span a proper affine subspace have no facet
-    description here, so positivity then runs on relative-interior samples
-    alone.  A sampled failure's detail names the first failing sample,
+    evaluated once.  Every sample gives each configuration point a positive
+    weight, so it lies in the relative interior of the hull and needs no
+    facet test.  A sampled failure's detail names the first failing sample,
     reproducible as ``sample_interior(sys.config, samples, seed)[index]``.
     """
-    from .geometry import convex_hull_facets
-
     span = _affine_span_substitution(sys.config)
-    poly = convex_hull_facets(sys.config) if span is None and sys._record is None else None
     details: dict[str, str] = {}
     total = sum_rational_functions(sys.functions)
     partition = total.equals(1)
     if not partition:
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    positivity = _positivity_check(poly, sys.config.dim)
-    reasons = _decide(sys, samples, seed, lambda: _membership_check(sys), lambda: positivity)
+    reasons = _decide(
+        sys, samples, seed, lambda: _membership_check(sys), lambda: _positivity_check(None, sys.config.dim)
+    )
     for name, reason in zip(("toric_membership", "interior_positivity"), reasons):
         if reason is not None:
             details[name] = reason

@@ -25,7 +25,15 @@ from pathlib import Path
 from typing import Any
 
 from . import serialize
-from .blending import BlendingSystem, WeightVector, toric_blending, toric_patch_eval, verify_rational_linear_precision
+from .blending import (
+    BlendingSystem,
+    WeightVector,
+    toric_blending,
+    toric_patch_eval,
+    verify_linear_precision,
+    verify_partition_of_unity,
+    verify_rational_linear_precision,
+)
 from .errors import NotFullDimensionalError, SchemaError, ToricPrecisionError
 from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
@@ -37,7 +45,7 @@ from .horn import (
 )
 from .mle import DataVector, birch_residual, ips_fit, mle_closed_form
 from .serialize import rational_str
-from .tfp import GradedModel, tfp_blending, validate_multigrading
+from .tfp import GradedConfiguration, GradedModel, tfp_blending, validate_multigrading
 
 
 def _fixture_dir() -> Path | None:
@@ -200,6 +208,11 @@ def _cmd_tfp(args) -> int:
     grading = validate_multigrading(model_b.graded, model_c.graded, model_b.degrees)
     sys_b = _factor_system(model_b, hull_b, args.system_b)
     sys_c = _factor_system(model_c, hull_c, args.system_c)
+    for name, factor in (("first", sys_b), ("second", sys_c)):
+        if not verify_partition_of_unity(factor):
+            print(f"warning: {name} factor does not sum to 1", file=sys.stderr)
+        elif not verify_linear_precision(factor):
+            print(f"warning: {name} factor lacks linear precision", file=sys.stderr)
     system, product = tfp_blending(sys_b, sys_c, grading, form=args.form)
     labels = product.config.labels
     lines = [f"{len(product.config.points)} points, weights "
@@ -208,15 +221,9 @@ def _cmd_tfp(args) -> int:
         f"{label} = {list(point)}: {f}"
         for label, point, f in zip(labels, product.config.points, system.functions)
     ]
+    graded = GradedConfiguration(product.config, product.assignment())
     json_data = {
-        "model": {
-            "config": serialize.config_to_json(product.config),
-            "weights": [rational_str(w) for w in product.weights.weights],
-            "grading": {
-                "A": [list(a) for a in model_b.degrees.points],
-                "assignment": list(product.assignment()),
-            },
-        },
+        "model": serialize.graded_model_to_json(GradedModel(graded, product.weights, model_b.degrees)),
         "system": serialize.blending_system_to_json(system),
     }
     _emit(args, lines, json_data)
@@ -319,13 +326,17 @@ def _cmd_patch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--samples", type=int, default=50, help="sample/trial count for sampled checks")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--max-iter", type=int, default=10000)
-    common.add_argument("--form", choices=("B", "C"), default="B", help="product denominator choice")
+    # Each verb takes exactly the flags it reads; any other flag is a usage error.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("text", "json"), default="text")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[output])
+    sampled.add_argument("--samples", type=int, default=50, help="sample/trial count for sampled checks")
+    sampled.add_argument("--seed", type=int, default=0)
+    fitted = argparse.ArgumentParser(add_help=False, parents=[output])
+    fitted.add_argument("model")
+    fitted.add_argument("--data", required=True)
+    fitted.add_argument("--tol", type=float, default=1e-10)
+    fitted.add_argument("--max-iter", type=int, default=10000)
 
     parser = argparse.ArgumentParser(
         prog="toric-precision",
@@ -334,51 +345,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("facets", parents=[common], help="facet description of a configuration's hull")
+    p = sub.add_parser("facets", parents=[output], help="facet description of a configuration's hull")
     p.add_argument("config")
     p.set_defaults(func=_cmd_facets)
 
-    p = sub.add_parser("blend", parents=[common], help="toric blending functions of a model")
+    p = sub.add_parser("blend", parents=[output], help="toric blending functions of a model")
     p.add_argument("model")
     p.set_defaults(func=_cmd_blend)
 
-    p = sub.add_parser("verify", parents=[common], help="run the four linear-precision checks")
+    p = sub.add_parser("verify", parents=[sampled], help="run the four linear-precision checks")
     p.add_argument("system")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("tfp", parents=[common], help="fiber product of two graded models")
+    p = sub.add_parser("tfp", parents=[output], help="fiber product of two graded models")
     p.add_argument("model_b")
     p.add_argument("model_c")
     p.add_argument("--system-b", default=None, help="blending system file replacing the toric one")
     p.add_argument("--system-c", default=None, help="blending system file replacing the toric one")
+    p.add_argument("--form", choices=("B", "C"), default="B", help="product denominator choice")
     p.set_defaults(func=_cmd_tfp)
 
-    p = sub.add_parser("horn-tfp", parents=[common], help="Horn pair of a fiber product")
+    p = sub.add_parser("horn-tfp", parents=[output], help="Horn pair of a fiber product")
     p.add_argument("horn_b")
     p.add_argument("horn_c")
     p.add_argument("grading")
     p.set_defaults(func=_cmd_horn_tfp)
 
-    p = sub.add_parser("horn-validate", parents=[common], help="sum-to-one and positivity of a Horn pair")
+    p = sub.add_parser("horn-validate", parents=[sampled], help="sum-to-one and positivity of a Horn pair")
     p.add_argument("horn")
     p.set_defaults(func=_cmd_horn_validate)
 
-    p = sub.add_parser("horn-minimize", parents=[common], help="fold proportional rows of a Horn pair")
+    p = sub.add_parser("horn-minimize", parents=[output], help="fold proportional rows of a Horn pair")
     p.add_argument("horn")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_horn_minimize)
 
-    p = sub.add_parser("mle", parents=[common], help="closed-form estimate, Birch residual, and IPS cross-check")
-    p.add_argument("model")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("mle", parents=[fitted], help="closed-form estimate, Birch residual, and IPS cross-check")
     p.set_defaults(func=_cmd_mle)
 
-    p = sub.add_parser("ips", parents=[common], help="iterative proportional scaling alone")
-    p.add_argument("model")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("ips", parents=[fitted], help="iterative proportional scaling alone")
     p.set_defaults(func=_cmd_ips)
 
-    p = sub.add_parser("patch", parents=[common], help="evaluate a patch at a point for given control points")
+    p = sub.add_parser("patch", parents=[output], help="evaluate a patch at a point for given control points")
     p.add_argument("system")
     p.add_argument("--controls", required=True, help="'a,b;c,d;...' or a JSON file")
     p.add_argument("--point", required=True)

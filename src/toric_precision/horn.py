@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import primitive_integer
 from .polynomials import Polynomial, integer_point, lcm_sum
-from .tfp import Multigrading, enumerate_product_indices
+from .tfp import enumerate_product_indices
 
 
 @dataclass(frozen=True)
@@ -257,18 +257,18 @@ def validate_horn_pair(pair: HornPair, trials: int = 100, seed: int = 0) -> Horn
 def tfp_horn_pair(
     pairB: HornPair,
     pairC: HornPair,
-    grading: Multigrading | int,
+    r: int,
     block_index_b: Sequence[int],
     block_index_c: Sequence[int],
 ) -> HornPair:
     """Horn pair of a fiber product from the factor pairs.
 
-    ``block_index_*`` assigns each factor column its 1-based degree class.
+    ``r`` is the number of degree classes, and ``block_index_*`` assigns
+    each factor column its 1-based degree class.
     The column for (i, j, k) stacks column j of the first factor, column k
     of the second, and the negated class-i column of the simplex pair on the
     classes; its coefficient is minus the product of the factor coefficients.
     """
-    r = grading.num_classes if isinstance(grading, Multigrading) else int(grading)
     if r < 1:
         raise InconsistentBlockIndexError("need at least one degree class")
     blocks_b = tuple(int(i) for i in block_index_b)

@@ -11,26 +11,15 @@ global rational functions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .blending import (
-    BlendingSystem,
-    WeightVector,
-    _holds_at_samples,
-    verify_linear_precision,
-    verify_partition_of_unity,
-)
+from .blending import BlendingSystem, WeightVector, _holds_at_samples
 from .errors import DependentDegreesError, EmptyDegreeClassError, NoDegreeMapError, NotAFaceError
 from .geometry import LatticePolytope, PointConfiguration
 from .polynomials import EvaluationKernel, RationalFunction, sum_rational_functions
-
-
-class FactorPrecisionWarning(UserWarning):
-    """A factor system fed into a fiber product fails a symbolic identity."""
 
 
 @dataclass(frozen=True)
@@ -226,7 +215,6 @@ def tfp_blending(
     sysC: BlendingSystem,
     g: Multigrading,
     form: str = "B",
-    check_factors: bool = True,
 ) -> tuple[BlendingSystem, TfpConfiguration]:
     """Blending system of the fiber product from the factor systems.
 
@@ -237,12 +225,6 @@ def tfp_blending(
     """
     if form not in ("B", "C"):
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
-    if check_factors:
-        for name, sys in (("first", sysB), ("second", sysC)):
-            if not verify_partition_of_unity(sys):
-                warnings.warn(f"{name} factor does not sum to 1", FactorPrecisionWarning)
-            elif not verify_linear_precision(sys):
-                warnings.warn(f"{name} factor lacks linear precision", FactorPrecisionWarning)
     d1, d2 = sysB.config.dim, sysC.config.dim
     x_names = tuple(f"x{i + 1}" for i in range(d1))
     y_names = tuple(f"y{i + 1}" for i in range(d2))
@@ -349,8 +331,8 @@ def verify_form_agreement(
     One kernel evaluates both forms; the values agree when their pairs
     cross-multiply to equal integers.
     """
-    system_b, product = tfp_blending(sysB, sysC, g, form="B", check_factors=False)
-    system_c, _ = tfp_blending(sysB, sysC, g, form="C", check_factors=False)
+    system_b, product = tfp_blending(sysB, sysC, g, form="B")
+    system_c, _ = tfp_blending(sysB, sysC, g, form="C")
     n = len(system_b.functions)
     kernel = EvaluationKernel(system_b.functions + system_c.functions)
 

@@ -9,7 +9,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from toric_precision import blending
+from toric_precision import blending, geometry
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -162,9 +162,7 @@ class TestLinearPrecision:
         assert not verify_linear_precision(self._permuted(trapezoid_toric_system, order))
 
     def test_fails_on_a_proper_span(self, square_system, trapezoid_toric_system, square_trapezoid_grading):
-        system, _ = tfp_blending(
-            square_system, trapezoid_toric_system, square_trapezoid_grading, "B", check_factors=False
-        )
+        system, _ = tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, "B")
         assert _affine_span_substitution(system.config) is not None
         assert not verify_linear_precision(system)
         report = verify_rational_linear_precision(system, samples=5)
@@ -174,9 +172,7 @@ class TestLinearPrecision:
         )
         # Form C divides by the classes of the toric trapezoid itself, and that
         # product reproduces the coordinates on its span.
-        system_c, _ = tfp_blending(
-            square_system, trapezoid_toric_system, square_trapezoid_grading, "C", check_factors=False
-        )
+        system_c, _ = tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, "C")
         assert verify_linear_precision(system_c)
 
 
@@ -247,9 +243,7 @@ class TestLinearPrecisionMatchesTheReference:
                     functions = list(product_system.functions)
                     functions[b] = perturb(functions[b])
                     systems.append(dataclasses.replace(product_system, functions=tuple(functions)))
-            systems.append(tfp_blending(
-                square_system, trapezoid_toric_system, square_trapezoid_grading, form, check_factors=False
-            )[0])
+            systems.append(tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, form)[0])
         verdicts = [verify_linear_precision(s) for s in systems]
         assert verdicts == [reference_linear_precision(s) for s in systems]
         assert verdicts.count(True) == 53
@@ -274,6 +268,14 @@ class TestInteriorPositivity:
         )
         assert system.functions[0].evaluate((Fraction(1, 4),)) == Fraction(-1, 2)
         assert not verify_interior_positivity(system, samples=50, seed=0)
+
+    def test_sampled_report_builds_no_hull(self, beta_tilde_system, monkeypatch):
+        # Each sample weights every point positively, so it is interior without a facet test.
+        calls = []
+        hull = geometry.convex_hull_facets
+        monkeypatch.setattr(geometry, "convex_hull_facets", lambda config: calls.append(config) or hull(config))
+        assert verify_rational_linear_precision(beta_tilde_system, samples=20).all_pass
+        assert calls == []
 
 
 class TestToricMembership:

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, determinism, fixture resolution."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 import toric_precision
 from toric_precision.cli import main, resolve_input_path
 from toric_precision.errors import SchemaError
+from toric_precision.serialize import blending_system_to_json
 
 
 def run(capsys, *argv):
@@ -299,6 +301,34 @@ class TestTfp:
         assert len(data["model"]["config"]["points"]) == 10
         assert data["model"]["weights"] == ["1", "2", "1", "1", "2", "1", "1", "1", "1", "1"]
 
+    def test_factor_warnings_in_the_cli_format(self, capsys):
+        code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json")
+        assert code == 0
+        assert out.startswith("10 points, weights (1, 2, 1, 1, 2, 1, 1, 1, 1, 1)\n")
+        assert err == "warning: second factor lacks linear precision\n"
+        assert "FactorPrecisionWarning" not in err and ".py:" not in err
+
+    def test_factor_that_does_not_sum_to_one(self, capsys, tmp_path, square_system):
+        doubled = dataclasses.replace(square_system, functions=tuple(2 * f for f in square_system.functions))
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(blending_system_to_json(doubled)), encoding="utf-8")
+        code, _, err = run(
+            capsys, "tfp", "square.json", "trapezoid.json", "--system-b", str(path),
+            "--system-c", "trapezoid_beta_tilde.json",
+        )
+        assert code == 0
+        assert err == "warning: first factor does not sum to 1\n"
+
+    def test_gap_in_the_assignment(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("square.json").read_text(encoding="utf-8"))
+        data["grading"] = {"A": [[1, 0], [0, 1], [1, 1]], "assignment": [1, 1, 3, 3]}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "tfp", str(path), "trapezoid.json")
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {path}.grading.assignment: classes [1, 3] leave gaps\n"
+
     def test_mismatched_degrees(self, capsys, tmp_path, monkeypatch):
         other = {
             "config": {"dim": 1, "points": [[0], [1]]},
@@ -437,6 +467,54 @@ class TestMleVerbs:
         code, _, err = run(capsys, "mle", "square.json", "--data", "1,2,3")
         assert code == 2
         assert "counts" in err
+
+
+# Arguments that make each verb run, and a value for each flag.
+VERB_ARGS = {
+    "facets": ["trapezoid.json"],
+    "blend": ["square.json"],
+    "verify": ["trapezoid_beta_tilde.json"],
+    "tfp": ["square.json", "trapezoid.json", "--system-c", "trapezoid_beta_tilde.json"],
+    "horn-tfp": ["square.horn.json", "trapezoid.horn.json", "grading.json"],
+    "horn-validate": ["trapezoid.horn.json"],
+    "horn-minimize": ["square.horn.json"],
+    "mle": ["square.json", "--data", "3,1,1,1"],
+    "ips": ["trapezoid.json", "--data", "1,1,1,1,1"],
+    "patch": ["square.json", "--controls", "0,0;0,0;0,0;1,1", "--point", "1/2,1/2"],
+}
+FLAG_VALUES = {
+    "--output": "json", "--samples": "7", "--seed": "3", "--tol": "1e-8", "--max-iter": "500", "--form": "C",
+}
+READ_FLAGS = {
+    "verify": {"--samples", "--seed"},
+    "horn-validate": {"--samples", "--seed"},
+    "mle": {"--tol", "--max-iter"},
+    "ips": {"--tol", "--max-iter"},
+    "tfp": {"--form"},
+}
+PAIRS = [(verb, flag) for verb in VERB_ARGS for flag in FLAG_VALUES]
+READ_PAIRS = [(verb, flag) for verb, flag in PAIRS if flag == "--output" or flag in READ_FLAGS.get(verb, ())]
+UNREAD_PAIRS = [pair for pair in PAIRS if pair not in READ_PAIRS]
+
+
+class TestFlagsPerVerb:
+    def test_counts(self):
+        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (19, 41)
+
+    @pytest.mark.parametrize("verb, flag", READ_PAIRS, ids=[f"{v}{f}" for v, f in READ_PAIRS])
+    def test_read_flag_is_accepted(self, capsys, verb, flag):
+        code, out, _ = run(capsys, verb, *VERB_ARGS[verb], flag, FLAG_VALUES[flag])
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("verb, flag", UNREAD_PAIRS, ids=[f"{v}{f}" for v, f in UNREAD_PAIRS])
+    def test_unread_flag_is_a_usage_error(self, capsys, verb, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, *VERB_ARGS[verb], flag, FLAG_VALUES[flag]])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in captured.err
 
 
 class TestDeterminism:

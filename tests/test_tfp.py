@@ -1,5 +1,7 @@
 """Multigradings, fiber products, product blending systems, graded faces."""
 
+import dataclasses
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from toric_precision.blending import (
 )
 from toric_precision.errors import (
     DependentDegreesError,
+    EmptyDegreeClassError,
     NoDegreeMapError,
     NotAFaceError,
 )
@@ -59,7 +62,7 @@ class TestValidateMultigrading:
     def test_class_count_mismatch(self, square_config, trapezoid_graded):
         one_degree = PointConfiguration(1, ((1,),))
         graded = GradedConfiguration(square_config, (1, 1, 2, 2))
-        with pytest.raises(Exception):
+        with pytest.raises(EmptyDegreeClassError, match="gradings use 2 and 2 classes for 1 degrees"):
             validate_multigrading(graded, trapezoid_graded, one_degree)
 
 
@@ -187,11 +190,21 @@ class TestTfpBlending:
             (x1 * y1, 1),
         ]
 
-    def test_factor_warning(self, square_system, trapezoid_toric_system, square_trapezoid_grading):
-        with pytest.warns(UserWarning):
-            tfp_blending(
-                square_system, trapezoid_toric_system, square_trapezoid_grading, form="B"
-            )
+    def test_no_warning_for_a_factor_without_linear_precision(
+        self, square_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        # Checking the factors is the caller's job; the `tfp` verb does it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in ("B", "C"):
+                tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, form)
+
+    def test_more_degrees_than_classes(self, square_system, beta_tilde_system, square_trapezoid_grading):
+        three_degrees = PointConfiguration(2, ((1, 0), (0, 1), (1, 1)))
+        grading = dataclasses.replace(square_trapezoid_grading, degrees=three_degrees)
+        for form in ("B", "C"):
+            with pytest.raises(EmptyDegreeClassError, match="class 3 is empty"):
+                tfp_blending(square_system, beta_tilde_system, grading, form)
 
 
 class TestGradedFace:
@@ -218,6 +231,10 @@ class TestGradedFace:
         diagonal = GradedConfiguration(square_config, (1, 2, 2, 1))
         with pytest.raises(NotAFaceError):
             graded_face(diagonal, square_poly, 1)
+
+    def test_class_past_the_last(self, square_graded, square_poly):
+        with pytest.raises(EmptyDegreeClassError, match="class 3 is empty"):
+            graded_face(square_graded, square_poly, 3)
 
     def test_polytope_of_another_dimension(self, square_graded, segment_config):
         with pytest.raises(ValueError, match="the polytope has dimension 1"):
@@ -288,8 +305,8 @@ class TestSampledChecksFail:
         scaled = BlendingSystem(
             beta_tilde_system.config, beta_tilde_system.weights, tuple(functions), "custom", ("y1", "y2")
         )
-        b_form, product = tfp_blending(square_system, scaled, square_trapezoid_grading, "B", check_factors=False)
-        c_form, _ = tfp_blending(square_system, scaled, square_trapezoid_grading, "C", check_factors=False)
+        b_form, product = tfp_blending(square_system, scaled, square_trapezoid_grading, "B")
+        c_form, _ = tfp_blending(square_system, scaled, square_trapezoid_grading, "C")
         point = sample_interior(product.config, 1, 0)[0]
         assert b_form.evaluate(point) != c_form.evaluate(point)
         assert not verify_form_agreement(square_system, scaled, square_trapezoid_grading, 20, 0)
