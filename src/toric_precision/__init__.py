@@ -54,7 +54,6 @@ from .tfp import (
     GradedConfiguration,
     GradedModel,
     Multigrading,
-    TfpConfiguration,
     graded_face,
     tfp_blending,
     tfp_configuration,

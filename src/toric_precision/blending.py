@@ -120,17 +120,15 @@ class BlendingSystem:
                 f"expected {len(self.variables)} values for {self.variables}, got {len(point)}"
             )
         xs, q = integer_point(point)
-        return self._values(xs, q, point)
+        return self._values(xs, q)
 
-    def _values(
-        self, xs: Sequence[int], q: int, point: Sequence[Fraction | int] | None = None
-    ) -> tuple[Fraction, ...]:
-        """All function values at ``xs / q``; a PoleError names ``point`` if
-        given, else ``xs / q`` as ``p/q`` coordinates."""
+    def _values(self, xs: Sequence[int], q: int) -> tuple[Fraction, ...]:
+        """All function values at ``xs / q``; a PoleError names the point as
+        ``p/q`` coordinates."""
         # From a list, not a generator: tuple() of a generator allocates for
         # a guessed length and resizes, so every call would leave one more
         # tuple of the system's size on CPython's free lists.
-        return tuple([Fraction(n, d) for n, d in self._kernel.pairs(xs, q, point)])
+        return tuple([Fraction(n, d) for n, d in self._kernel.pairs(xs, q)])
 
     @cached_property
     def _kernel(self) -> EvaluationKernel:

@@ -17,6 +17,7 @@ anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -45,7 +46,7 @@ from .horn import (
 )
 from .mle import DataVector, birch_residual, ips_fit, mle_closed_form
 from .serialize import rational_str
-from .tfp import GradedConfiguration, GradedModel, tfp_blending, validate_multigrading
+from .tfp import GradedModel, tfp_blending, validate_multigrading
 
 
 def _fixture_dir() -> Path | None:
@@ -186,10 +187,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _factor_system(model: GradedModel, hull: LatticePolytope, override: str | None) -> BlendingSystem:
-    """Toric system of the model, or a user-supplied system over the same points."""
+def _factor_system(model: GradedModel, path: str, override: str | None) -> BlendingSystem:
+    """A user-supplied system over the model's points, else the toric system,
+    whose hull alone needs the points to span their space."""
     if override is None:
-        return toric_blending(hull, model.config, model.weights)
+        return _as_system(model, path)
     loaded, _ = _load(override, "system")
     if loaded.config.points != model.config.points:
         raise SchemaError(f"{override}: system points do not match the graded model")
@@ -201,13 +203,11 @@ def _cmd_tfp(args) -> int:
     model_c, path_c = _load(args.model_c, "graded")
     if model_b.degrees.points != model_c.degrees.points:
         raise SchemaError("the two models carry different degree configurations")
-    # Points spanning too little are named at their field before the grading
-    # is checked, whose message could name neither file.
-    hull_b = _hull(model_b, path_b)
-    hull_c = _hull(model_c, path_c)
+    # Points a toric system cannot span are named at their field before the
+    # grading is checked, whose message could name neither file.
+    sys_b = _factor_system(model_b, path_b, args.system_b)
+    sys_c = _factor_system(model_c, path_c, args.system_c)
     grading = validate_multigrading(model_b.graded, model_c.graded, model_b.degrees)
-    sys_b = _factor_system(model_b, hull_b, args.system_b)
-    sys_c = _factor_system(model_c, hull_c, args.system_c)
     for name, factor in (("first", sys_b), ("second", sys_c)):
         if not verify_partition_of_unity(factor):
             print(f"warning: {name} factor does not sum to 1", file=sys.stderr)
@@ -221,9 +221,8 @@ def _cmd_tfp(args) -> int:
         f"{label} = {list(point)}: {f}"
         for label, point, f in zip(labels, product.config.points, system.functions)
     ]
-    graded = GradedConfiguration(product.config, product.assignment())
     json_data = {
-        "model": serialize.graded_model_to_json(GradedModel(graded, product.weights, model_b.degrees)),
+        "model": serialize.graded_model_to_json(product),
         "system": serialize.blending_system_to_json(system),
     }
     _emit(args, lines, json_data)
@@ -344,20 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
         "Horn pairs, and closed-form maximum likelihood estimators, exactly.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # Each flag has one spelling: a verb's own parser would read "--sam" as "--samples".
+    verb = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("facets", parents=[output], help="facet description of a configuration's hull")
+    p = verb("facets", parents=[output], help="facet description of a configuration's hull")
     p.add_argument("config")
     p.set_defaults(func=_cmd_facets)
 
-    p = sub.add_parser("blend", parents=[output], help="toric blending functions of a model")
+    p = verb("blend", parents=[output], help="toric blending functions of a model")
     p.add_argument("model")
     p.set_defaults(func=_cmd_blend)
 
-    p = sub.add_parser("verify", parents=[sampled], help="run the four linear-precision checks")
+    p = verb("verify", parents=[sampled], help="run the four linear-precision checks")
     p.add_argument("system")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("tfp", parents=[output], help="fiber product of two graded models")
+    p = verb("tfp", parents=[output], help="fiber product of two graded models")
     p.add_argument("model_b")
     p.add_argument("model_c")
     p.add_argument("--system-b", default=None, help="blending system file replacing the toric one")
@@ -365,28 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("B", "C"), default="B", help="product denominator choice")
     p.set_defaults(func=_cmd_tfp)
 
-    p = sub.add_parser("horn-tfp", parents=[output], help="Horn pair of a fiber product")
+    p = verb("horn-tfp", parents=[output], help="Horn pair of a fiber product")
     p.add_argument("horn_b")
     p.add_argument("horn_c")
     p.add_argument("grading")
     p.set_defaults(func=_cmd_horn_tfp)
 
-    p = sub.add_parser("horn-validate", parents=[sampled], help="sum-to-one and positivity of a Horn pair")
+    p = verb("horn-validate", parents=[sampled], help="sum-to-one and positivity of a Horn pair")
     p.add_argument("horn")
     p.set_defaults(func=_cmd_horn_validate)
 
-    p = sub.add_parser("horn-minimize", parents=[output], help="fold proportional rows of a Horn pair")
+    p = verb("horn-minimize", parents=[output], help="fold proportional rows of a Horn pair")
     p.add_argument("horn")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_horn_minimize)
 
-    p = sub.add_parser("mle", parents=[fitted], help="closed-form estimate, Birch residual, and IPS cross-check")
+    p = verb("mle", parents=[fitted], help="closed-form estimate, Birch residual, and IPS cross-check")
     p.set_defaults(func=_cmd_mle)
 
-    p = sub.add_parser("ips", parents=[fitted], help="iterative proportional scaling alone")
+    p = verb("ips", parents=[fitted], help="iterative proportional scaling alone")
     p.set_defaults(func=_cmd_ips)
 
-    p = sub.add_parser("patch", parents=[output], help="evaluate a patch at a point for given control points")
+    p = verb("patch", parents=[output], help="evaluate a patch at a point for given control points")
     p.add_argument("system")
     p.add_argument("--controls", required=True, help="'a,b;c,d;...' or a JSON file")
     p.add_argument("--point", required=True)

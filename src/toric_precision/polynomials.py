@@ -439,14 +439,11 @@ class EvaluationKernel:
             [offset + e - 1 for offset, e in zip(offsets, exp) if e] for exp in monomials
         ]
 
-    def pairs(
-        self, xs: Sequence[int], q: int, point: Sequence[int | Fraction] | None = None
-    ) -> list[tuple[int, int]]:
+    def pairs(self, xs: Sequence[int], q: int) -> list[tuple[int, int]]:
         """Unreduced integers ``(N_b, D_b)`` with ``f_b(xs / q) = N_b / D_b``.
 
         Raises PoleError naming the first function's denominator that
-        vanishes and the point: ``point`` as given, else ``xs / q`` as
-        ``p/q`` coordinates.
+        vanishes and the point ``xs / q`` as ``p/q`` coordinates.
         """
         if self._arity is not None and len(xs) != self._arity:
             raise ValueError(f"expected {self._arity} coordinates, got {len(xs)}")
@@ -464,8 +461,9 @@ class EvaluationKernel:
         for program in self._denominators:
             if not values[program]:
                 b = next(b for b, pair in enumerate(self._pairs) if pair[2] == program)
-                where = tuple(point) if point is not None else point_text(xs, q)
-                raise PoleError(f"denominator {self.functions[b].denominator} vanishes at {where}")
+                raise PoleError(
+                    f"denominator {self.functions[b].denominator} vanishes at {point_text(xs, q)}"
+                )
         return [(values[n] * cn, values[d] * cd) for n, cn, d, cd in self._pairs]
 
 
@@ -567,7 +565,7 @@ class RationalFunction:
         """Exact value at a rational point; raises PoleError on a vanishing denominator."""
         if len(values) != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} values for {self.variables}, got {len(values)}")
-        ((num, den),) = EvaluationKernel((self,)).pairs(*integer_point(values), values)
+        ((num, den),) = EvaluationKernel((self,)).pairs(*integer_point(values))
         return Fraction(num, den)
 
     def equals(self, other) -> bool:

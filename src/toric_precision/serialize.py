@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .blending import BlendingSystem, WeightVector
-from .errors import SchemaError
+from .errors import EmptyDegreeClassError, SchemaError
 from .geometry import Facet, LatticePolytope, PointConfiguration
 from .horn import HornMatrix, HornPair
 from .polynomials import Polynomial, RationalFunction
@@ -240,7 +240,7 @@ def graded_model_from_json(data: Any, path: str = "model") -> GradedModel:
             )
     try:
         graded = GradedConfiguration(config, tuple(assignment))
-    except Exception as exc:
+    except EmptyDegreeClassError as exc:
         raise SchemaError(f"{path}.grading.assignment: {exc}") from None
     return GradedModel(graded, weights, degrees)
 

@@ -3,10 +3,12 @@
 Two configurations are joined along a set of degree vectors: every point of
 either factor carries a degree class, the classes must be reachable by an
 affine-linear map on each side, and the product configuration concatenates
-one point per class-compatible pair.  The blending functions of the product
-divide the product of factor functions by the class sum of either factor;
-the two choices agree on the interior of the product hull but differ as
-global rational functions.
+one point per class-compatible pair.  The product is again a graded model
+over the same degrees, point (i, j, k) in class i, so it can be a factor of
+the next product.  The blending functions of the product divide the product
+of factor functions by the class sum of either factor; the two choices
+agree on the interior of the product hull but differ as global rational
+functions.
 """
 
 from __future__ import annotations
@@ -160,54 +162,28 @@ def enumerate_product_indices(
     return out
 
 
-@dataclass(frozen=True)
-class TfpConfiguration:
-    """Fiber-product configuration with provenance back into the factors."""
-
-    config: PointConfiguration
-    weights: WeightVector
-    index: tuple[tuple[int, int, int], ...]
-    source_b: tuple[int, ...]
-    source_c: tuple[int, ...]
-    grading: Multigrading
-
-    def assignment(self) -> tuple[int, ...]:
-        """Degree class of each product point."""
-        return tuple(i for i, _, _ in self.index)
-
-
 def tfp_configuration(
     B: GradedConfiguration,
     wB: WeightVector,
     C: GradedConfiguration,
     wC: WeightVector,
     g: Multigrading,
-) -> TfpConfiguration:
-    """Concatenate class-compatible point pairs, multiplying their weights."""
+) -> GradedModel:
+    """The product as a graded model: class-compatible point pairs with their
+    weight products, point (i, j, k) in class i of the same degrees."""
     if len(wB) != len(B.config.points) or len(wC) != len(C.config.points):
         raise ValueError("weights do not match configurations")
     points = []
     weights = []
-    index = []
-    source_b = []
-    source_c = []
+    classes = []
     labels = []
     for i, j, k, bi, ci in enumerate_product_indices(B.assignment, C.assignment):
         points.append(B.config.points[bi] + C.config.points[ci])
         weights.append(wB[bi] * wC[ci])
-        index.append((i, j, k))
-        source_b.append(bi)
-        source_c.append(ci)
+        classes.append(i)
         labels.append(f"z[{i}][{j}][{k}]")
     config = PointConfiguration(B.config.dim + C.config.dim, tuple(points), tuple(labels))
-    return TfpConfiguration(
-        config,
-        WeightVector(tuple(weights)),
-        tuple(index),
-        tuple(source_b),
-        tuple(source_c),
-        g,
-    )
+    return GradedModel(GradedConfiguration(config, tuple(classes)), WeightVector(tuple(weights)), g.degrees)
 
 
 def tfp_blending(
@@ -215,8 +191,9 @@ def tfp_blending(
     sysC: BlendingSystem,
     g: Multigrading,
     form: str = "B",
-) -> tuple[BlendingSystem, TfpConfiguration]:
-    """Blending system of the fiber product from the factor systems.
+) -> tuple[BlendingSystem, GradedModel]:
+    """Blending system of the fiber product from the factor systems, and the
+    product as a graded model, which can be a factor of the next product.
 
     The function for product point (i, j, k) is f_j * f_k divided by the
     class-i sum of the chosen factor ("B" or "C" denominator).  Factor
@@ -240,16 +217,11 @@ def tfp_blending(
         factor = fB if form == "B" else fC
         denominators[i] = sum_rational_functions(factor[p] for p in positions)
     product = tfp_configuration(gradedB, sysB.weights, gradedC, sysC.weights, g)
-    functions = []
-    for (i, _, _), bi, ci in zip(product.index, product.source_b, product.source_c):
-        functions.append(fB[bi] * fC[ci] / denominators[i])
-    system = BlendingSystem(
-        product.config,
-        product.weights,
-        tuple(functions),
-        "custom",
-        x_names + y_names,
-    )
+    functions = tuple([
+        fB[bi] * fC[ci] / denominators[i]
+        for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)
+    ])
+    system = BlendingSystem(product.config, product.weights, functions, "custom", x_names + y_names)
     return system, product
 
 

@@ -376,9 +376,9 @@ class TestOneEvaluationPerSample:
         calls = []
         pairs = EvaluationKernel.pairs
 
-        def counting(kernel, xs, q, point=None):
+        def counting(kernel, xs, q):
             calls.append(tuple(Fraction(x, q) for x in xs))
-            return pairs(kernel, xs, q, point)
+            return pairs(kernel, xs, q)
 
         monkeypatch.setattr(EvaluationKernel, "pairs", counting)
         report = verify_rational_linear_precision(beta_tilde_system, samples=20, seed=3)
@@ -536,9 +536,9 @@ def counted_samples(monkeypatch):
     calls = []
     pairs = EvaluationKernel.pairs
 
-    def counting(kernel, xs, q, point=None):
+    def counting(kernel, xs, q):
         calls.append((tuple(xs), q))
-        return pairs(kernel, xs, q, point)
+        return pairs(kernel, xs, q)
 
     monkeypatch.setattr(EvaluationKernel, "pairs", counting)
     return calls

@@ -283,6 +283,14 @@ class TestBlendAndPatch:
         assert code == 0
         assert "value: (1/8, 1/4)" in out
 
+    def test_patch_at_a_pole_names_the_point_as_rationals(self, capsys):
+        code, out, err = run(
+            capsys, "patch", "trapezoid_beta_tilde.json", "--controls", "0,0;0,0;0,0;0,0;1,1", "--point", "2,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: denominator y2^2 - 4*y2 + 4 vanishes at (2, 2)\n"
+
 
 class TestTfp:
     def test_product_with_system_override(self, capsys):
@@ -340,6 +348,45 @@ class TestTfp:
         code, _, err = run(capsys, "tfp", "segment.json", str(path))
         assert code == 2
         assert "degree" in err
+
+    @staticmethod
+    def first_product(capsys, tmp_path):
+        """Model and system files of square x beta-tilde, written by `tfp`."""
+        code, out, _ = run(
+            capsys, "tfp", "square.json", "trapezoid.json", "--system-c", "trapezoid_beta_tilde.json",
+            "--output", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        model, system = tmp_path / "product_model.json", tmp_path / "product_system.json"
+        model.write_text(json.dumps(data["model"]), encoding="utf-8")
+        system.write_text(json.dumps(data["system"]), encoding="utf-8")
+        return model, system
+
+    def test_product_is_a_factor(self, capsys, tmp_path):
+        model, system = self.first_product(capsys, tmp_path)
+        code, out, err = run(
+            capsys, "tfp", str(model), "square.json", "--system-b", str(system), "--output", "json"
+        )
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        assert len(data["model"]["config"]["points"]) == 20
+        path = tmp_path / "chain_system.json"
+        path.write_text(json.dumps(data["system"]), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out.count(": pass\n") == 4
+
+    def test_product_without_a_system_names_its_points(self, capsys, tmp_path):
+        # A toric system needs a hull, and a product's points span a proper
+        # subspace; with its system the same model is a factor.
+        model, system = self.first_product(capsys, tmp_path)
+        code, out, err = run(capsys, "tfp", str(model), "square.json")
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {model}.config.points: points affinely span dimension 3 < 4\n"
+        assert run(capsys, "tfp", str(model), "square.json", "--system-b", str(system))[0] == 0
 
 
 class TestHornVerbs:
@@ -515,6 +562,26 @@ class TestFlagsPerVerb:
         assert exit_info.value.code == 2
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "trapezoid_beta_tilde.json", "--sam", "5"),
+        ("verify", "trapezoid_beta_tilde.json", "--se", "2", "--out", "json"),
+        ("ips", "trapezoid.json", "--d", "1", "--max", "3", "--t", "1e-3"),
+    ], ids=["verify--sam", "verify--se--out", "ips--d--max--t"])
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "trapezoid_beta_tilde.json", "--samples=5"),
+        ("ips", "trapezoid.json", "--data=1,1,1,1,1", "--max-iter=500"),
+    ], ids=["verify--samples=", "ips--data=--max-iter="])
+    def test_flag_with_its_value_after_an_equals_sign(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
 
 
 class TestDeterminism:

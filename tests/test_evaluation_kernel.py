@@ -123,7 +123,7 @@ class TestPoles:
         assert (xs, q) == ([2, 2], 4)
         with pytest.raises(PoleError, match=r"vanishes at \(1/2, 1/2\)"):
             system._kernel.pairs(xs, q)
-        with pytest.raises(PoleError, match=r"vanishes at \(Fraction\(1, 2\), Fraction\(1, 2\)\)"):
+        with pytest.raises(PoleError, match=r"vanishes at \(1/2, 1/2\)$"):
             system.evaluate((Fraction(1, 2), Fraction(1, 2)))
         report = verify_rational_linear_precision(system, samples=10, seed=0)
         assert not report.toric_membership and not report.interior_positivity
@@ -137,7 +137,7 @@ class TestPoles:
         f = RationalFunction(x1, x1 - x2)
         with pytest.raises(PoleError) as caught:
             f.evaluate((1, Fraction(2, 2)))
-        assert str(caught.value) == "denominator x1 - x2 vanishes at (1, Fraction(1, 1))"
+        assert str(caught.value) == "denominator x1 - x2 vanishes at (1, 1)"
 
 
 class TestIntegerSampler:

@@ -21,7 +21,15 @@ from toric_precision.errors import (
     NoDegreeMapError,
     NotAFaceError,
 )
-from toric_precision.geometry import PointConfiguration, convex_hull_facets, sample_interior
+from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
+from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
+from toric_precision.mle import (
+    birch_residual,
+    mle_closed_form,
+    random_data_vectors,
+    tfp_marginal_counts,
+    tfp_mle_combine,
+)
 from toric_precision.polynomials import RationalFunction, variables
 from toric_precision.tfp import (
     GradedConfiguration,
@@ -66,7 +74,7 @@ class TestValidateMultigrading:
             validate_multigrading(graded, trapezoid_graded, one_degree)
 
 
-class TestTfpConfiguration:
+class TestProductConfiguration:
     def test_square_trapezoid_points(
         self, square_graded, trapezoid_graded, square_trapezoid_grading
     ):
@@ -363,3 +371,64 @@ class TestAssociativity:
         from itertools import product as iproduct
 
         assert set(outer.config.points) == set(iproduct((0, 1), repeat=3))
+
+
+@pytest.fixture(scope="module", params=["B", "C"])
+def chain(request, square_system, square_graded, beta_tilde_system, square_trapezoid_grading):
+    """square x beta-tilde x square, the first product a factor of the second."""
+    form = request.param
+    inner_system, inner = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)
+    outer_grading = validate_multigrading(inner.graded, square_graded, inner.degrees)
+    outer_system, outer = tfp_blending(inner_system, square_system, outer_grading, form)
+    return inner_system, inner, outer_grading, outer_system, outer
+
+
+class TestThreeFactorChain:
+    def test_product_is_a_graded_model(self, chain, square_trapezoid_grading):
+        _, inner, _, outer_system, outer = chain
+        assert inner.graded.assignment == (1,) * 6 + (2,) * 4
+        assert inner.degrees == square_trapezoid_grading.degrees
+        assert len(outer.config.points) == 20 and outer.config.dim == 6
+        assert outer_system.config == outer.config
+
+    def test_all_four_checks_pass(self, chain):
+        report = verify_rational_linear_precision(chain[3], samples=20, seed=0)
+        assert report.all_pass, report.details
+
+    def test_forms_agree(self, chain, square_system):
+        inner_system, _, outer_grading, _, _ = chain
+        assert verify_form_agreement(inner_system, square_system, outer_grading, 20, 0)
+
+    def test_estimate_is_the_combination_applied_twice(
+        self, chain, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        _, _, outer_grading, outer_system, _ = chain
+        dm = design_matrix(outer_system.config)
+        for u in random_data_vectors(5, 20, seed=106):
+            u_inner, u_square = tfp_marginal_counts(outer_grading, u)
+            u_b, u_c = tfp_marginal_counts(square_trapezoid_grading, u_inner)
+            inner = tfp_mle_combine(
+                mle_closed_form(square_system, u_b),
+                mle_closed_form(beta_tilde_system, u_c),
+                square_trapezoid_grading,
+                u_inner,
+            )
+            combined = tfp_mle_combine(inner, mle_closed_form(square_system, u_square), outer_grading, u)
+            exact = mle_closed_form(outer_system, u)
+            assert exact.probs == combined.probs
+            assert not any(birch_residual(dm, u, exact))
+
+    def test_horn_map_of_the_product_applied_twice(
+        self, chain, square_graded, trapezoid_graded, square_horn, trapezoid_horn, beta_tilde_system
+    ):
+        _, inner, _, outer_system, outer = chain
+        aligned_square = align_horn_to_labels(square_horn, square_graded.config.labels)
+        aligned_trapezoid = align_horn_to_labels(trapezoid_horn, beta_tilde_system.config.labels)
+        inner_pair = tfp_horn_pair(
+            aligned_square, aligned_trapezoid, 2, square_graded.assignment, trapezoid_graded.assignment
+        )
+        pair = tfp_horn_pair(inner_pair, aligned_square, 2, inner.graded.assignment, square_graded.assignment)
+        assert (pair.matrix.n_rows, pair.n_columns) == (24, 20)
+        assert pair.matrix.column_labels == outer.config.labels
+        for u in random_data_vectors(5, 20, seed=107):
+            assert horn_parametrize(pair, u.counts) == mle_closed_form(outer_system, u).probs
