@@ -236,12 +236,18 @@ def _linear_precision(sys: BlendingSystem, span: list[Polynomial] | None) -> boo
         ]
         total, denominator = lcm_sum(terms, lambda d: d, names)
         difference = RationalFunction(total - Polynomial.variable(name, names) * denominator, denominator)
-        num, den = difference.numerator, difference.denominator
-        if span is not None:
-            num, den = num.substitute(span), den.substitute(span)
-        if den.is_zero or not num.is_zero:
+        if not _vanishes_on(difference, span):
             return False
     return True
+
+
+def _vanishes_on(f: RationalFunction, span: list[Polynomial] | None) -> bool:
+    """Whether f, over the coordinates of ``span``'s configuration, has a zero
+    numerator and a nonzero denominator on that span (substituted when proper)."""
+    num, den = f.numerator, f.denominator
+    if span is not None:
+        num, den = num.substitute(span), den.substitute(span)
+    return num.is_zero and not den.is_zero
 
 
 class Witness(NamedTuple):

@@ -292,10 +292,12 @@ def _cmd_mle(args) -> int:
 
 
 def _cmd_ips(args) -> int:
-    system = _as_system(*_load(args.model, "model"))
-    u = _parse_data(args.data, system.config.effective_labels())
-    dm = design_matrix(system.config)
-    ips = ips_fit(dm, system.weights, u, tol=args.tol, max_iter=args.max_iter)
+    # IPS reads only the design matrix and the weights, so no hull is built.
+    model, _ = _load(args.model, "model")
+    config = model if isinstance(model, PointConfiguration) else model.config
+    weights = WeightVector.ones(len(config.points)) if config is model else model.weights
+    u = _parse_data(args.data, config.effective_labels())
+    ips = ips_fit(design_matrix(config), weights, u, tol=args.tol, max_iter=args.max_iter)
     lines = [
         f"fit: ({', '.join(repr(p) for p in ips.distribution.probs)})",
         f"iterations: {ips.iterations}",

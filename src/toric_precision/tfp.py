@@ -7,8 +7,9 @@ one point per class-compatible pair.  The product is again a graded model
 over the same degrees, point (i, j, k) in class i, so it can be a factor of
 the next product.  The blending functions of the product divide the product
 of factor functions by the class sum of either factor; the two choices
-agree on the interior of the product hull but differ as global rational
-functions.
+agree on the affine span of the product but differ as global rational
+functions.  That agreement, and the class-i functions summing to 1 on face
+i, are checked as exact identities on the span, with no sample drawn.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .blending import BlendingSystem, WeightVector, _holds_at_samples
+from .blending import BlendingSystem, WeightVector, _affine_span_substitution, _vanishes_on
 from .errors import DependentDegreesError, EmptyDegreeClassError, NoDegreeMapError, NotAFaceError
 from .geometry import LatticePolytope, PointConfiguration
-from .polynomials import EvaluationKernel, RationalFunction, sum_rational_functions
+from .polynomials import RationalFunction, sum_rational_functions
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,28 @@ def tfp_configuration(
     return GradedModel(GradedConfiguration(config, tuple(classes)), WeightVector(tuple(weights)), g.degrees)
 
 
+def _renamed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list, tuple[str, ...]]:
+    """The factors' functions renamed positionally to x1.. and y1.., and the product's variables."""
+    x_names = tuple(f"x{i + 1}" for i in range(sysB.config.dim))
+    y_names = tuple(f"y{i + 1}" for i in range(sysC.config.dim))
+    fB = [f.renamed(x_names) for f in sysB.functions]
+    return fB, [f.renamed(y_names) for f in sysC.functions], x_names + y_names
+
+
+def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int], r: int) -> list[RationalFunction]:
+    """S_i, the sum of the class-i functions, for i = 1..r."""
+    classes = [[f for f, a in zip(functions, assignment) if a == i] for i in range(1, r + 1)]
+    if [] in classes:
+        raise EmptyDegreeClassError(f"class {classes.index([]) + 1} is empty")
+    return [sum_rational_functions(members) for members in classes]
+
+
+def _product(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> GradedModel:
+    """The product of the factors of two systems, as :func:`tfp_configuration` gives it."""
+    B, C = GradedConfiguration(sysB.config, g.assignment_b), GradedConfiguration(sysC.config, g.assignment_c)
+    return tfp_configuration(B, sysB.weights, C, sysC.weights, g)
+
+
 def tfp_blending(
     sysB: BlendingSystem,
     sysC: BlendingSystem,
@@ -200,28 +223,17 @@ def tfp_blending(
     variables are renamed positionally to x1.. and y1.. so the product lives
     over disjoint variables.
     """
-    if form not in ("B", "C"):
+    fB, fC, names = _renamed_factors(sysB, sysC)
+    sides = {"B": (fB, g.assignment_b), "C": (fC, g.assignment_c)}
+    if form not in sides:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
-    d1, d2 = sysB.config.dim, sysC.config.dim
-    x_names = tuple(f"x{i + 1}" for i in range(d1))
-    y_names = tuple(f"y{i + 1}" for i in range(d2))
-    gradedB = GradedConfiguration(sysB.config, g.assignment_b)
-    gradedC = GradedConfiguration(sysC.config, g.assignment_c)
-    fB = [f.renamed(x_names) for f in sysB.functions]
-    fC = [f.renamed(y_names) for f in sysC.functions]
-    denominators: dict[int, RationalFunction] = {}
-    for i in range(1, g.num_classes + 1):
-        positions = gradedB.class_positions(i) if form == "B" else gradedC.class_positions(i)
-        if not positions:
-            raise EmptyDegreeClassError(f"class {i} is empty")
-        factor = fB if form == "B" else fC
-        denominators[i] = sum_rational_functions(factor[p] for p in positions)
-    product = tfp_configuration(gradedB, sysB.weights, gradedC, sysC.weights, g)
+    denominators = _class_sums(*sides[form], g.num_classes)
+    product = _product(sysB, sysC, g)
     functions = tuple([
-        fB[bi] * fC[ci] / denominators[i]
+        fB[bi] * fC[ci] / denominators[i - 1]
         for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)
     ])
-    system = BlendingSystem(product.config, product.weights, functions, "custom", x_names + y_names)
+    system = BlendingSystem(product.config, product.weights, functions, "custom", names)
     return system, product
 
 
@@ -264,31 +276,15 @@ def graded_face(
 
 
 def verify_face_partition(
-    sys: BlendingSystem,
-    B: GradedConfiguration,
-    poly: LatticePolytope,
-    i: int,
-    samples: int = 50,
-    seed: int = 0,
+    sys: BlendingSystem, B: GradedConfiguration, poly: LatticePolytope, i: int
 ) -> bool:
-    """Sampled check that the class-i functions sum to exactly 1 on their face.
-
-    The sum is taken in integers: numerators over equal denominators are
-    added first, then the distinct denominators are cross-multiplied.
-    """
+    """Check that the class-i functions of a system on B's points sum to
+    exactly 1 on their face: an identity on the face's span, no sample."""
+    if sys.config.points != B.config.points:
+        raise ValueError("the system's points are not the points of the graded configuration")
     face, _ = graded_face(B, poly, i)
-    kernel = EvaluationKernel([sys.functions[p] for p in B.class_positions(i)])
-
-    def check(xs, q, pairs) -> str | None:
-        by_denominator: dict[int, int] = {}
-        for n, d in pairs:
-            by_denominator[d] = by_denominator.get(d, 0) + n
-        top, bottom = 0, 1
-        for d, n in by_denominator.items():
-            top, bottom = top * d + n * bottom, bottom * d
-        return None if top == bottom else f"the class-{i} functions do not sum to 1"
-
-    return _holds_at_samples(face, samples, seed, kernel, check)[0] is None
+    total = sum_rational_functions(sys.functions[p] for p in B.class_positions(i))
+    return _vanishes_on((total - 1).reindexed(sys.variables), _affine_span_substitution(face))
 
 
 def verify_form_agreement(
@@ -298,20 +294,15 @@ def verify_form_agreement(
     samples: int = 50,
     seed: int = 0,
 ) -> bool:
-    """Check both denominator choices agree exactly at interior product samples.
+    """Check that both denominator choices give the same product functions.
 
-    One kernel evaluates both forms; the values agree when their pairs
-    cross-multiply to equal integers.
+    f^B_ijk / f^C_ijk = S^C_i / S^B_i, the ratio of the factors' class-i sums,
+    so the forms agree when every S^C_i / S^B_i - 1 vanishes on the product's
+    span, an identity.  No sample is drawn; ``samples < 1`` is still an error.
     """
-    system_b, product = tfp_blending(sysB, sysC, g, form="B")
-    system_c, _ = tfp_blending(sysB, sysC, g, form="C")
-    n = len(system_b.functions)
-    kernel = EvaluationKernel(system_b.functions + system_c.functions)
-
-    def check(xs, q, pairs) -> str | None:
-        for b, ((n_b, d_b), (n_c, d_c)) in enumerate(zip(pairs[:n], pairs[n:])):
-            if n_b * d_c != n_c * d_b:
-                return f"the forms differ at function {b}"
-        return None
-
-    return _holds_at_samples(product.config, samples, seed, kernel, check)[0] is None
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    fB, fC, names = _renamed_factors(sysB, sysC)
+    span = _affine_span_substitution(_product(sysB, sysC, g).config)
+    sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
+    return all(not s_b.is_zero and _vanishes_on((s_c / s_b - 1).reindexed(names), span) for s_b, s_c in sums)

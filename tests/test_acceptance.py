@@ -96,7 +96,7 @@ def test_criterion_3_product_blending(square_system, beta_tilde_system, square_t
         square_system, beta_tilde_system, square_trapezoid_grading, samples=50, seed=0
     )
     report(3, "product blending functions match the closed form, sum to one, reproduce "
-              "linear functions, and the two denominator forms agree at 50 interior samples")
+              "linear functions, and the two denominator forms agree exactly on the product's span")
 
 
 def test_criterion_4_face_sums(beta_tilde_system, trapezoid_graded, trapezoid_poly):

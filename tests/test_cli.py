@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,7 +149,7 @@ class TestVerify:
 
 class TestLowerDimensionalPoints:
     @pytest.mark.parametrize("verb, extra", [
-        ("verify", ()), ("facets", ()), ("blend", ()), ("mle", ("--data", "1,1,1")), ("ips", ("--data", "1,1,1")),
+        ("verify", ()), ("facets", ()), ("blend", ()), ("mle", ("--data", "1,1,1")),
     ])
     @pytest.mark.parametrize("graded", [True, False], ids=["graded-model", "configuration"])
     def test_the_points_field_is_named(self, capsys, tmp_path, verb, extra, graded):
@@ -165,6 +166,22 @@ class TestLowerDimensionalPoints:
         assert code == 2
         assert out == ""
         assert err == f"input error: {path}{field}: points affinely span dimension 1 < 2\n"
+
+    @pytest.mark.parametrize("graded, expected", [(True, (0.25, 0.5, 0.25)), (False, (1 / 3,) * 3)],
+                             ids=["graded-model", "configuration"])
+    def test_ips_needs_no_hull(self, capsys, tmp_path, graded, expected):
+        # IPS reads only the design matrix and the weights.
+        points = [[0, 0], [1, 1], [2, 2]]
+        if graded:
+            data = {"config": {"dim": 2, "points": points}, "weights": ["1", "2", "1"],
+                    "grading": {"A": [[1]], "assignment": [1, 1, 1]}}
+        else:
+            data = {"dim": 2, "points": points}
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "ips", str(path), "--data", "1,1,1", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["float"] == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize("factor", [0, 1], ids=["first", "second"])
     def test_tfp_names_the_points_field(self, capsys, tmp_path, factor):
@@ -387,6 +404,19 @@ class TestTfp:
         assert out == ""
         assert err == f"input error: {model}.config.points: points affinely span dimension 3 < 4\n"
         assert run(capsys, "tfp", str(model), "square.json", "--system-b", str(system))[0] == 0
+
+    def test_ips_on_a_product_model(self, capsys, tmp_path):
+        # IPS reads only the design matrix and the weights, so points that
+        # span a proper subspace are fine without a system.
+        model, system = self.first_product(capsys, tmp_path)
+        data = "3,1,4,1,5,9,2,6,5,3"
+        code, out, err = run(capsys, "ips", str(model), "--data", data, "--output", "json")
+        assert (code, err) == (0, "")
+        fit = json.loads(out)["float"]
+        code, out, _ = run(capsys, "mle", str(system), "--data", data, "--output", "json")
+        assert code == 0
+        exact = [Fraction(p) for p in json.loads(out)["exact"]]
+        assert max(abs(f - float(e)) for f, e in zip(fit, exact)) < 1e-8
 
 
 class TestHornVerbs:

@@ -107,7 +107,7 @@ class TestKernelAgainstRationalFunctionEvaluate:
             WeightVector.ones(5),
         )
         with pytest.raises(ValueError):
-            verify_face_partition(segment, trapezoid_graded, trapezoid_poly, 1, 5, 0)
+            verify_face_partition(segment, trapezoid_graded, trapezoid_poly, 1)
 
 
 class TestPoles:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from toric_precision import blending, geometry
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -30,7 +31,7 @@ from toric_precision.mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
-from toric_precision.polynomials import RationalFunction, variables
+from toric_precision.polynomials import EvaluationKernel, Polynomial, RationalFunction, variables
 from toric_precision.tfp import (
     GradedConfiguration,
     graded_face,
@@ -274,19 +275,15 @@ class TestFacePartition:
     def test_beta_tilde_face_values(
         self, beta_tilde_system, trapezoid_graded, trapezoid_poly
     ):
-        assert verify_face_partition(
-            beta_tilde_system, trapezoid_graded, trapezoid_poly, 1, 20, 0
-        )
-        assert verify_face_partition(
-            beta_tilde_system, trapezoid_graded, trapezoid_poly, 2, 20, 0
-        )
+        assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, 1)
+        assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, 2)
 
     def test_square_face_value(self, square_system, square_graded, square_poly):
         x1, x2 = variables("x1 x2")
         class1 = square_system.functions[0] + square_system.functions[1]
         assert class1 == RationalFunction(1 - x2, 1)
         assert class1.evaluate((Fraction(1, 2), 0)) == 1
-        assert verify_face_partition(square_system, square_graded, square_poly, 1, 20, 0)
+        assert verify_face_partition(square_system, square_graded, square_poly, 1)
 
 
 class TestSampledChecksFail:
@@ -301,9 +298,9 @@ class TestSampledChecksFail:
         face, _ = graded_face(trapezoid_graded, trapezoid_poly, 1)
         point = sample_interior(face, 1, 0)[0]
         assert sum(system.functions[p].evaluate(point) for p in (0, 1, 2)) != 1
-        assert not verify_face_partition(system, trapezoid_graded, trapezoid_poly, 1, 20, 0)
+        assert not verify_face_partition(system, trapezoid_graded, trapezoid_poly, 1)
         # class 2 does not contain the scaled function
-        assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, 2, 20, 0)
+        assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, 2)
 
     def test_forms_disagree_when_a_factor_is_scaled(
         self, square_system, beta_tilde_system, square_trapezoid_grading
@@ -321,42 +318,161 @@ class TestSampledChecksFail:
 
 
 class TestSampledChecks:
-    """No samples is an error and a pole at any sample is a failure, for all four."""
+    """No samples is an error for every check that takes a sample count, and a
+    pole at any sample fails the sampled membership and positivity checks."""
 
     @staticmethod
-    def sampled_checks(system, square_graded, square_poly, beta_tilde_system, grading):
+    def sampled_checks(system, square_poly):
         return (
             lambda n: verify_toric_membership(system, n, 0),
             lambda n: verify_interior_positivity(system, square_poly, n, 0),
-            lambda n: verify_face_partition(system, square_graded, square_poly, 1, n, 0),
-            lambda n: verify_form_agreement(system, beta_tilde_system, grading, n, 0),
         )
 
     def test_no_samples_is_an_error(
         self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
     ):
-        for check in self.sampled_checks(
-            square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
+        for check in self.sampled_checks(square_system, square_poly) + (
+            lambda n: verify_form_agreement(square_system, beta_tilde_system, square_trapezoid_grading, n, 0),
         ):
             assert check(20)
             with pytest.raises(ValueError):
                 check(0)
 
-    def test_pole_at_a_sample_fails(
-        self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
-    ):
+    def test_pole_at_a_sample_fails(self, square_system, square_poly):
         # (2*x1 - 1) / (2*x1 - 1) is never cancelled and vanishes at the
-        # barycenters of the square, of its bottom edge and of the product
-        x1, _ = variables("x1 x2")
-        pole = RationalFunction(2 * x1 - 1, 2 * x1 - 1)
-        functions = tuple(f * pole for f in square_system.functions)
-        system = BlendingSystem(
-            square_system.config, square_system.weights, functions, "custom", square_system.variables
-        )
-        for check in self.sampled_checks(
-            system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading
-        ):
+        # barycenter of the square
+        for check in self.sampled_checks(with_removable_pole(square_system), square_poly):
             assert not check(20)
+
+
+def with_removable_pole(system):
+    """The system with every function times (2*x1 - 1) / (2*x1 - 1)."""
+    x1 = Polynomial.variable("x1", system.variables)
+    pole = RationalFunction(2 * x1 - 1, 2 * x1 - 1)
+    functions = tuple(f * pole for f in system.functions)
+    return BlendingSystem(system.config, system.weights, functions, "custom", system.variables)
+
+
+def scaled_function(system, index, factor):
+    """A custom copy of the system with one function scaled."""
+    functions = list(system.functions)
+    functions[index] = functions[index] * factor
+    return BlendingSystem(system.config, system.weights, tuple(functions), "custom", system.variables)
+
+
+@pytest.fixture
+def counted_evaluations(monkeypatch):
+    """Records every sample drawn and every point any kernel evaluates."""
+    calls = []
+    pairs, draw = EvaluationKernel.pairs, geometry._integer_samples
+
+    def counting_pairs(kernel, xs, q):
+        calls.append(("pairs", tuple(xs), q))
+        return pairs(kernel, xs, q)
+
+    def counting_draw(config, count, seed):
+        calls.append(("draw", count, seed))
+        return draw(config, count, seed)
+
+    monkeypatch.setattr(EvaluationKernel, "pairs", counting_pairs)
+    monkeypatch.setattr(geometry, "_integer_samples", counting_draw)
+    monkeypatch.setattr(blending, "_integer_samples", counting_draw)
+    return calls
+
+
+class TestExactProductChecks:
+    """Form agreement and face partition are identities on an affine span."""
+
+    def test_no_sample_is_drawn(
+        self,
+        counted_evaluations,
+        chain,
+        square_system,
+        square_graded,
+        square_poly,
+        beta_tilde_system,
+        trapezoid_graded,
+        trapezoid_poly,
+        square_trapezoid_grading,
+    ):
+        inner_system, _, outer_grading, _, _ = chain
+        assert verify_form_agreement(square_system, beta_tilde_system, square_trapezoid_grading, 20, 0)
+        assert verify_form_agreement(inner_system, square_system, outer_grading, 20, 0)
+        assert not verify_form_agreement(
+            square_system, scaled_function(beta_tilde_system, 3, 2), square_trapezoid_grading, 20, 0
+        )
+        for i in (1, 2):
+            assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, i)
+            assert verify_face_partition(square_system, square_graded, square_poly, i)
+        assert not verify_face_partition(
+            scaled_function(beta_tilde_system, 1, Fraction(3, 2)), trapezoid_graded, trapezoid_poly, 1
+        )
+        assert counted_evaluations == []
+
+    @staticmethod
+    def forms_agree_at_samples(sysB, sysC, g, count):
+        b_form, product = tfp_blending(sysB, sysC, g, "B")
+        c_form, _ = tfp_blending(sysB, sysC, g, "C")
+        return all(b_form.evaluate(p) == c_form.evaluate(p) for p in sample_interior(product.config, count, 0))
+
+    def test_form_agreement_equals_the_comparison_at_samples(
+        self, chain, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        inner_system, _, outer_grading, _, _ = chain
+        cases = (
+            (square_system, beta_tilde_system, square_trapezoid_grading, True),
+            (square_system, scaled_function(beta_tilde_system, 3, 2), square_trapezoid_grading, False),
+            (inner_system, square_system, outer_grading, True),
+        )
+        for sysB, sysC, g, expected in cases:
+            assert verify_form_agreement(sysB, sysC, g) == expected
+            assert self.forms_agree_at_samples(sysB, sysC, g, 10) == expected
+
+    def test_face_partition_equals_the_sums_at_samples(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
+        for system, expected in (
+            (beta_tilde_system, (True, True)),
+            (scaled_function(beta_tilde_system, 1, Fraction(3, 2)), (False, True)),
+            (scaled_function(beta_tilde_system, 4, 2), (True, False)),
+        ):
+            for i in (1, 2):
+                face, _ = graded_face(trapezoid_graded, trapezoid_poly, i)
+                sums = [
+                    sum(system.functions[p].evaluate(point) for p in trapezoid_graded.class_positions(i))
+                    for point in sample_interior(face, 10, 0)
+                ]
+                assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, i) == expected[i - 1]
+                assert all(total == 1 for total in sums) == expected[i - 1]
+
+    def test_face_partition_needs_the_systems_points(self, square_system, trapezoid_graded, trapezoid_poly):
+        for i in (1, 2):
+            with pytest.raises(ValueError, match="points"):
+                verify_face_partition(square_system, trapezoid_graded, trapezoid_poly, i)
+
+    @pytest.fixture(scope="class")
+    def reversed_grading(self, trapezoid_graded, square_graded, degree_pair):
+        """The grading of trapezoid x square, the square second."""
+        return validate_multigrading(trapezoid_graded, square_graded, degree_pair)
+
+    def test_a_class_sum_of_zero_fails(
+        self, square_system, beta_tilde_system, square_trapezoid_grading, reversed_grading
+    ):
+        # class 1 of the square is points 0 and 1: f_0 and -f_0 sum to zero
+        functions = list(square_system.functions)
+        functions[1] = -functions[0]
+        zero_sum = BlendingSystem(square_system.config, square_system.weights, tuple(functions))
+        assert not verify_form_agreement(zero_sum, beta_tilde_system, square_trapezoid_grading)
+        assert not verify_form_agreement(beta_tilde_system, zero_sum, reversed_grading)
+
+    def test_a_removable_pole_passes(
+        self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading, reversed_grading
+    ):
+        # As partition of unity and linear precision do, the identities pass
+        # although (2*x1 - 1) / (2*x1 - 1) has no value at x1 = 1/2.
+        system = with_removable_pole(square_system)
+        assert verify_partition_of_unity(system) and verify_linear_precision(system)
+        assert verify_face_partition(system, square_graded, square_poly, 1)
+        assert verify_form_agreement(system, beta_tilde_system, square_trapezoid_grading)
+        assert verify_form_agreement(beta_tilde_system, system, reversed_grading)
 
 
 class TestAssociativity:
