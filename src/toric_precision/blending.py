@@ -17,7 +17,7 @@ E[b][i] is the lattice distance <n_i, b> + a_i >= 0 decides both checks:
 each column of E is affine in b, so every binomial of the design matrix's
 kernel cancels exponent by exponent, and each factor h_i with E[b][i] > 0
 is positive on the relative interior.  Every other system, including one
-loaded from JSON or copied with ``dataclasses.replace``, is checked through
+loaded from JSON or copied with ``_replace``, is checked through
 binomial identities from an integer kernel basis of the design matrix and
 through signs, exactly at seeded interior samples.
 
@@ -29,13 +29,13 @@ an unreduced integer point ``(xs, q)``, evaluated once by the system's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import PoleError, PointOutsidePolytopeError
+from .frozen import Frozen
 from .geometry import (
     Facet,
     LatticePolytope,
@@ -55,18 +55,17 @@ from .polynomials import (
 )
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Positive rational weight per configuration point."""
 
-    weights: tuple[Fraction, ...]
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, weights: Sequence[Fraction | int | str]):
+        weights = tuple(Fraction(w) for w in weights)
         for i, w in enumerate(weights):
             if w <= 0:
                 raise ValueError(f"weight {i} must be positive, got {w}")
+        self.__dict__["weights"] = weights
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -79,39 +78,39 @@ class WeightVector:
         return cls((Fraction(1),) * count)
 
 
-@dataclass(frozen=True)
-class BlendingSystem:
+class BlendingSystem(Frozen):
     """One rational function per configuration point, plus the weights.
 
     ``kind`` records provenance: "toric" for systems built by
     :func:`toric_blending`, "custom" for user-supplied or derived families.
     Only the systems :func:`toric_blending` returns carry its record of the
-    factored form; ``==``, serialization and ``dataclasses.replace``
-    neither see nor copy it.
+    factored form; ``==``, serialization and ``_replace`` neither see nor
+    copy it, nor the cached ``_kernel``.
     """
 
-    config: PointConfiguration
-    weights: WeightVector
-    functions: tuple[RationalFunction, ...]
-    kind: str = "custom"
-    variables: tuple[str, ...] = ()
-    # A _ToricRecord on the systems toric_blending returns.  Unannotated, so
-    # not a dataclass field.
+    _fields = ("config", "weights", "functions", "kind", "variables")
+    # A _ToricRecord on the systems toric_blending returns; not a field.
     _record = None
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.config.points):
+    def __init__(
+        self,
+        config: PointConfiguration,
+        weights: WeightVector,
+        functions: Sequence[RationalFunction],
+        kind: str = "custom",
+        variables: Sequence[str] = (),
+    ):
+        if len(weights) != len(config.points):
             raise ValueError("weight count does not match configuration")
-        if len(self.functions) != len(self.config.points):
+        if len(functions) != len(config.points):
             raise ValueError("function count does not match configuration")
-        if self.kind not in ("toric", "custom"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        names = tuple(self.variables) or tuple(f"x{i + 1}" for i in range(self.config.dim))
-        if len(names) != self.config.dim:
-            raise ValueError(f"expected {self.config.dim} variables, got {names}")
-        functions = tuple(f.reindexed(names) for f in self.functions)
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "functions", functions)
+        if kind not in ("toric", "custom"):
+            raise ValueError(f"unknown system kind {kind!r}")
+        names = tuple(variables) or tuple(f"x{i + 1}" for i in range(config.dim))
+        if len(names) != config.dim:
+            raise ValueError(f"expected {config.dim} variables, got {names}")
+        functions = tuple(f.reindexed(names) for f in functions)
+        self.__dict__.update(config=config, weights=weights, functions=functions, kind=kind, variables=names)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """All function values at a rational point (PoleError on any pole)."""
@@ -178,7 +177,7 @@ def toric_blending(
         RationalFunction(w_b * beta, beta_w) for w_b, beta in zip(w.weights, numerators)
     )
     system = BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
-    object.__setattr__(system, "_record", _ToricRecord(poly.facets, tuple(rows)))
+    system.__dict__["_record"] = _ToricRecord(poly.facets, tuple(rows))
     return system
 
 
@@ -425,15 +424,26 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     return _decide(sys, samples, seed, lambda: _membership_check(sys))[0] is None
 
 
-@dataclass(frozen=True)
-class PrecisionReport:
+class PrecisionReport(Frozen):
     """Outcome of the four defining checks, with a message per failure."""
 
-    partition_of_unity: bool
-    toric_membership: bool
-    interior_positivity: bool
-    linear_precision: bool
-    details: dict[str, str] = field(default_factory=dict)
+    _fields = ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision", "details")
+
+    def __init__(
+        self,
+        partition_of_unity: bool,
+        toric_membership: bool,
+        interior_positivity: bool,
+        linear_precision: bool,
+        details: dict[str, str] | None = None,
+    ):
+        self.__dict__.update(
+            partition_of_unity=partition_of_unity,
+            toric_membership=toric_membership,
+            interior_positivity=interior_positivity,
+            linear_precision=linear_precision,
+            details={} if details is None else details,
+        )
 
     @property
     def all_pass(self) -> bool:

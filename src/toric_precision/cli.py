@@ -21,7 +21,6 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Any
 
@@ -49,14 +48,10 @@ from .serialize import rational_str
 from .tfp import GradedModel, tfp_blending, validate_multigrading
 
 
-def _fixture_dir() -> Path | None:
-    override = os.environ.get("TORIC_PRECISION_FIXTURES")
-    if override:
-        return Path(override)
-    try:
-        return Path(str(resources.files("toric_precision") / "fixtures"))
-    except Exception:
-        return None
+def _fixture_dir() -> Path:
+    # Beside this file rather than through importlib.resources, whose import
+    # alone loads inspect on Python 3.12: the package ships as plain files.
+    return Path(os.environ.get("TORIC_PRECISION_FIXTURES") or Path(__file__).parent / "fixtures")
 
 
 def resolve_input_path(path: str) -> Path:
@@ -69,10 +64,9 @@ def resolve_input_path(path: str) -> Path:
     if candidate.is_file():
         return candidate
     base = _fixture_dir()
-    if base is not None:
-        for alternative in (base / path, base / candidate.name):
-            if alternative.is_file():
-                return alternative
+    for alternative in (base / path, base / candidate.name):
+        if alternative.is_file():
+            return alternative
     raise SchemaError(f"cannot read {path}: no such file")
 
 

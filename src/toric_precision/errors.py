@@ -40,6 +40,11 @@ class EmptyDegreeClassError(ToricPrecisionError):
     """A degree class contains no points."""
 
 
+class ZeroClassSumError(ToricPrecisionError):
+    """A fiber-product factor's functions in one degree class sum to 0, so
+    they cannot be the denominator of the product's functions."""
+
+
 class ZeroToNegativePowerError(ToricPrecisionError):
     """A Horn parametrization hit 0 raised to a negative exponent."""
 

@@ -14,7 +14,6 @@ and ``h(p) = <p, n> + a`` is the lattice distance to the facet.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -23,34 +22,31 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .errors import NotFullDimensionalError
+from .frozen import Frozen
 from .polynomials import Polynomial, integer_point
 
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(Frozen):
     """Ordered list of integer points in a fixed dimension, optionally labelled."""
 
-    dim: int
-    points: tuple[IntVector, ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("dim", "points", "labels")
 
-    def __post_init__(self):
-        points = tuple(tuple(int(x) for x in p) for p in self.points)
-        object.__setattr__(self, "points", points)
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+    def __init__(self, dim: int, points: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
+        points = tuple(tuple(int(x) for x in p) for p in points)
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
         for p in points:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            object.__setattr__(self, "labels", labels)
+            if len(p) != dim:
+                raise ValueError(f"point {p} does not have dimension {dim}")
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
             if len(labels) != len(points):
                 raise ValueError("label count does not match point count")
             if len(set(labels)) != len(labels):
                 raise ValueError("labels must be unique")
+        self.__dict__.update(dim=dim, points=points, labels=labels)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -74,33 +70,29 @@ class Facet(NamedTuple):
         return sum(map(mul, xs, self.normal)) + self.offset * q
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Frozen):
     """Full-dimensional lattice polytope given by facets and vertices."""
 
-    dim: int
-    facets: tuple[Facet, ...]
-    vertices: tuple[IntVector, ...]
+    _fields = ("dim", "facets", "vertices")
 
-    def __post_init__(self):
-        facets = tuple(Facet(tuple(int(x) for x in n), int(a)) for n, a in self.facets)
-        vertices = tuple(tuple(int(x) for x in v) for v in self.vertices)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "vertices", vertices)
+    def __init__(self, dim: int, facets: Sequence[tuple[Sequence[int], int]], vertices: Sequence[Sequence[int]]):
+        facets = tuple(Facet(tuple(int(x) for x in n), int(a)) for n, a in facets)
+        vertices = tuple(tuple(int(x) for x in v) for v in vertices)
         for v in vertices:
-            if len(v) != self.dim:
-                raise ValueError(f"vertex {v} does not have dimension {self.dim}")
+            if len(v) != dim:
+                raise ValueError(f"vertex {v} does not have dimension {dim}")
         for facet in facets:
-            if len(facet.normal) != self.dim:
-                raise ValueError(f"normal {facet.normal} does not have dimension {self.dim}")
+            if len(facet.normal) != dim:
+                raise ValueError(f"normal {facet.normal} does not have dimension {dim}")
             if gcd(*facet.normal) != 1:
                 raise ValueError(f"normal {facet.normal} is not primitive")
             tight = sum(1 for v in vertices if facet.distance(v) == 0)
-            if tight < self.dim:
+            if tight < dim:
                 raise ValueError(f"facet {tuple(facet)} touches only {tight} vertices")
         for v in vertices:
             if any(f.distance(v) < 0 for f in facets):
                 raise ValueError(f"vertex {v} lies outside a facet")
+        self.__dict__.update(dim=dim, facets=facets, vertices=vertices)
 
     def lattice_distances(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         """Lattice distance of a (rational) point to each facet, in facet order.
@@ -259,13 +251,14 @@ def _integer_samples(
         yield [sum(map(mul, raw, column)) for column in coordinates], sum(raw)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(Frozen):
     """Integer matrix whose columns are configuration points, with a row of
     ones prepended whenever the all-ones vector is not already in the row span."""
 
-    rows: tuple[IntVector, ...]
-    ones_row_added: bool
+    _fields = ("rows", "ones_row_added")
+
+    def __init__(self, rows: tuple[IntVector, ...], ones_row_added: bool):
+        self.__dict__.update(rows=rows, ones_row_added=ones_row_added)
 
     def __len__(self) -> int:
         return len(self.rows)

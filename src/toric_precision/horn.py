@@ -11,7 +11,6 @@ proportional rows into single rows without changing the map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -21,21 +20,19 @@ from .errors import (
     MergeAbortedError,
     ZeroToNegativePowerError,
 )
+from .frozen import Frozen
 from .linalg import primitive_integer
 from .polynomials import Polynomial, integer_point, lcm_sum
 from .tfp import enumerate_product_indices
 
 
-@dataclass(frozen=True)
-class HornMatrix:
+class HornMatrix(Frozen):
     """Integer matrix whose columns each sum to zero."""
 
-    entries: tuple[tuple[int, ...], ...]
-    column_labels: tuple[str, ...] | None = None
+    _fields = ("entries", "column_labels")
 
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Sequence[Sequence[int]], column_labels: Sequence[str] | None = None):
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
         if not entries:
             raise ValueError("a Horn matrix needs at least one row")
         width = len(entries[0])
@@ -45,13 +42,13 @@ class HornMatrix:
             total = sum(row[c] for row in entries)
             if total != 0:
                 raise ValueError(f"column {c} sums to {total}, not 0")
-        if self.column_labels is not None:
-            labels = tuple(str(s) for s in self.column_labels)
-            object.__setattr__(self, "column_labels", labels)
-            if len(labels) != width:
+        if column_labels is not None:
+            column_labels = tuple(str(s) for s in column_labels)
+            if len(column_labels) != width:
                 raise ValueError("label count does not match column count")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"column labels must be unique: {list(labels)}")
+            if len(set(column_labels)) != len(column_labels):
+                raise ValueError(f"column labels must be unique: {list(column_labels)}")
+        self.__dict__.update(entries=entries, column_labels=column_labels)
 
     @property
     def n_rows(self) -> int:
@@ -65,20 +62,18 @@ class HornMatrix:
         return tuple(row[c] for row in self.entries)
 
 
-@dataclass(frozen=True)
-class HornPair:
+class HornPair(Frozen):
     """Horn matrix plus one nonzero rational coefficient per column."""
 
-    matrix: HornMatrix
-    coefficients: tuple[Fraction, ...]
+    _fields = ("matrix", "coefficients")
 
-    def __post_init__(self):
-        coefficients = tuple(Fraction(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
-        if len(coefficients) != self.matrix.n_columns:
+    def __init__(self, matrix: HornMatrix, coefficients: Sequence[Fraction | int | str]):
+        coefficients = tuple(Fraction(c) for c in coefficients)
+        if len(coefficients) != matrix.n_columns:
             raise ValueError("coefficient count does not match column count")
         if any(c == 0 for c in coefficients):
             raise ValueError("coefficients must be nonzero")
+        self.__dict__.update(matrix=matrix, coefficients=coefficients)
 
     @property
     def n_columns(self) -> int:
@@ -134,13 +129,13 @@ def simplex_horn_pair(m: int) -> HornPair:
     return HornPair(HornMatrix(tuple(rows)), tuple(Fraction(-1) for _ in range(m)))
 
 
-@dataclass(frozen=True)
-class HornValidationReport:
+class HornValidationReport(Frozen):
     """Outcome of the sum-to-one and positivity checks."""
 
-    sums_to_one: bool
-    positive: bool
-    witness: str | None = None
+    _fields = ("sums_to_one", "positive", "witness")
+
+    def __init__(self, sums_to_one: bool, positive: bool, witness: str | None = None):
+        self.__dict__.update(sums_to_one=sums_to_one, positive=positive, witness=witness)
 
     @property
     def symbolic_checked(self) -> bool:

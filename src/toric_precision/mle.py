@@ -18,31 +18,30 @@ needs nothing beyond the standard library.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .blending import BlendingSystem, WeightVector
 from .errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
+from .frozen import Frozen
 from .geometry import DesignMatrix
 from .polynomials import integer_point, point_text
 from .tfp import Multigrading, enumerate_product_indices
 
 
-@dataclass(frozen=True)
-class DataVector:
+class DataVector(Frozen):
     """Nonnegative integer counts with a positive total."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
+    def __init__(self, counts: Sequence[int]):
+        counts = tuple(int(c) for c in counts)
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
         if sum(counts) <= 0:
             raise ValueError("total count must be positive")
+        self.__dict__["counts"] = counts
 
     @property
     def total(self) -> int:
@@ -52,29 +51,26 @@ class DataVector:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """Probability vector, exact (Fractions) or floating point (IPS output)."""
 
-    probs: tuple
-    exact: bool = True
+    _fields = ("probs", "exact")
 
-    def __post_init__(self):
-        if self.exact:
-            probs = tuple(Fraction(p) for p in self.probs)
-            object.__setattr__(self, "probs", probs)
+    def __init__(self, probs: Sequence, exact: bool = True):
+        if exact:
+            probs = tuple(Fraction(p) for p in probs)
             if any(p < 0 for p in probs):
                 raise ValueError("negative probability")
             xs, q = integer_point(probs)
             if sum(xs) != q:
                 raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
         else:
-            probs = tuple(float(p) for p in self.probs)
-            object.__setattr__(self, "probs", probs)
+            probs = tuple(float(p) for p in probs)
             if any(p < 0 for p in probs):
                 raise ValueError("negative probability")
             if abs(sum(probs) - 1.0) > 1e-12:
                 raise ValueError(f"probabilities sum to {sum(probs)}")
+        self.__dict__.update(probs=probs, exact=exact)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -160,11 +156,11 @@ def birch_residual(
     ])
 
 
-@dataclass(frozen=True)
-class IpsResult:
-    distribution: Distribution
-    iterations: int
-    residual: float
+class IpsResult(Frozen):
+    _fields = ("distribution", "iterations", "residual")
+
+    def __init__(self, distribution: Distribution, iterations: int, residual: float):
+        self.__dict__.update(distribution=distribution, iterations=iterations, residual=residual)
 
 
 def ips_fit(
@@ -266,14 +262,3 @@ def log_likelihood(u: DataVector, p: Distribution) -> float:
             raise DomainError(f"zero probability with positive count {count}")
         total += count * math.log(value)
     return total
-
-
-def random_data_vectors(
-    count: int, length: int, seed: int, low: int = 1, high: int = 20
-) -> list[DataVector]:
-    """Seeded positive integer data vectors, for agreement sweeps."""
-    rng = random.Random(seed)
-    return [
-        DataVector(tuple(rng.randint(low, high) for _ in range(length)))
-        for _ in range(count)
-    ]

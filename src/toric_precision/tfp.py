@@ -14,34 +14,38 @@ i, are checked as exact identities on the span, with no sample drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .blending import BlendingSystem, WeightVector, _affine_span_substitution, _vanishes_on
-from .errors import DependentDegreesError, EmptyDegreeClassError, NoDegreeMapError, NotAFaceError
+from .errors import (
+    DependentDegreesError,
+    EmptyDegreeClassError,
+    NoDegreeMapError,
+    NotAFaceError,
+    ZeroClassSumError,
+)
+from .frozen import Frozen
 from .geometry import LatticePolytope, PointConfiguration
 from .polynomials import RationalFunction, sum_rational_functions
 
 
-@dataclass(frozen=True)
-class GradedConfiguration:
+class GradedConfiguration(Frozen):
     """Point configuration with a 1-based degree-class index per point."""
 
-    config: PointConfiguration
-    assignment: tuple[int, ...]
+    _fields = ("config", "assignment")
 
-    def __post_init__(self):
-        assignment = tuple(int(a) for a in self.assignment)
-        object.__setattr__(self, "assignment", assignment)
-        if len(assignment) != len(self.config.points):
+    def __init__(self, config: PointConfiguration, assignment: Sequence[int]):
+        assignment = tuple(int(a) for a in assignment)
+        if len(assignment) != len(config.points):
             raise ValueError("assignment length does not match configuration")
         if any(a < 1 for a in assignment):
             raise ValueError("degree classes are 1-based")
         present = set(assignment)
         if present != set(range(1, max(present) + 1)):
             raise EmptyDegreeClassError(f"classes {sorted(present)} leave gaps")
+        self.__dict__.update(config=config, assignment=assignment)
 
     @property
     def num_classes(self) -> int:
@@ -52,22 +56,21 @@ class GradedConfiguration:
         return [idx for idx, a in enumerate(self.assignment) if a == i]
 
 
-@dataclass(frozen=True)
-class GradedModel:
+class GradedModel(Frozen):
     """One side of a fiber product as stored on disk: graded points, weights,
     and the degree vectors they are graded by."""
 
-    graded: GradedConfiguration
-    weights: "WeightVector"
-    degrees: PointConfiguration
+    _fields = ("graded", "weights", "degrees")
+
+    def __init__(self, graded: GradedConfiguration, weights: WeightVector, degrees: PointConfiguration):
+        self.__dict__.update(graded=graded, weights=weights, degrees=degrees)
 
     @property
     def config(self) -> PointConfiguration:
         return self.graded.config
 
 
-@dataclass(frozen=True)
-class Multigrading:
+class Multigrading(Frozen):
     """Validated joint grading of two configurations.
 
     ``degrees`` holds the degree vectors (one per class), ``omega`` a rational
@@ -75,12 +78,25 @@ class Multigrading:
     are affine-linear witnesses stored as rows acting on (1, point).
     """
 
-    degrees: PointConfiguration
-    omega: tuple[Fraction, ...]
-    assignment_b: tuple[int, ...]
-    assignment_c: tuple[int, ...]
-    degree_map_b: tuple[tuple[Fraction, ...], ...]
-    degree_map_c: tuple[tuple[Fraction, ...], ...]
+    _fields = ("degrees", "omega", "assignment_b", "assignment_c", "degree_map_b", "degree_map_c")
+
+    def __init__(
+        self,
+        degrees: PointConfiguration,
+        omega: tuple[Fraction, ...],
+        assignment_b: tuple[int, ...],
+        assignment_c: tuple[int, ...],
+        degree_map_b: tuple[tuple[Fraction, ...], ...],
+        degree_map_c: tuple[tuple[Fraction, ...], ...],
+    ):
+        self.__dict__.update(
+            degrees=degrees,
+            omega=omega,
+            assignment_b=assignment_b,
+            assignment_c=assignment_c,
+            degree_map_b=degree_map_b,
+            degree_map_c=degree_map_c,
+        )
 
     @property
     def num_classes(self) -> int:
@@ -221,13 +237,18 @@ def tfp_blending(
     The function for product point (i, j, k) is f_j * f_k divided by the
     class-i sum of the chosen factor ("B" or "C" denominator).  Factor
     variables are renamed positionally to x1.. and y1.. so the product lives
-    over disjoint variables.
+    over disjoint variables.  A class sum of 0 in the chosen factor raises
+    ZeroClassSumError naming the factor and the class.
     """
     fB, fC, names = _renamed_factors(sysB, sysC)
     sides = {"B": (fB, g.assignment_b), "C": (fC, g.assignment_c)}
     if form not in sides:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
     denominators = _class_sums(*sides[form], g.num_classes)
+    for i, total in enumerate(denominators, start=1):
+        if total.is_zero:
+            factor = "first" if form == "B" else "second"
+            raise ZeroClassSumError(f"the {factor} factor's class-{i} functions sum to 0")
     product = _product(sysB, sysC, g)
     functions = tuple([
         fB[bi] * fC[ci] / denominators[i - 1]

@@ -35,7 +35,6 @@ from toric_precision.mle import (
     birch_residual,
     ips_fit,
     mle_closed_form,
-    random_data_vectors,
     tfp_marginal_counts,
     tfp_mle_combine,
 )
@@ -49,6 +48,7 @@ from toric_precision.tfp import (
 )
 
 from test_horn import PRODUCT_LAMBDA, PRODUCT_MATRIX
+from test_mle import random_data_vectors
 
 
 def report(number: int, text: str) -> None:

@@ -1,6 +1,5 @@
 """Command-line behavior: verbs, exit codes, determinism, fixture resolution."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -334,7 +333,7 @@ class TestTfp:
         assert "FactorPrecisionWarning" not in err and ".py:" not in err
 
     def test_factor_that_does_not_sum_to_one(self, capsys, tmp_path, square_system):
-        doubled = dataclasses.replace(square_system, functions=tuple(2 * f for f in square_system.functions))
+        doubled = square_system._replace(functions=tuple(2 * f for f in square_system.functions))
         path = tmp_path / "doubled.json"
         path.write_text(json.dumps(blending_system_to_json(doubled)), encoding="utf-8")
         code, _, err = run(
@@ -343,6 +342,27 @@ class TestTfp:
         )
         assert code == 0
         assert err == "warning: first factor does not sum to 1\n"
+
+    @pytest.mark.parametrize("form", ["B", "C"])
+    def test_factor_with_a_zero_class_sum(self, capsys, tmp_path, square_system, beta_tilde_system, form):
+        # Replace one function of a class by minus another: square class 1 is
+        # points 0 and 1, trapezoid class 2 is points 3 and 4.
+        system, cancelled, factor, i = {
+            "B": (square_system, (0, 1), "first", 1),
+            "C": (beta_tilde_system, (3, 4), "second", 2),
+        }[form]
+        functions = list(system.functions)
+        functions[cancelled[1]] = -functions[cancelled[0]]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(blending_system_to_json(system._replace(functions=tuple(functions)))), encoding="utf-8")
+        systems = {"B": ("--system-b", str(path), "--system-c", "trapezoid_beta_tilde.json"), "C": ("--system-c", str(path))}
+        code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json", *systems[form], "--form", form)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"warning: {factor} factor does not sum to 1\n"
+            f"error: the {factor} factor's class-{i} functions sum to 0\n"
+        )
 
     def test_gap_in_the_assignment(self, capsys, tmp_path):
         data = json.loads(resolve_input_path("square.json").read_text(encoding="utf-8"))

@@ -23,7 +23,6 @@ from toric_precision.mle import (
     ips_fit,
     log_likelihood,
     mle_closed_form,
-    random_data_vectors,
     tfp_marginal_counts,
     tfp_mle_combine,
 )
@@ -33,6 +32,12 @@ from toric_precision.tfp import tfp_blending
 
 def F(x):
     return Fraction(x)
+
+
+def random_data_vectors(count: int, length: int, seed: int, low: int = 1, high: int = 20) -> list[DataVector]:
+    """Seeded positive integer data vectors, for agreement sweeps."""
+    rng = random.Random(seed)
+    return [DataVector(tuple(rng.randint(low, high) for _ in range(length))) for _ in range(count)]
 
 
 class TestClosedForm:

@@ -1,6 +1,5 @@
 """Multigradings, fiber products, product blending systems, graded faces."""
 
-import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -21,13 +20,14 @@ from toric_precision.errors import (
     EmptyDegreeClassError,
     NoDegreeMapError,
     NotAFaceError,
+    ToricPrecisionError,
+    ZeroClassSumError,
 )
 from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
 from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
 from toric_precision.mle import (
     birch_residual,
     mle_closed_form,
-    random_data_vectors,
     tfp_marginal_counts,
     tfp_mle_combine,
 )
@@ -41,6 +41,8 @@ from toric_precision.tfp import (
     verify_face_partition,
     verify_form_agreement,
 )
+
+from test_mle import random_data_vectors
 
 
 def canonical(f):
@@ -210,10 +212,36 @@ class TestTfpBlending:
 
     def test_more_degrees_than_classes(self, square_system, beta_tilde_system, square_trapezoid_grading):
         three_degrees = PointConfiguration(2, ((1, 0), (0, 1), (1, 1)))
-        grading = dataclasses.replace(square_trapezoid_grading, degrees=three_degrees)
+        grading = square_trapezoid_grading._replace(degrees=three_degrees)
         for form in ("B", "C"):
             with pytest.raises(EmptyDegreeClassError, match="class 3 is empty"):
                 tfp_blending(square_system, beta_tilde_system, grading, form)
+
+
+def with_zero_class(system, kept, cancelled):
+    """The system with function ``cancelled`` replaced by minus function ``kept``."""
+    functions = list(system.functions)
+    functions[cancelled] = -functions[kept]
+    return system._replace(functions=tuple(functions))
+
+
+class TestZeroClassSum:
+    def test_form_b_names_the_first_factor(self, square_system, beta_tilde_system, square_trapezoid_grading):
+        zero = with_zero_class(square_system, 0, 1)  # square class 1 is points 0 and 1
+        with pytest.raises(ZeroClassSumError, match="^the first factor's class-1 functions sum to 0$"):
+            tfp_blending(zero, beta_tilde_system, square_trapezoid_grading, "B")
+        assert issubclass(ZeroClassSumError, ToricPrecisionError)
+
+    def test_form_c_names_the_second_factor(self, square_system, beta_tilde_system, square_trapezoid_grading):
+        zero = with_zero_class(beta_tilde_system, 3, 4)  # trapezoid class 2 is points 3 and 4
+        with pytest.raises(ZeroClassSumError, match="^the second factor's class-2 functions sum to 0$"):
+            tfp_blending(square_system, zero, square_trapezoid_grading, "C")
+
+    def test_only_the_chosen_denominator_matters(self, square_system, beta_tilde_system, square_trapezoid_grading):
+        zero = with_zero_class(beta_tilde_system, 3, 4)
+        system, _ = tfp_blending(square_system, zero, square_trapezoid_grading, "B")
+        assert len(system.functions) == 10
+        assert not verify_form_agreement(square_system, zero, square_trapezoid_grading)
 
 
 class TestGradedFace:
