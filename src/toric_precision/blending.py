@@ -48,6 +48,7 @@ from .polynomials import (
     EvaluationKernel,
     Polynomial,
     RationalFunction,
+    exact_rational,
     integer_point,
     lcm_sum,
     point_text,
@@ -61,7 +62,7 @@ class WeightVector(Frozen):
     _fields = ("weights",)
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(exact_rational(w, "weight") for w in weights)
         for i, w in enumerate(weights):
             if w <= 0:
                 raise ValueError(f"weight {i} must be positive, got {w}")

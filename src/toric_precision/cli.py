@@ -237,7 +237,7 @@ def _cmd_horn_tfp(args) -> int:
 
 def _cmd_horn_validate(args) -> int:
     pair = _load(args.horn, "horn")[0]
-    report = validate_horn_pair(pair, trials=args.samples, seed=args.seed)
+    report = validate_horn_pair(pair)
     lines = [
         f"sums_to_one: {'pass' if report.sums_to_one else 'FAIL'}",
         f"positive: {'pass' if report.positive else 'FAIL'}",
@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each verb takes exactly the flags it reads; any other flag is a usage error.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("text", "json"), default="text")
-    sampled = argparse.ArgumentParser(add_help=False, parents=[output])
-    sampled.add_argument("--samples", type=int, default=50, help="sample/trial count for sampled checks")
-    sampled.add_argument("--seed", type=int, default=0)
     fitted = argparse.ArgumentParser(add_help=False, parents=[output])
     fitted.add_argument("model")
     fitted.add_argument("--data", required=True)
@@ -350,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.set_defaults(func=_cmd_blend)
 
-    p = verb("verify", parents=[sampled], help="run the four linear-precision checks")
+    p = verb("verify", parents=[output], help="run the four linear-precision checks")
     p.add_argument("system")
+    p.add_argument("--samples", type=int, default=50, help="sample count for sampled checks")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = verb("tfp", parents=[output], help="fiber product of two graded models")
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grading")
     p.set_defaults(func=_cmd_horn_tfp)
 
-    p = verb("horn-validate", parents=[sampled], help="sum-to-one and positivity of a Horn pair")
+    p = verb("horn-validate", parents=[output], help="sum-to-one and positivity of a Horn pair")
     p.add_argument("horn")
     p.set_defaults(func=_cmd_horn_validate)
 

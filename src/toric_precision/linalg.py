@@ -59,6 +59,11 @@ def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     return len(_echelon(rows)[1])
 
 
+def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:
+    """Indices of a basis of the row space: each row not in the span of those before it."""
+    return _echelon(list(zip(*rows)))[1]
+
+
 def in_row_span(rows: Sequence[Sequence[int | Fraction]], vector: Sequence[int | Fraction]) -> bool:
     base = rank(rows)
     return rank(list(rows) + [list(vector)]) == base

@@ -54,6 +54,13 @@ from .errors import PoleError
 Exponent = tuple[int, ...]
 
 
+def exact_rational(value: int | str | Fraction, what: str = "coefficient") -> Fraction:
+    """``Fraction(value)``, refusing a float, whose binary value is rarely the rational meant."""
+    if isinstance(value, float):
+        raise TypeError(f"float {what} {value!r}; pass an int, Fraction or 'p/q' string")
+    return Fraction(value)
+
+
 def _grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
@@ -92,9 +99,7 @@ class Polynomial:
                 raise ValueError(f"exponent {exp} does not match variables {names}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            if isinstance(coefficient, float):
-                raise TypeError(f"float coefficient {coefficient!r}; pass an int, Fraction or 'p/q' string")
-            c = clean.get(exp, 0) + Fraction(coefficient)
+            c = clean.get(exp, 0) + exact_rational(coefficient)
             if c == 0:
                 clean.pop(exp, None)
             else:

@@ -16,7 +16,7 @@ from typing import Any
 
 from .blending import BlendingSystem, WeightVector
 from .errors import EmptyDegreeClassError, SchemaError
-from .geometry import Facet, LatticePolytope, PointConfiguration
+from .geometry import LatticePolytope, PointConfiguration
 from .horn import HornMatrix, HornPair
 from .polynomials import Polynomial, RationalFunction
 from .tfp import GradedConfiguration, GradedModel
@@ -103,21 +103,6 @@ def polytope_to_json(poly: LatticePolytope) -> dict:
         "facets": [{"normal": list(f.normal), "offset": f.offset} for f in poly.facets],
         "vertices": [list(v) for v in poly.vertices],
     }
-
-
-def polytope_from_json(data: Any, path: str = "polytope") -> LatticePolytope:
-    facets_data = _require(data, "facets", list, path)
-    facets = []
-    for i, f in enumerate(facets_data):
-        normal = _int_matrix([_require(f, "normal", list, f"{path}.facets[{i}]")], f"{path}.facets[{i}].normal")[0]
-        offset = _require(f, "offset", int, f"{path}.facets[{i}]")
-        facets.append(Facet(tuple(normal), offset))
-    vertices = _int_matrix(_require(data, "vertices", list, path), f"{path}.vertices")
-    dim = len(vertices[0])
-    try:
-        return LatticePolytope(dim, tuple(facets), tuple(tuple(v) for v in vertices))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
 
 
 # -- weights ---------------------------------------------------------------

@@ -118,13 +118,8 @@ def _affine_degree_map(
         if solution is None:
             # Re-solve on a maximal independent subset, then name a violated point;
             # one exists, since every row depends on the kept ones.
-            kept_rows: list[list[Fraction]] = []
-            kept_rhs: list[Fraction] = []
-            for row, b in zip(rows, rhs):
-                if linalg.rank(kept_rows + [row]) > len(kept_rhs):
-                    kept_rows.append(row)
-                    kept_rhs.append(b)
-            candidate = linalg.solve(kept_rows, kept_rhs)
+            kept = linalg.independent_rows(rows)
+            candidate = linalg.solve([rows[i] for i in kept], [rhs[i] for i in kept])
             for idx, (row, b) in enumerate(zip(rows, rhs)):
                 got = sum(r * c for r, c in zip(row, candidate))
                 if got != b:

@@ -42,6 +42,14 @@ from toric_precision.serialize import blending_system_from_json, blending_system
 from toric_precision.tfp import tfp_blending
 
 
+class TestWeightVector:
+    def test_float_weights_are_refused(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="float weight 0.1"):
+            WeightVector((1, 0.1))
+        assert WeightVector((1, "1/10")).weights == (1, Fraction(1, 10))
+
+
 class TestToricBlending:
     def test_square_products(self, square_system):
         x1, x2 = variables("x1 x2")

@@ -1,5 +1,6 @@
 """Horn pairs: parametrization, validation, product construction, row folding."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from toric_precision.horn import (
     validate_horn_pair,
 )
 from toric_precision.polynomials import RationalFunction, sum_rational_functions, variables
-from toric_precision.serialize import parse_model_file
+from toric_precision.serialize import horn_pair_from_json, parse_model_file
 
 # Product pair of the square and trapezoid pairs, column order (i, j, k).
 PRODUCT_MATRIX = (
@@ -117,8 +118,7 @@ class TestValidateHornPair:
         assert total == Fraction(5, 4)
 
     def test_symbolic_catches_nongeneric_identity(self):
-        # passes at u1 = u2 only; random trials with a fixed seed may miss it,
-        # the symbolic check may not
+        # both coordinates are -(u1 - u2) / (u1 - u2): the sum is -2 wherever defined
         matrix = HornMatrix(((1, -1), (-1, 1)))
         pair = HornPair(matrix, (Fraction(1), Fraction(1)))
         report = validate_horn_pair(pair, 5, 0)
@@ -126,13 +126,50 @@ class TestValidateHornPair:
 
     def test_undefined_trial_is_witnessed(self):
         # Both coordinates are (u1 - u2) / (u1 - u2) / 2, undefined where u1 = u2:
-        # the trials stop at the first such u and report it.
+        # the mixed row (1, -1) sums to 0, so its zero is u = (1, 1).
         pair = HornPair(HornMatrix(((1, -1), (-1, 1))), (Fraction(-1, 2), Fraction(-1, 2)))
         report = validate_horn_pair(pair, 100, 0)
         assert not report.positive and not report.valid
-        assert report.witness == "u=[6, 6]: undefined (row 1 evaluates to 0 and carries a negative exponent)"
+        assert report.witness == "u=[1, 1]: undefined (row 1 evaluates to 0 and carries a negative exponent)"
         with pytest.raises(ZeroToNegativePowerError):
-            horn_parametrize(pair, (6, 6))
+            horn_parametrize(pair, (1, 1))
+
+    def test_a_mixed_row_fails_positivity_at_its_zero(self):
+        # Row 0 becomes (-1, 1, 2, 1, 0), which vanishes at u = (4, 1, 1, 1, 1)
+        # and carries exponent -1 in column 0.  None of 50 seeded count
+        # vectors in 1..50 lies on its zero, so a sampled check passes it.
+        data = json.loads(resolve_input_path("trapezoid.horn.json").read_text(encoding="utf-8"))
+        data["H"][0][0], data["H"][2][0] = -1, 3
+        pair = horn_pair_from_json(data)
+        assert all(_defined_and_positive(pair, u) for u in _old_draws(pair, 50, 0))
+        report = validate_horn_pair(pair, 50, 0)
+        assert not report.positive and not report.valid
+        assert report.witness == (
+            "u=[4, 1, 1, 1, 1]: undefined (row 0 evaluates to 0 and carries a negative exponent)"
+        )
+        with pytest.raises(ZeroToNegativePowerError):
+            horn_parametrize(pair, (4, 1, 1, 1, 1))
+
+    def test_a_column_of_the_wrong_sign_is_witnessed_at_ones(self, square_horn):
+        bad = HornPair(square_horn.matrix, (1, 1, -1, 1))
+        report = validate_horn_pair(bad)
+        assert not report.positive and not report.sums_to_one
+        assert report.witness == "u=[1, 1, 1, 1]: coordinate 2 is -1/4"
+
+    def test_no_count_vector_is_drawn(self, square_horn, trapezoid_horn, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("validate_horn_pair drew random samples")
+
+        monkeypatch.setattr(random, "Random", no_sampling)
+        monkeypatch.setattr(random, "randint", no_sampling)
+        pair = tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 1, 2, 2))
+        assert validate_horn_pair(pair).valid
+        assert not validate_horn_pair(HornPair(pair.matrix, (2,) + pair.coefficients[1:])).valid
+
+    def test_float_coefficients_are_refused(self):
+        matrix = simplex_horn_pair(2).matrix
+        with pytest.raises(TypeError, match="float coefficient -0.1"):
+            HornPair(matrix, (-0.1, -0.9))
 
 
 class TestSumToOneAgreesWithRationalFunctionSum:
@@ -408,3 +445,87 @@ class TestHornParametrizeMatchesTheFractionReference:
         with pytest.raises(ZeroToNegativePowerError) as info:
             horn_parametrize(pair, (0, 0, Fraction(0, 7)))
         assert info.value.row == 3
+
+
+def _old_draws(pair, trials, seed):
+    """The count vectors a sampled check drew: ``trials`` seeded vectors in 1..50."""
+    rng = random.Random(seed)
+    return [[rng.randint(1, 50) for _ in range(pair.n_columns)] for _ in range(trials)]
+
+
+def _defined_and_positive(pair, u):
+    try:
+        return all(x > 0 for x in horn_parametrize(pair, u))
+    except ZeroToNegativePowerError:
+        return False
+
+
+def _reproduces(pair, witness):
+    """Whether ``horn_parametrize`` at the witness's u shows what it claims."""
+    head, _, claim = witness.partition(": ")
+    u = json.loads(head.removeprefix("u="))
+    try:
+        coordinates = horn_parametrize(pair, u)
+    except ZeroToNegativePowerError as exc:
+        return claim == f"undefined ({exc})"
+    return any(claim == f"coordinate {i} is {x}" for i, x in enumerate(coordinates) if x <= 0)
+
+
+class TestPerturbedPairs:
+    """Seeded perturbations of the fixture, simplex and product pairs: d is
+    added to one entry of a column and taken from another, so the column
+    sums stay 0.  A sampled check at 100 seeded count vectors is the
+    reference: every pass must hold at each of them, and every positivity
+    FAIL must name a u where ``horn_parametrize`` is undefined or not positive."""
+
+    @staticmethod
+    def perturbed(pair, rng):
+        rows = [list(row) for row in pair.matrix.entries]
+        c = rng.randrange(pair.n_columns)
+        a, b = rng.sample(range(len(rows)), 2)
+        d = rng.choice((-2, -1, 1, 2))
+        rows[a][c] += d
+        rows[b][c] -= d
+        return HornPair(HornMatrix(rows), pair.coefficients)
+
+    def test_certificate_against_the_sampled_reference(self, square_horn, trapezoid_horn):
+        bases = (
+            square_horn,
+            trapezoid_horn,
+            simplex_horn_pair(3),
+            HornPair(HornMatrix(PRODUCT_MATRIX), PRODUCT_LAMBDA),
+        )
+        rng = random.Random(440)
+        failed_unsampled = 0
+        for base in bases:
+            for _ in range(40):
+                pair = self.perturbed(base, rng)
+                report = validate_horn_pair(pair)
+                draws = _old_draws(pair, 100, 0)
+                if report.positive:
+                    for u in draws:
+                        coordinates = horn_parametrize(pair, u)
+                        assert all(x > 0 for x in coordinates), (pair, u)
+                        assert not report.sums_to_one or sum(coordinates) == 1, (pair, u)
+                    if not report.sums_to_one:
+                        ones = [1] * pair.n_columns
+                        assert report.witness in (
+                            f"u={ones}: coordinates sum to {sum(horn_parametrize(pair, ones))}",
+                            "symbolic sum over the columns is not identically 1",
+                        )
+                else:
+                    assert _reproduces(pair, report.witness), (pair, report.witness)
+                    failed_unsampled += all(_defined_and_positive(pair, u) for u in draws)
+                    assert not report.valid
+        # pairs whose mixed rows vanish at no drawn vector: the sampled check passed them
+        assert failed_unsampled > 0
+
+    @pytest.mark.parametrize("name", ["square", "trapezoid", "simplex-3"])
+    def test_sum_to_one_agrees_with_the_rational_function_sum(self, name, square_horn, trapezoid_horn):
+        base = {"square": square_horn, "trapezoid": trapezoid_horn, "simplex-3": simplex_horn_pair(3)}[name]
+        rng = random.Random(name)
+        columns = TestSumToOneAgreesWithRationalFunctionSum.columns
+        for _ in range(15):
+            pair = self.perturbed(base, rng)
+            summed = sum_rational_functions(columns(pair)) == 1
+            assert validate_horn_pair(pair).sums_to_one == summed, pair

@@ -18,6 +18,18 @@ class TestRankAndSpan:
         assert linalg.in_row_span([[1, 0], [0, 1]], [1, 1])
         assert not linalg.in_row_span([[0, 1, 0, 1], [0, 0, 1, 1]], [1, 1, 1, 1])
 
+    def test_independent_rows_are_the_greedy_basis(self):
+        assert linalg.independent_rows([[0, 0], [1, 2], [2, 4], [0, 1], [1, 1]]) == [1, 3]
+        assert linalg.independent_rows([]) == []
+        rng = random.Random(7)
+        for _ in range(25):
+            rows = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(rng.randint(1, 6))]
+            greedy = []
+            for i, row in enumerate(rows):
+                if linalg.rank([rows[j] for j in greedy] + [row]) > len(greedy):
+                    greedy.append(i)
+            assert linalg.independent_rows(rows) == greedy
+
 
 class TestSolve:
     def test_unique(self):

@@ -61,13 +61,6 @@ class TestConfigRoundTrip:
             serialize.parse_model_file(resolve_input_path(name))
 
 
-class TestPolytopeRoundTrip:
-    def test_roundtrip(self, trapezoid_poly):
-        data = serialize.polytope_to_json(trapezoid_poly)
-        back = serialize.polytope_from_json(data)
-        assert back == trapezoid_poly
-
-
 class TestBlendingSystemRoundTrip:
     def test_roundtrip(self, beta_tilde_system):
         data = serialize.blending_system_to_json(beta_tilde_system)

@@ -24,7 +24,14 @@ from toric_precision.errors import (
     ZeroClassSumError,
 )
 from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
-from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
+from toric_precision.horn import (
+    HornPair,
+    align_horn_to_labels,
+    horn_parametrize,
+    minimize_horn_pair,
+    tfp_horn_pair,
+    validate_horn_pair,
+)
 from toric_precision.mle import (
     birch_residual,
     mle_closed_form,
@@ -67,8 +74,13 @@ class TestValidateMultigrading:
     def test_no_degree_map(self, square_config, trapezoid_graded, degree_pair):
         # diagonal pairs force the two degrees to coincide at the midpoint
         diagonal = GradedConfiguration(square_config, (1, 2, 2, 1))
-        with pytest.raises(NoDegreeMapError):
+        with pytest.raises(NoDegreeMapError) as info:
             validate_multigrading(diagonal, trapezoid_graded, degree_pair)
+        # the map solved on the first independent points (0,0), (1,0), (0,1) misses the last
+        assert str(info.value) == (
+            "no affine degree map for the first factor: point (1, 1) in class 1 "
+            "forces coordinate 1 to -1, expected 1"
+        )
 
     def test_class_count_mismatch(self, square_config, trapezoid_graded):
         one_degree = PointConfiguration(1, ((1,),))
@@ -527,6 +539,17 @@ def chain(request, square_system, square_graded, beta_tilde_system, square_trape
     return inner_system, inner, outer_grading, outer_system, outer
 
 
+@pytest.fixture(scope="module")
+def horn_chain(chain, square_graded, trapezoid_graded, square_horn, trapezoid_horn, beta_tilde_system):
+    """Horn pairs of square x beta-tilde x square (24 x 20) and of it x square (33 x 40)."""
+    _, inner, _, _, outer = chain
+    square = align_horn_to_labels(square_horn, square_graded.config.labels)
+    trapezoid = align_horn_to_labels(trapezoid_horn, beta_tilde_system.config.labels)
+    inner_pair = tfp_horn_pair(square, trapezoid, 2, square_graded.assignment, trapezoid_graded.assignment)
+    pair = tfp_horn_pair(inner_pair, square, 2, inner.graded.assignment, square_graded.assignment)
+    return pair, tfp_horn_pair(pair, square, 2, outer.graded.assignment, square_graded.assignment)
+
+
 class TestThreeFactorChain:
     def test_product_is_a_graded_model(self, chain, square_trapezoid_grading):
         _, inner, _, outer_system, outer = chain
@@ -562,17 +585,27 @@ class TestThreeFactorChain:
             assert exact.probs == combined.probs
             assert not any(birch_residual(dm, u, exact))
 
-    def test_horn_map_of_the_product_applied_twice(
-        self, chain, square_graded, trapezoid_graded, square_horn, trapezoid_horn, beta_tilde_system
-    ):
-        _, inner, _, outer_system, outer = chain
-        aligned_square = align_horn_to_labels(square_horn, square_graded.config.labels)
-        aligned_trapezoid = align_horn_to_labels(trapezoid_horn, beta_tilde_system.config.labels)
-        inner_pair = tfp_horn_pair(
-            aligned_square, aligned_trapezoid, 2, square_graded.assignment, trapezoid_graded.assignment
-        )
-        pair = tfp_horn_pair(inner_pair, aligned_square, 2, inner.graded.assignment, square_graded.assignment)
+    def test_horn_map_of_the_product_applied_twice(self, chain, horn_chain):
+        _, _, _, outer_system, outer = chain
+        pair = horn_chain[0]
         assert (pair.matrix.n_rows, pair.n_columns) == (24, 20)
         assert pair.matrix.column_labels == outer.config.labels
         for u in random_data_vectors(5, 20, seed=107):
             assert horn_parametrize(pair, u.counts) == mle_closed_form(outer_system, u).probs
+
+    def test_horn_pairs_validate(self, horn_chain):
+        pair, longer = horn_chain
+        assert (longer.matrix.n_rows, longer.n_columns) == (33, 40)
+        for valid in (pair, minimize_horn_pair(pair), longer):
+            report = validate_horn_pair(valid)
+            assert report.valid, report
+
+    def test_a_doubled_coefficient_is_witnessed(self, horn_chain):
+        longer = horn_chain[1]
+        doubled = HornPair(longer.matrix, (2 * longer.coefficients[0],) + longer.coefficients[1:])
+        report = validate_horn_pair(doubled)
+        assert report.positive and not report.valid
+        ones = [1] * 40
+        total = sum(horn_parametrize(doubled, ones))
+        assert total != 1
+        assert report.witness == f"u={ones}: coordinates sum to {total}"
