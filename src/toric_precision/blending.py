@@ -52,6 +52,7 @@ from .polynomials import (
     integer_point,
     lcm_sum,
     point_text,
+    power_table,
     sum_rational_functions,
 )
 
@@ -161,22 +162,23 @@ def toric_blending(
         raise ValueError("weight count does not match configuration")
     forms = lattice_distance_forms(poly, names)
     rows = []
-    numerators: list[Polynomial] = []
     for b in points.points:
         exponents = tuple([f.distance(b) for f in poly.facets])
         if any(e < 0 for e in exponents):
             raise PointOutsidePolytopeError(f"point {b} lies outside the polytope")
-        beta = Polynomial.constant(1, forms[0].variables)
-        for h, e in zip(forms, exponents):
-            beta = beta * h**e
         rows.append(exponents)
+    # Each power h_i**e is built once and shared by every point at distance e.
+    powers = [power_table(h, max(column)) for h, column in zip(forms, zip(*rows))]
+    numerators: list[Polynomial] = []
+    for exponents in rows:
+        beta = Polynomial.constant(1, forms[0].variables)
+        for table, e in zip(powers, exponents):
+            if e:
+                beta = beta * table[e]
         numerators.append(beta)
-    beta_w = Polynomial.zero(forms[0].variables)
-    for w_b, beta in zip(w.weights, numerators):
-        beta_w = beta_w + w_b * beta
-    functions = tuple(
-        RationalFunction(w_b * beta, beta_w) for w_b, beta in zip(w.weights, numerators)
-    )
+    weighted = [w_b * beta for w_b, beta in zip(w.weights, numerators)]
+    beta_w = sum(weighted, Polynomial.zero(forms[0].variables))
+    functions = tuple(RationalFunction(beta, beta_w) for beta in weighted)
     system = BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
     system.__dict__["_record"] = _ToricRecord(poly.facets, tuple(rows))
     return system

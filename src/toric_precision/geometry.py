@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import linalg
 from .errors import NotFullDimensionalError
 from .frozen import Frozen
-from .polynomials import Polynomial, integer_point
+from .polynomials import Polynomial, exact_integer, integer_point
 
 IntVector = tuple[int, ...]
 
@@ -34,7 +34,7 @@ class PointConfiguration(Frozen):
     _fields = ("dim", "points", "labels")
 
     def __init__(self, dim: int, points: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        points = tuple(tuple(int(x) for x in p) for p in points)
+        points = tuple(tuple(exact_integer(x, "coordinate") for x in p) for p in points)
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         for p in points:
@@ -76,8 +76,11 @@ class LatticePolytope(Frozen):
     _fields = ("dim", "facets", "vertices")
 
     def __init__(self, dim: int, facets: Sequence[tuple[Sequence[int], int]], vertices: Sequence[Sequence[int]]):
-        facets = tuple(Facet(tuple(int(x) for x in n), int(a)) for n, a in facets)
-        vertices = tuple(tuple(int(x) for x in v) for v in vertices)
+        facets = tuple(
+            Facet(tuple(exact_integer(x, "normal entry") for x in n), exact_integer(a, "offset"))
+            for n, a in facets
+        )
+        vertices = tuple(tuple(exact_integer(x, "vertex coordinate") for x in v) for v in vertices)
         for v in vertices:
             if len(v) != dim:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .frozen import Frozen
 from .linalg import independent_rows, primitive_integer, solve
-from .polynomials import Polynomial, exact_rational, integer_point, lcm_sum
+from .polynomials import Polynomial, exact_integer, exact_rational, integer_point, lcm_sum
 from .tfp import enumerate_product_indices
 
 
@@ -33,7 +33,7 @@ class HornMatrix(Frozen):
     _fields = ("entries", "column_labels")
 
     def __init__(self, entries: Sequence[Sequence[int]], column_labels: Sequence[str] | None = None):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(exact_integer(x) for x in row) for row in entries)
         if not entries:
             raise ValueError("a Horn matrix needs at least one row")
         width = len(entries[0])

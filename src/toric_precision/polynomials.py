@@ -5,9 +5,10 @@ denominator, keyed by exponent vectors.  The pair is kept canonical: the
 content of the coefficients is coprime to the denominator, so equal
 polynomials store equal integers and ``==`` compares them directly.
 ``terms`` is a read-only ``{exponent: Fraction}`` view of the same values.
-``Polynomial(...)`` validates its input; the results of arithmetic are built
-by the unchecked :meth:`Polynomial._make`, which trusts its caller to pass
-nonzero integers and only divides out their gcd with the denominator.
+``Polynomial(...)`` validates its input; the results of arithmetic,
+variables and constants given as ints or Fractions are built by the
+unchecked :meth:`Polynomial._make`, which trusts its caller to pass nonzero
+integers and only divides out their gcd with the denominator.
 
 Terms are listed under a fixed graded-lexicographic monomial order (total
 degree first, ties broken lexicographically on the exponent vector).  That
@@ -61,6 +62,26 @@ def exact_rational(value: int | str | Fraction, what: str = "coefficient") -> Fr
     return Fraction(value)
 
 
+def exact_integer(value: int | str | Fraction, what: str = "entry") -> int:
+    """``value`` as an ``int``, refusing a float and a non-integral rational
+    instead of truncating them."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, float):
+        q = Fraction(value)
+        if q.denominator == 1:
+            return q.numerator
+    raise TypeError(f"{what} {value!r} is not an exact integer; pass an int")
+
+
+def _names(variables: Sequence[str]) -> tuple[str, ...]:
+    """Variable names as strings, refusing duplicates."""
+    names = tuple(str(v) for v in variables)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names: {names}")
+    return names
+
+
 def _grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
@@ -75,10 +96,11 @@ class Polynomial:
 
     ``terms`` maps exponent tuples (one entry per variable, all nonnegative)
     to nonzero ``Fraction`` coefficients.  Instances must not be mutated
-    after creation; every operation returns a fresh polynomial.
+    after creation; every operation returns a fresh polynomial, and the hash
+    is computed once.
     """
 
-    __slots__ = ("variables", "_coefficients", "_denominator")
+    __slots__ = ("variables", "_coefficients", "_denominator", "_hash")
 
     def __init__(
         self,
@@ -86,9 +108,7 @@ class Polynomial:
         terms: Mapping[Sequence[int], int | str | Fraction]
         | Iterable[tuple[Sequence[int], int | str | Fraction]] = (),
     ):
-        names = tuple(str(v) for v in variables)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names}")
+        names = _names(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Exponent, Fraction] = {}
         for exponent, coefficient in items:
@@ -111,6 +131,7 @@ class Polynomial:
             e: c.numerator * (denominator // c.denominator) for e, c in clean.items()
         }
         self._denominator = denominator
+        self._hash = None
 
     @classmethod
     def _make(
@@ -127,16 +148,22 @@ class Polynomial:
         poly.variables = variables
         poly._coefficients = coefficients
         poly._denominator = denominator
+        poly._hash = None
         return poly
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "Polynomial":
-        return cls(variables, {})
+        return cls.constant(0, variables)
 
     @classmethod
     def constant(cls, value: int | str | Fraction, variables: Sequence[str] = ()) -> "Polynomial":
+        if type(value) is int or type(value) is Fraction:
+            # Already exact: a Fraction is reduced over a positive denominator.
+            names = _names(variables)
+            zero = (0,) * len(names)
+            return cls._make(names, {zero: value.numerator} if value else {}, value.denominator)
         names = tuple(variables)
         return cls(names, {(0,) * len(names): value})
 
@@ -146,7 +173,7 @@ class Polynomial:
         if name not in names:
             raise ValueError(f"{name!r} not among variables {names}")
         exp = tuple(1 if v == name else 0 for v in names)
-        return cls(names, {exp: 1})
+        return cls._make(_names(names), {exp: 1})
 
     # -- basic queries ------------------------------------------------
 
@@ -218,15 +245,13 @@ class Polynomial:
 
     @staticmethod
     def _coerce(value) -> "Polynomial":
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-            return Polynomial._make((), {(): value.numerator} if value else {}, value.denominator)
-        return Polynomial.constant(value)
+        return value if isinstance(value, Polynomial) else Polynomial.constant(value)
 
     def __add__(self, other) -> "Polynomial":
-        f, g = self._aligned(self._coerce(other))
+        if type(other) is Polynomial and other.variables == self.variables:
+            f, g = self, other
+        else:
+            f, g = self._aligned(self._coerce(other))
         df, dg = f._denominator, g._denominator
         common = df if df == dg else lcm(df, dg)
         sf, sg = common // df, common // dg
@@ -253,7 +278,16 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        f, g = self._aligned(self._coerce(other))
+        if type(other) is Polynomial and other.variables == self.variables:
+            f, g = self, other
+        elif type(other) is int:
+            if not other:
+                return Polynomial._make(self.variables, {})
+            return Polynomial._make(
+                self.variables, {e: c * other for e, c in self._coefficients.items()}, self._denominator
+            )
+        else:
+            f, g = self._aligned(self._coerce(other))
         coefficients: dict[Exponent, int] = {}
         get = coefficients.get
         second = list(g._coefficients.items())
@@ -314,17 +348,20 @@ class Polynomial:
     def __hash__(self) -> int:
         """Agrees with ``==``: a constant hashes as its value, any other
         polynomial by its monomials keyed by variable name."""
-        coefficients = self._coefficients
-        if not any(map(any, coefficients)):
-            return hash(Fraction(sum(coefficients.values()), self._denominator))
-        names = self.variables
-        return hash((
-            frozenset(
-                (frozenset((v, e) for v, e in zip(names, exp) if e), c)
-                for exp, c in coefficients.items()
-            ),
-            self._denominator,
-        ))
+        if self._hash is None:
+            coefficients = self._coefficients
+            if not any(map(any, coefficients)):
+                self._hash = hash(Fraction(sum(coefficients.values()), self._denominator))
+            else:
+                names = self.variables
+                self._hash = hash((
+                    frozenset(
+                        (frozenset((v, e) for v, e in zip(names, exp) if e), c)
+                        for exp, c in coefficients.items()
+                    ),
+                    self._denominator,
+                ))
+        return self._hash
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -372,6 +409,14 @@ def variables(names: str | Sequence[str]) -> tuple[Polynomial, ...]:
     """
     split = tuple(names.split()) if isinstance(names, str) else tuple(names)
     return tuple(Polynomial.variable(n, split) for n in split)
+
+
+def power_table(base: Polynomial, top: int) -> list[Polynomial]:
+    """``[base**0, base**1, ..., base**top]``, each power one product from the one before."""
+    table = [Polynomial.constant(1, base.variables)]
+    for _ in range(top):
+        table.append(table[-1] * base)
+    return table
 
 
 def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -635,7 +680,8 @@ def lcm_sum(
     A term is a numerator over a map {factor key: positive exponent};
     ``factor(key)`` is the key's polynomial over ``variables``.  Terms with
     equal maps are summed first, then the groups are brought over the
-    exponent-wise lcm ``D`` of their maps.  Nothing cancels.
+    exponent-wise lcm ``D`` of their maps, with each power of a factor
+    built once.  Nothing cancels.
     """
     groups: dict[frozenset, tuple[Mapping, Polynomial]] = {}
     for numerator, denominator in terms:
@@ -647,12 +693,13 @@ def lcm_sum(
     for denominator, _ in groups.values():
         for key, e in denominator.items():
             lcm_exponents[key] = max(lcm_exponents.get(key, 0), e)
+    powers = {key: power_table(factor(key), e) for key, e in lcm_exponents.items()}
 
     def over_lcm(numerator: Polynomial, denominator: Mapping) -> Polynomial:
         for key, e in lcm_exponents.items():
             missing = e - denominator.get(key, 0)
             if missing:
-                numerator = numerator * factor(key) ** missing
+                numerator = numerator * powers[key][missing]
         return numerator
 
     total = Polynomial.zero(variables)

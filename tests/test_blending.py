@@ -700,3 +700,27 @@ class TestToricPatch:
     def test_control_count_mismatch(self, square_system):
         with pytest.raises(ValueError):
             toric_patch_eval(square_system, [(0, 0)], (Fraction(1, 2), Fraction(1, 2)))
+
+
+class TestPowerTables:
+    """Numerators built from one power table per form equal the plain products of powers."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: bernstein_box(4, 2), lambda: bernstein_simplex(4, 2), lambda: bernstein_box(2, 3)],
+        ids=["[0,4]^2", "4simplex2", "[0,2]^3"],
+    )
+    def test_numerators_equal_direct_powers(self, build):
+        system = build()
+        poly = convex_hull_facets(system.config)
+        forms = geometry.lattice_distance_forms(poly)
+        numerators = []
+        for w, b in zip(system.weights.weights, system.config.points):
+            beta = Polynomial.constant(w, system.variables)
+            for h, facet in zip(forms, poly.facets):
+                beta = beta * h ** facet.distance(b)
+            numerators.append(beta)
+        total = sum(numerators, Polynomial.zero(system.variables))
+        for f, beta in zip(system.functions, numerators):
+            expected = RationalFunction(beta, total)
+            assert (f.numerator, f.denominator) == (expected.numerator, expected.denominator)

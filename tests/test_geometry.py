@@ -442,6 +442,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"vertex \(0, 0, 5\) does not have dimension 2"):
             LatticePolytope(2, square_poly.facets, vertices)
 
+    def test_non_integer_points_are_refused(self):
+        # int() would truncate them to ((0,), (1,))
+        with pytest.raises(TypeError, match="coordinate 0.7 is not an exact integer"):
+            PointConfiguration(1, ((0.7,), (1.2,)))
+        with pytest.raises(TypeError, match=r"coordinate Fraction\(1, 2\) is not an exact integer"):
+            PointConfiguration(1, ((Fraction(1, 2),),))
+        assert PointConfiguration(1, ((Fraction(4, 2),), ("3",))).points == ((2,), (3,))
+
+    def test_non_integer_facets_and_vertices_are_refused(self, square_poly):
+        facets = [(n, a) for n, a in square_poly.facets]
+        with pytest.raises(TypeError, match="offset 1.0 is not an exact integer"):
+            LatticePolytope(2, [(n, float(a) if a else a) for n, a in facets], square_poly.vertices)
+        with pytest.raises(TypeError, match="normal entry -1.0 is not an exact integer"):
+            LatticePolytope(2, [(tuple(map(float, n)), a) for n, a in facets], square_poly.vertices)
+        with pytest.raises(TypeError, match=r"vertex coordinate Fraction\(1, 2\) is not an exact integer"):
+            LatticePolytope(2, facets, ((0, 0), (1, 0), (0, 1), (1, Fraction(1, 2))))
+        assert LatticePolytope(2, facets, [[Fraction(x) for x in v] for v in square_poly.vertices]) == square_poly
+
     def test_effective_labels_from_coordinates(self):
         config = PointConfiguration(2, ((0, 0), (2, 1)))
         assert config.effective_labels() == ("0,0", "2,1")

@@ -53,6 +53,14 @@ class TestHornMatrix:
         with pytest.raises(ValueError, match="column labels must be unique"):
             HornMatrix(((1, 0), (0, 1), (-1, -1)), ("a", "a"))
 
+    def test_non_integer_entries_are_refused(self):
+        # int() would truncate both to ((1, 0), (-1, 0)), whose columns still sum to 0
+        with pytest.raises(TypeError, match="entry 1.5 is not an exact integer"):
+            HornMatrix(((1.5, -0.5), (-1.5, 0.5)))
+        with pytest.raises(TypeError, match=r"entry Fraction\(3, 2\) is not an exact integer"):
+            HornMatrix(((Fraction(3, 2), 0), (Fraction(-3, 2), 0)))
+        assert HornMatrix(((Fraction(2), "1"), (-2, -1))).entries == ((2, 1), (-2, -1))
+
 
 class TestHornParametrize:
     def test_two_outcome_proportions(self):

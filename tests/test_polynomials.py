@@ -577,6 +577,59 @@ class TestHashAgreesWithEquality:
         assert {Polynomial.zero(("x", "y")), Polynomial.zero(), 0} == {0}
 
 
+class TestFastPathsAgreeWithTheGeneralPath:
+    """Same-variable operands and int scalars skip alignment; the results must not change."""
+
+    @staticmethod
+    def same(a, b):
+        return (a.variables, a._coefficients, a._denominator) == (b.variables, b._coefficients, b._denominator)
+
+    @pytest.mark.parametrize("k", [0, 1, -3, 2**70, True, F("-5/6")])
+    def test_scalar_times_polynomial(self, k):
+        rng = random.Random(7)
+        for _ in range(20):
+            p = Polynomial(NAMES, random_terms(rng, NAMES))
+            general = p * Polynomial.constant(k)
+            assert self.same(p * k, general) and self.same(k * p, general)
+            assert_canonical(p * k)
+
+    def test_same_permuted_and_larger_variables(self):
+        rng = random.Random(8)
+        permuted, larger = ("x3", "x1", "x2"), (*NAMES, "x4")
+        for _ in range(50):
+            p = Polynomial(NAMES, random_terms(rng, NAMES))
+            q = Polynomial(NAMES, random_terms(rng, NAMES))
+            for other in (q.reindexed(permuted), q.reindexed(larger)):
+                for op in (lambda a, b: a + b, lambda a, b: a * b):
+                    fast, general = op(p, q), op(p, other)
+                    assert self.same(fast.reindexed(general.variables), general)
+                    assert_canonical(fast)
+            assert dict((p + q).terms) == ref_add(dict(p.terms), dict(q.terms))
+            assert dict((p * q).terms) == ref_mul(dict(p.terms), dict(q.terms))
+
+    def test_cached_hash_equals_a_fresh_one(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            terms = random_terms(rng, NAMES)
+            p = Polynomial(NAMES, terms)
+            first = hash(p)
+            assert hash(p) == first == hash(Polynomial(NAMES, terms))
+        xy = Polynomial.variable("x", ("x", "y")) * Polynomial.variable("y", ("x", "y"))
+        yx = Polynomial.variable("x", ("y", "x")) * Polynomial.variable("y", ("y", "x"))
+        assert xy == yx and hash(xy) == hash(yx)
+        assert hash(xy) == hash(Polynomial(("y", "x"), {(1, 1): 1}))
+
+    def test_exact_constructors_match_the_validating_ones(self):
+        for value in (0, 1, -4, 2**70, F(0), F(4), F("-5/6")):
+            assert self.same(Polynomial.constant(value, ("x", "y")), Polynomial(("x", "y"), {(0, 0): value}))
+        assert self.same(Polynomial.zero(("x", "y")), Polynomial(("x", "y")))
+        assert self.same(Polynomial.variable("y", ("x", "y")), Polynomial(("x", "y"), {(0, 1): 1}))
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            Polynomial.constant(1, ("x", "x"))
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            Polynomial.variable("x", ("x", "x"))
+
+
 class TestConstructorValidation:
     @pytest.mark.parametrize("exponent", [(F("17/10"),), (1.7,), (True,), ("1",)])
     def test_non_integer_exponent_rejected(self, exponent):
