@@ -9,17 +9,22 @@ interior, and lands on the weighted toric variety are separate checks:
 
 * partition of unity and linear precision are exact symbolic identities,
 * membership in the variety and interior positivity are structural for a
-  system built by :func:`toric_blending`, and sampled for every other one.
+  system built by :func:`toric_blending`, decided from the factors for a
+  fiber product built by :func:`~toric_precision.tfp.tfp_blending`, and
+  sampled for every other one.
 
 A toric-built system carries the facets (n_i, a_i) and the exponents
 E[b][i] = h_i(b) of its factored form.  Confirming in integers that every
 E[b][i] is the lattice distance <n_i, b> + a_i >= 0 decides both checks:
 each column of E is affine in b, so every binomial of the design matrix's
 kernel cancels exponent by exponent, and each factor h_i with E[b][i] > 0
-is positive on the relative interior.  Every other system, including one
-loaded from JSON or copied with ``_replace``, is checked through
-binomial identities from an integer kernel basis of the design matrix and
-through signs, exactly at seeded interior samples.
+is positive on the relative interior.  A fiber product keeps its two factor
+systems, and when both factors pass membership and strict positivity, so
+does the product (see :func:`_factors_certify`).  Every other system,
+including one loaded from JSON or copied with ``_replace``, and a product
+whose factors do not pass, is checked through binomial identities from an
+integer kernel basis of the design matrix and through signs, exactly at
+seeded interior samples.
 
 Sampled checks run in integers from the draw to the verdict: each sample is
 an unreduced integer point ``(xs, q)``, evaluated once by the system's
@@ -85,13 +90,15 @@ class BlendingSystem(Frozen):
 
     ``kind`` records provenance: "toric" for systems built by
     :func:`toric_blending`, "custom" for user-supplied or derived families.
-    Only the systems :func:`toric_blending` returns carry its record of the
-    factored form; ``==``, serialization and ``_replace`` neither see nor
+    Only the systems :func:`toric_blending` and
+    :func:`~toric_precision.tfp.tfp_blending` return carry a record of how
+    they were built; ``==``, serialization and ``_replace`` neither see nor
     copy it, nor the cached ``_kernel``.
     """
 
     _fields = ("config", "weights", "functions", "kind", "variables")
-    # A _ToricRecord on the systems toric_blending returns; not a field.
+    # A _ToricRecord on the systems toric_blending returns, a _ProductRecord
+    # on those tfp_blending returns; not a field.
     _record = None
 
     def __init__(
@@ -142,6 +149,12 @@ class _ToricRecord(NamedTuple):
 
     facets: tuple[Facet, ...]  # (n_i, a_i), so that h_i(p) = <p, n_i> + a_i
     exponents: tuple[tuple[int, ...], ...]  # E[b][i] = h_i(b), one row per point
+
+
+class _ProductRecord(NamedTuple):
+    """The factors of a fiber product: f_ijk = f_j * f_k / S_i with weight w_j * w_k."""
+
+    factors: tuple[BlendingSystem, BlendingSystem]
 
 
 def toric_blending(
@@ -318,30 +331,63 @@ def _structural_reason(sys: BlendingSystem) -> str | None:
     return None
 
 
+# The kinds of check _decide builds for any system.  Strict positivity
+# (every value > 0) is what a fiber product asks of its factors.
+MEMBERSHIP, POSITIVITY, STRICT_POSITIVITY = "membership", "positivity", "strict positivity"
+
+
+def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Sequence[str]) -> bool:
+    """Whether both factors of a fiber product pass what its checks need.
+
+    Each factor is decided by :func:`_decide` with the same samples and seed,
+    so a factor that is itself a product recurses.  Take a kernel vector v of
+    the product's design matrix.  Its marginals v^B_j = sum_k v_ijk and
+    v^C_k = sum_j v_ijk are kernel vectors of the factors, and v sums to 0
+    over each class, since the class indicator is affine in the points
+    (:func:`~toric_precision.tfp.tfp_blending` confirms the degree maps on
+    both factors' points).  So prod (f_ijk / (w_j * w_k))**v_ijk is the
+    factor-B binomial of v^B at x times the factor-C binomial of v^C at y,
+    every S_i cancelling.  With positive values, a binomial that holds on a
+    kernel basis holds on every kernel vector.  The relative interior of the
+    product projects onto each factor's relative interior (Rockafellar,
+    Convex Analysis, Thm 6.6), so f_j, f_k and S_i are positive there.
+    Positivity needs strict positivity of both factors, membership needs
+    membership too.
+    """
+    needed = (MEMBERSHIP, STRICT_POSITIVITY) if MEMBERSHIP in kinds else (STRICT_POSITIVITY,)
+    return all(reason is None for factor in record.factors for reason in _decide(factor, samples, seed, *needed))
+
+
 def _decide(
-    sys: BlendingSystem, samples: int, seed: int, *checks: Callable[[], Check]
+    sys: BlendingSystem, samples: int, seed: int, *kinds: str, poly: LatticePolytope | None = None
 ) -> tuple[str | None, ...]:
-    """Why each check fails, None where it holds; the one rule that picks the mode.
+    """Why each check of ``kinds`` fails, None where it holds; the one rule that picks the mode.
 
     A system that carries the record of :func:`toric_blending` is decided
-    structurally from it, with no sample, kernel basis or evaluation.  Every
-    other system runs the checks, built only then, in :func:`_holds_at_samples`,
-    and a failure names its first failing sample.
+    structurally from it, with no sample, kernel basis or evaluation.  A
+    fiber product from :func:`~toric_precision.tfp.tfp_blending` passes every
+    check with no product sample when its factors certify it
+    (:func:`_factors_certify`); a product loaded from JSON carries no record.
+    Every other system, and a product whose factors do not certify it, runs
+    the checks, built only then, in :func:`_holds_at_samples`, and a failure
+    names its first failing sample.  ``poly`` is given to the positivity
+    checks of a sampled system.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if sys._record is not None:
-        return (_structural_reason(sys),) * len(checks)
-    witnesses = _holds_at_samples(
-        sys.config, samples, seed, sys._kernel, *[build() for build in checks]
-    )
+    record = sys._record
+    if isinstance(record, _ToricRecord):
+        return (_structural_reason(sys),) * len(kinds)
+    if isinstance(record, _ProductRecord) and _factors_certify(record, samples, seed, kinds):
+        return (None,) * len(kinds)
+    checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(poly, kind) for kind in kinds]
+    witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)
     return tuple([None if w is None else w.describe(seed) for w in witnesses])
 
 
-def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
-    if poly is not None and poly.dim != dim:
-        raise ValueError(f"the polytope has dimension {poly.dim}, the samples {dim}")
+def _positivity_check(poly: LatticePolytope | None, kind: str) -> Check:
     facets = poly.facets if poly is not None else ()
+    strict = kind == STRICT_POSITIVITY
 
     def check(xs, q, pairs) -> str | None:
         # q > 0, so the lattice distance (<xs, n> + a * q) / q has the sign of its numerator.
@@ -350,6 +396,8 @@ def _positivity_check(poly: LatticePolytope | None, dim: int) -> Check:
         for b, (n, d) in enumerate(pairs):
             if n * d < 0:
                 return f"function {b} is negative"
+            if strict and not n:
+                return f"function {b} is zero"
         return None
 
     return check
@@ -361,14 +409,19 @@ def verify_interior_positivity(
     """Check that every function is defined and >= 0 on the relative interior.
 
     A system built by :func:`toric_blending` is decided structurally from its
-    factored form, with no sample drawn; every other system is checked at
-    ``samples`` seeded interior points, strictly positive convex combinations
-    of the configuration points.  When the polytope is supplied, its
-    dimension must be the system's, and each sample is asserted to have
-    positive lattice distance to every facet.
+    factored form, with no sample drawn.  A fiber product built by
+    :func:`~toric_precision.tfp.tfp_blending` passes with no product sample
+    when both factors are strictly positive (each decided in its own mode);
+    a product loaded from JSON stays sampled.  Every other system, and a
+    product whose factors do not pass, is checked at ``samples`` seeded
+    interior points, strictly positive convex combinations of the
+    configuration points.  When the polytope is supplied, its dimension must
+    be the system's, and each sampled point is asserted to have positive
+    lattice distance to every facet.
     """
-    check = _positivity_check(poly, sys.config.dim)
-    return _decide(sys, samples, seed, lambda: check)[0] is None
+    if poly is not None and poly.dim != sys.config.dim:
+        raise ValueError(f"the polytope has dimension {poly.dim}, the samples {sys.config.dim}")
+    return _decide(sys, samples, seed, POSITIVITY, poly=poly)[0] is None
 
 
 def _membership_check(sys: BlendingSystem) -> Check:
@@ -409,8 +462,12 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     """Binomial-identity check against the weighted toric variety.
 
     A system built by :func:`toric_blending` is decided structurally from its
-    factored form, with no sample drawn and no kernel basis built.  Every
-    other system is sampled: for each integer kernel vector v of the design
+    factored form, with no sample drawn and no kernel basis built.  A fiber
+    product built by :func:`~toric_precision.tfp.tfp_blending` passes with no
+    product sample when both factors pass membership and strict positivity,
+    each decided in its own mode; a product loaded from JSON stays sampled.
+    Every other system, and a product whose factors do not pass, is
+    sampled: for each integer kernel vector v of the design
     matrix, split v into its positive and negative parts and compare the
     corresponding products of f_b(p)/w_b exactly at interior sample points.
     Every point of the variety satisfies these binomials, so one failing
@@ -424,7 +481,7 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     be reduced: scaling one pair (N_b, D_b) by k != 0 multiplies both sides
     by k**|v_b|.
     """
-    return _decide(sys, samples, seed, lambda: _membership_check(sys))[0] is None
+    return _decide(sys, samples, seed, MEMBERSHIP)[0] is None
 
 
 class PrecisionReport(Frozen):
@@ -475,12 +532,15 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
 
     Membership and positivity are decided as by :func:`verify_toric_membership`
     and :func:`verify_interior_positivity`: structurally for a system built by
-    :func:`toric_blending`, which then needs no hull, and otherwise in one
-    sampled loop that reads the same function values, so every sample is
-    evaluated once.  Every sample gives each configuration point a positive
-    weight, so it lies in the relative interior of the hull and needs no
-    facet test.  A sampled failure's detail names the first failing sample,
-    reproducible as ``sample_interior(sys.config, samples, seed)[index]``.
+    :func:`toric_blending`, which then needs no hull; from the factors for a
+    fiber product built by :func:`~toric_precision.tfp.tfp_blending`, when
+    they pass, with no product sample (a product loaded from JSON stays
+    sampled); and otherwise in one sampled loop that reads the same function
+    values, so every sample is evaluated once.  Every sample gives each
+    configuration point a positive weight, so it lies in the relative
+    interior of the hull and needs no facet test.  A sampled failure's
+    detail names the first failing sample, reproducible as
+    ``sample_interior(sys.config, samples, seed)[index]``.
     """
     span = _affine_span_substitution(sys.config)
     details: dict[str, str] = {}
@@ -488,9 +548,7 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
     partition = total.equals(1)
     if not partition:
         details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    reasons = _decide(
-        sys, samples, seed, lambda: _membership_check(sys), lambda: _positivity_check(None, sys.config.dim)
-    )
+    reasons = _decide(sys, samples, seed, MEMBERSHIP, POSITIVITY)
     for name, reason in zip(("toric_membership", "interior_positivity"), reasons):
         if reason is not None:
             details[name] = reason

@@ -97,25 +97,16 @@ class LatticePolytope(Frozen):
                 raise ValueError(f"vertex {v} lies outside a facet")
         self.__dict__.update(dim=dim, facets=facets, vertices=vertices)
 
-    def lattice_distances(self, point: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Lattice distance of a (rational) point to each facet, in facet order.
-
-        Raises ValueError when the point's dimension is not the polytope's.
-        """
-        xs, q = self._integer_point(point)
-        return tuple(Fraction(f.distance(xs, q), q) for f in self.facets)
-
     def contains(self, point: Sequence[int | Fraction]) -> bool:
-        # q > 0, so each distance has the sign of its numerator.
-        xs, q = self._integer_point(point)
-        return all(f.distance(xs, q) >= 0 for f in self.facets)
-
-    def _integer_point(self, point: Sequence[int | Fraction]) -> tuple[list[int], int]:
+        """Whether a (rational) point lies in the polytope; raises ValueError
+        when the point's dimension is not the polytope's."""
         if len(point) != self.dim:
             raise ValueError(
                 f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {self.dim}"
             )
-        return integer_point(point)
+        # q > 0, so each distance has the sign of its numerator.
+        xs, q = integer_point(point)
+        return all(f.distance(xs, q) >= 0 for f in self.facets)
 
 
 def _differences(points: Sequence[IntVector]) -> list[list[int]]:
@@ -269,16 +260,6 @@ class DesignMatrix(Frozen):
     @property
     def n_columns(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def apply(self, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Exact matrix-vector product; raises ValueError on a length mismatch."""
-        if len(vector) != self.n_columns:
-            raise ValueError(
-                f"vector of length {len(vector)} does not match the {self.n_columns} columns"
-            )
-        return tuple(
-            sum((Fraction(x) * r for x, r in zip(vector, row)), Fraction(0)) for row in self.rows
-        )
 
 
 def design_matrix(config: PointConfiguration) -> DesignMatrix:

@@ -41,6 +41,8 @@ from toric_precision.polynomials import (
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import tfp_blending
 
+from test_geometry import lattice_distances
+
 
 class TestWeightVector:
     def test_float_weights_are_refused(self):
@@ -71,7 +73,7 @@ class TestToricBlending:
         beta_w = Polynomial.zero(("y1", "y2"))
         for w, b in zip(trapezoid_weights.weights, trapezoid_config.points):
             term = Polynomial.constant(w, ("y1", "y2"))
-            for h, e in zip(forms, trapezoid_poly.lattice_distances(b)):
+            for h, e in zip(forms, lattice_distances(trapezoid_poly, b)):
                 term = term * h ** int(e)
             beta_w = beta_w + term
         assert beta_w.evaluate((0, 0)) == 4

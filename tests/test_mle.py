@@ -29,6 +29,8 @@ from toric_precision.mle import (
 from toric_precision.polynomials import RationalFunction, variables
 from toric_precision.tfp import tfp_blending
 
+from test_geometry import design_product
+
 
 def F(x):
     return Fraction(x)
@@ -386,8 +388,8 @@ def _reference_closed_form(system, u):
 
 
 def _reference_birch(dm, u, p):
-    model = dm.apply([Fraction(x) for x in p.probs])
-    empirical = dm.apply([Fraction(c, u.total) for c in u.counts])
+    model = design_product(dm, [Fraction(x) for x in p.probs])
+    empirical = design_product(dm, [Fraction(c, u.total) for c in u.counts])
     return tuple(m - e for m, e in zip(model, empirical))
 
 

@@ -1,5 +1,6 @@
 """Multigradings, fiber products, product blending systems, graded faces."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from toric_precision import blending, geometry
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
+    toric_blending,
     verify_interior_positivity,
     verify_linear_precision,
     verify_partition_of_unity,
@@ -39,6 +41,7 @@ from toric_precision.mle import (
     tfp_mle_combine,
 )
 from toric_precision.polynomials import EvaluationKernel, Polynomial, RationalFunction, variables
+from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import (
     GradedConfiguration,
     graded_face,
@@ -411,7 +414,7 @@ def counted_evaluations(monkeypatch):
         return pairs(kernel, xs, q)
 
     def counting_draw(config, count, seed):
-        calls.append(("draw", count, seed))
+        calls.append(("draw", config, count, seed))
         return draw(config, count, seed)
 
     monkeypatch.setattr(EvaluationKernel, "pairs", counting_pairs)
@@ -513,6 +516,145 @@ class TestExactProductChecks:
         assert verify_face_partition(system, square_graded, square_poly, 1)
         assert verify_form_agreement(system, beta_tilde_system, square_trapezoid_grading)
         assert verify_form_agreement(beta_tilde_system, system, reversed_grading)
+
+
+def perturbed(system, index, perturb):
+    """A record-free copy of the system with one function perturbed; ``perturb``
+    gets the function and the system's first variable."""
+    functions = list(system.functions)
+    functions[index] = perturb(functions[index], Polynomial.variable(system.variables[0], system.variables))
+    return system._replace(functions=tuple(functions))
+
+
+FACTOR_PERTURBATIONS = {
+    "doubled": lambda f, t: 2 * f,
+    "negated": lambda f, t: -f,
+    "removable pole": lambda f, t: RationalFunction(f.numerator * (2 * t - 1), f.denominator * (2 * t - 1)),
+    "zero on a line": lambda f, t: f * RationalFunction((2 * t - 1) ** 2),
+    "plus one": lambda f, t: f + 1,
+}
+
+
+class TestProductsDecidedFromTheirFactors:
+    """A product from tfp_blending is decided from its factors, with no product
+    sample when they pass, and otherwise sampled as its record-free copy is."""
+
+    @staticmethod
+    def verdicts(system, samples, seed):
+        return (
+            verify_rational_linear_precision(system, samples, seed),
+            verify_toric_membership(system, samples, seed),
+            verify_interior_positivity(system, None, samples, seed),
+        )
+
+    def test_only_factor_configurations_are_sampled(
+        self, counted_evaluations, chain, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        # The ladder's product cases in both forms, and square x beta-tilde x square.
+        products = [tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)[0] for form in "BC"]
+        for system in products + [chain[3]]:
+            for seed in (0, 3):
+                report, membership, positivity = self.verdicts(system, 50, seed)
+                assert report.all_pass and membership and positivity, report.details
+        draws = [call for call in counted_evaluations if call[0] == "draw"]
+        # the square is toric and decided structurally; only beta-tilde is sampled
+        assert draws and {call[1] for call in draws} == {beta_tilde_system.config}
+        assert {call[2:] for call in draws} == {(50, 0), (50, 3)}
+        assert {len(call[1]) for call in counted_evaluations if call[0] == "pairs"} == {2}
+
+    def test_verdicts_equal_the_record_free_copies(
+        self, square_system, square_graded, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        corrupted = beta_tilde_system._replace(weights=WeightVector.ones(5))
+        factor_pairs = [(square_system, beta_tilde_system), (square_system, trapezoid_toric_system), (square_system, corrupted)]
+        for perturb in FACTOR_PERTURBATIONS.values():
+            factor_pairs += [(perturbed(square_system, b, perturb), beta_tilde_system) for b in (0, 3)]
+            factor_pairs += [(square_system, perturbed(beta_tilde_system, b, perturb)) for b in (1, 3)]
+        products = []
+        for form in "BC":
+            products += [tfp_blending(sysB, sysC, square_trapezoid_grading, form)[0] for sysB, sysC in factor_pairs]
+            inner, model = tfp_blending(square_system, corrupted, square_trapezoid_grading, form)
+            outer_grading = validate_multigrading(model.graded, square_graded, model.degrees)
+            products.append(tfp_blending(inner, square_system, outer_grading, form)[0])
+        passing = []
+        for system in products:
+            copy = system._replace()
+            assert copy._record is None
+            verdicts = self.verdicts(system, 12, 0)
+            assert verdicts == self.verdicts(copy, 12, 0)
+            passing.append(verdicts[1:])
+        # square x beta-tilde, the toric-trapezoid factor and the removable
+        # poles in beta-tilde pass both checks in each form; every product with
+        # the corrupted factor fails membership with a sampled witness
+        assert passing.count((True, True)) == 2 * 4
+        for system in (products[2], products[-1]):
+            details = verify_rational_linear_precision(system, 12, 0).details
+            assert details["toric_membership"].startswith("interior sample 0 (seed 0) at (")
+
+    def test_a_factor_that_vanishes_inside_is_no_certificate(
+        self, counted_evaluations, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        # nonnegative, but zero at the barycenter (1/2, 1/2), the first sample
+        zero = perturbed(square_system, 0, FACTOR_PERTURBATIONS["zero on a line"])
+        assert verify_interior_positivity(zero, None, 12, 0)
+        assert blending._decide(zero, 12, 0, blending.STRICT_POSITIVITY) == (
+            "interior sample 0 (seed 0) at (1/2, 1/2): function 0 is zero",
+        )
+        system, product = tfp_blending(zero, beta_tilde_system, square_trapezoid_grading)
+        counted_evaluations.clear()
+        assert verify_interior_positivity(system, None, 12, 0)
+        assert ("draw", product.config, 12, 0) in counted_evaluations
+
+    def test_a_replace_copy_carries_no_record(self, square_system, beta_tilde_system, square_trapezoid_grading):
+        system, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
+        assert system._record == blending._ProductRecord((square_system, beta_tilde_system))
+        copy = system._replace()
+        assert copy == system and copy._record is None
+        assert system._replace(kind="custom")._record is None
+        assert blending_system_from_json(blending_system_to_json(system))._record is None
+
+
+class TestDegreeMapsOfTheFactors:
+    """The grading's classes must admit an affine degree map on the points of
+    the factor systems that tfp_blending and verify_form_agreement are given."""
+
+    @pytest.fixture(scope="class")
+    def crossed(self):
+        """A toric system on the square's points in another order, so that the
+        classes (1, 1, 2, 2) pair opposite corners."""
+        config = PointConfiguration(2, ((0, 0), (1, 1), (1, 0), (0, 1)))
+        return toric_blending(convex_hull_facets(config), config, WeightVector.ones(4))
+
+    MESSAGE = "no affine degree map for the {} factor: point (0, 1) in class 2 forces coordinate 1 to 2, expected 0"
+
+    def test_tfp_blending_names_the_factor_and_the_point(
+        self, crossed, beta_tilde_system, trapezoid_graded, square_graded, degree_pair, square_trapezoid_grading
+    ):
+        reversed_grading = validate_multigrading(trapezoid_graded, square_graded, degree_pair)
+        for form in ("B", "C"):
+            with pytest.raises(NoDegreeMapError, match=re.escape(self.MESSAGE.format("first"))):
+                tfp_blending(crossed, beta_tilde_system, square_trapezoid_grading, form)
+            with pytest.raises(NoDegreeMapError, match=re.escape(self.MESSAGE.format("second"))):
+                tfp_blending(beta_tilde_system, crossed, reversed_grading, form)
+
+    def test_another_degree_map_fits(self, beta_tilde_system, square_trapezoid_grading):
+        # the grading's map (1 - x2, x2) misses the doubled square; (1 - x2/2, x2/2) fits it
+        config = PointConfiguration(2, ((0, 0), (2, 0), (0, 2), (2, 2)))
+        doubled = toric_blending(convex_hull_facets(config), config, WeightVector.ones(4))
+        system, product = tfp_blending(doubled, beta_tilde_system, square_trapezoid_grading)
+        assert product.config.points[-1] == (2, 2, 1, 1)
+        # the toric class sums of the corners of [0, 2]^2 are not affine, so
+        # the forms disagree and the product lacks linear precision
+        assert not verify_form_agreement(doubled, beta_tilde_system, square_trapezoid_grading)
+        report = verify_rational_linear_precision(system, 12, 0)
+        assert report.toric_membership and report.interior_positivity and not report.linear_precision
+        assert report == verify_rational_linear_precision(system._replace(), 12, 0)
+
+    def test_form_agreement_names_the_factor_and_the_point(
+        self, crossed, beta_tilde_system, square_trapezoid_grading
+    ):
+        with pytest.raises(NoDegreeMapError, match=re.escape(self.MESSAGE.format("first"))):
+            verify_form_agreement(crossed, beta_tilde_system, square_trapezoid_grading)
 
 
 class TestAssociativity:
