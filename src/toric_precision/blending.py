@@ -344,8 +344,9 @@ def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Seq
     the product's design matrix.  Its marginals v^B_j = sum_k v_ijk and
     v^C_k = sum_j v_ijk are kernel vectors of the factors, and v sums to 0
     over each class, since the class indicator is affine in the points
-    (:func:`~toric_precision.tfp.tfp_blending` confirms the degree maps on
-    both factors' points).  So prod (f_ijk / (w_j * w_k))**v_ijk is the
+    (:func:`~toric_precision.tfp.tfp_blending` confirms that the degree
+    vectors are independent and that the degree maps hold on both factors'
+    points).  So prod (f_ijk / (w_j * w_k))**v_ijk is the
     factor-B binomial of v^B at x times the factor-C binomial of v^C at y,
     every S_i cancelling.  With positive values, a binomial that holds on a
     kernel basis holds on every kernel vector.  The relative interior of the

@@ -15,8 +15,10 @@ A product system that :func:`tfp_blending` returns keeps its two factor
 systems, so its membership and positivity are decided from the factors,
 each in its own mode (structural, from its own factors, or sampled on its
 own configuration), with no product sample when both pass; see
-:func:`toric_precision.blending._factors_certify`.  Both functions confirm
-that the grading's degree maps hold on the factors' points.  A product
+:func:`toric_precision.blending._factors_certify`.  Both functions validate
+the grading on the factors' points, as :func:`validate_multigrading` does,
+since the certificate needs independent degrees and degree maps that hold
+there.  A product
 loaded from JSON, or copied with ``_replace``, has no factors and is
 sampled.
 """
@@ -24,8 +26,6 @@ sampled.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -228,30 +228,14 @@ def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int]
 def _product(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> GradedModel:
     """The product of the factors of two systems, as :func:`tfp_configuration` gives it.
 
-    Raises NoDegreeMapError, naming the factor and a point, when the
-    grading's classes admit no affine degree map on a factor's points.
+    The grading is validated on the factors' points as
+    :func:`validate_multigrading` does: dependent degree vectors raise
+    DependentDegreesError, and classes that admit no affine degree map on a
+    factor's points raise NoDegreeMapError naming the factor and a point.
     """
     B, C = GradedConfiguration(sysB.config, g.assignment_b), GradedConfiguration(sysC.config, g.assignment_c)
-    for graded, rows, side in ((B, g.degree_map_b, "the first factor"), (C, g.degree_map_c, "the second factor")):
-        # The grading's own map fits the points it was validated on; other
-        # points may need another map, or have none.
-        if not _sends_to_degrees(rows, graded, g.degrees):
-            _affine_degree_map(graded, g.degrees, side)
+    validate_multigrading(B, C, g.degrees)
     return tfp_configuration(B, sysB.weights, C, sysC.weights, g)
-
-
-def _sends_to_degrees(
-    rows: tuple[tuple[Fraction, ...], ...], graded: GradedConfiguration, degrees: PointConfiguration
-) -> bool:
-    """Whether the affine map ``rows``, acting on (1, point), sends every point
-    to its class's degree vector; compared in integers."""
-    for t, row in enumerate(rows):
-        q = lcm(*[c.denominator for c in row])
-        row = [c.numerator * (q // c.denominator) for c in row]
-        for p, a in zip(graded.config.points, graded.assignment):
-            if row[0] + sum(map(mul, row[1:], p)) != q * degrees.points[a - 1][t]:
-                return False
-    return True
 
 
 def tfp_blending(
@@ -267,8 +251,9 @@ def tfp_blending(
     class-i sum of the chosen factor ("B" or "C" denominator).  Factor
     variables are renamed positionally to x1.. and y1.. so the product lives
     over disjoint variables.  A class sum of 0 in the chosen factor raises
-    ZeroClassSumError naming the factor and the class, and classes that admit
-    no affine degree map on a factor's points raise NoDegreeMapError.  The
+    ZeroClassSumError naming the factor and the class; dependent degree
+    vectors raise DependentDegreesError, and classes that admit no affine
+    degree map on a factor's points raise NoDegreeMapError.  The
     system keeps both factor systems, from which its membership and
     positivity are decided (see the module docstring).
     """
@@ -353,8 +338,8 @@ def verify_form_agreement(
     f^B_ijk / f^C_ijk = S^C_i / S^B_i, the ratio of the factors' class-i sums,
     so the forms agree when every S^C_i / S^B_i - 1 vanishes on the product's
     span, an identity.  No sample is drawn; ``samples < 1`` is still an error.
-    Classes that admit no affine degree map on a factor's points raise
-    NoDegreeMapError.
+    Dependent degree vectors raise DependentDegreesError, and classes that
+    admit no affine degree map on a factor's points raise NoDegreeMapError.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -44,6 +44,7 @@ from toric_precision.polynomials import EvaluationKernel, Polynomial, RationalFu
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import (
     GradedConfiguration,
+    Multigrading,
     graded_face,
     tfp_blending,
     tfp_configuration,
@@ -333,11 +334,7 @@ class TestSampledChecksFail:
     """Failing verdicts without a pole, against the same sums in Fractions."""
 
     def test_face_partition_of_a_scaled_function(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
-        functions = list(beta_tilde_system.functions)
-        functions[1] = functions[1] * Fraction(3, 2)
-        system = BlendingSystem(
-            beta_tilde_system.config, beta_tilde_system.weights, tuple(functions), "custom", ("y1", "y2")
-        )
+        system = changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2))
         face, _ = graded_face(trapezoid_graded, trapezoid_poly, 1)
         point = sample_interior(face, 1, 0)[0]
         assert sum(system.functions[p].evaluate(point) for p in (0, 1, 2)) != 1
@@ -388,18 +385,27 @@ class TestSampledChecks:
             assert not check(20)
 
 
+def half_line(f):
+    """2*t - 1 for the first variable t of f; it vanishes at the square's barycenter."""
+    return 2 * Polynomial.variable(f.variables[0], f.variables) - 1
+
+
+def removable_pole(f):
+    """f times (2*t - 1) / (2*t - 1), never cancelled."""
+    return f * RationalFunction(half_line(f), half_line(f))
+
+
 def with_removable_pole(system):
     """The system with every function times (2*x1 - 1) / (2*x1 - 1)."""
-    x1 = Polynomial.variable("x1", system.variables)
-    pole = RationalFunction(2 * x1 - 1, 2 * x1 - 1)
-    functions = tuple(f * pole for f in system.functions)
+    functions = tuple(map(removable_pole, system.functions))
     return BlendingSystem(system.config, system.weights, functions, "custom", system.variables)
 
 
-def scaled_function(system, index, factor):
-    """A custom copy of the system with one function scaled."""
+def changed_function(system, index, change):
+    """A custom copy of the system, with no record, whose function ``index``
+    is ``change`` of the old one."""
     functions = list(system.functions)
-    functions[index] = functions[index] * factor
+    functions[index] = change(functions[index])
     return BlendingSystem(system.config, system.weights, tuple(functions), "custom", system.variables)
 
 
@@ -442,13 +448,13 @@ class TestExactProductChecks:
         assert verify_form_agreement(square_system, beta_tilde_system, square_trapezoid_grading, 20, 0)
         assert verify_form_agreement(inner_system, square_system, outer_grading, 20, 0)
         assert not verify_form_agreement(
-            square_system, scaled_function(beta_tilde_system, 3, 2), square_trapezoid_grading, 20, 0
+            square_system, changed_function(beta_tilde_system, 3, lambda f: f * 2), square_trapezoid_grading, 20, 0
         )
         for i in (1, 2):
             assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, i)
             assert verify_face_partition(square_system, square_graded, square_poly, i)
         assert not verify_face_partition(
-            scaled_function(beta_tilde_system, 1, Fraction(3, 2)), trapezoid_graded, trapezoid_poly, 1
+            changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2)), trapezoid_graded, trapezoid_poly, 1
         )
         assert counted_evaluations == []
 
@@ -464,7 +470,7 @@ class TestExactProductChecks:
         inner_system, _, outer_grading, _, _ = chain
         cases = (
             (square_system, beta_tilde_system, square_trapezoid_grading, True),
-            (square_system, scaled_function(beta_tilde_system, 3, 2), square_trapezoid_grading, False),
+            (square_system, changed_function(beta_tilde_system, 3, lambda f: f * 2), square_trapezoid_grading, False),
             (inner_system, square_system, outer_grading, True),
         )
         for sysB, sysC, g, expected in cases:
@@ -474,8 +480,8 @@ class TestExactProductChecks:
     def test_face_partition_equals_the_sums_at_samples(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
         for system, expected in (
             (beta_tilde_system, (True, True)),
-            (scaled_function(beta_tilde_system, 1, Fraction(3, 2)), (False, True)),
-            (scaled_function(beta_tilde_system, 4, 2), (True, False)),
+            (changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2)), (False, True)),
+            (changed_function(beta_tilde_system, 4, lambda f: f * 2), (True, False)),
         ):
             for i in (1, 2):
                 face, _ = graded_face(trapezoid_graded, trapezoid_poly, i)
@@ -518,20 +524,12 @@ class TestExactProductChecks:
         assert verify_form_agreement(beta_tilde_system, system, reversed_grading)
 
 
-def perturbed(system, index, perturb):
-    """A record-free copy of the system with one function perturbed; ``perturb``
-    gets the function and the system's first variable."""
-    functions = list(system.functions)
-    functions[index] = perturb(functions[index], Polynomial.variable(system.variables[0], system.variables))
-    return system._replace(functions=tuple(functions))
-
-
 FACTOR_PERTURBATIONS = {
-    "doubled": lambda f, t: 2 * f,
-    "negated": lambda f, t: -f,
-    "removable pole": lambda f, t: RationalFunction(f.numerator * (2 * t - 1), f.denominator * (2 * t - 1)),
-    "zero on a line": lambda f, t: f * RationalFunction((2 * t - 1) ** 2),
-    "plus one": lambda f, t: f + 1,
+    "doubled": lambda f: 2 * f,
+    "negated": lambda f: -f,
+    "removable pole": removable_pole,
+    "zero on a line": lambda f: f * RationalFunction(half_line(f) ** 2),
+    "plus one": lambda f: f + 1,
 }
 
 
@@ -568,8 +566,8 @@ class TestProductsDecidedFromTheirFactors:
         corrupted = beta_tilde_system._replace(weights=WeightVector.ones(5))
         factor_pairs = [(square_system, beta_tilde_system), (square_system, trapezoid_toric_system), (square_system, corrupted)]
         for perturb in FACTOR_PERTURBATIONS.values():
-            factor_pairs += [(perturbed(square_system, b, perturb), beta_tilde_system) for b in (0, 3)]
-            factor_pairs += [(square_system, perturbed(beta_tilde_system, b, perturb)) for b in (1, 3)]
+            factor_pairs += [(changed_function(square_system, b, perturb), beta_tilde_system) for b in (0, 3)]
+            factor_pairs += [(square_system, changed_function(beta_tilde_system, b, perturb)) for b in (1, 3)]
         products = []
         for form in "BC":
             products += [tfp_blending(sysB, sysC, square_trapezoid_grading, form)[0] for sysB, sysC in factor_pairs]
@@ -595,7 +593,7 @@ class TestProductsDecidedFromTheirFactors:
         self, counted_evaluations, square_system, beta_tilde_system, square_trapezoid_grading
     ):
         # nonnegative, but zero at the barycenter (1/2, 1/2), the first sample
-        zero = perturbed(square_system, 0, FACTOR_PERTURBATIONS["zero on a line"])
+        zero = changed_function(square_system, 0, FACTOR_PERTURBATIONS["zero on a line"])
         assert verify_interior_positivity(zero, None, 12, 0)
         assert blending._decide(zero, 12, 0, blending.STRICT_POSITIVITY) == (
             "interior sample 0 (seed 0) at (1/2, 1/2): function 0 is zero",
@@ -655,6 +653,18 @@ class TestDegreeMapsOfTheFactors:
     ):
         with pytest.raises(NoDegreeMapError, match=re.escape(self.MESSAGE.format("first"))):
             verify_form_agreement(crossed, beta_tilde_system, square_trapezoid_grading)
+
+    def test_dependent_degrees_are_refused(self):
+        # three classes at degrees 0, 1 and 2 on a line, built without
+        # validate_multigrading; the map L(p) = p sends every point to its degree
+        line = PointConfiguration(1, ((0,), (1,), (2,)))
+        system = toric_blending(convex_hull_facets(line), line, WeightVector.ones(3))
+        identity = ((Fraction(0), Fraction(1)),)
+        g = Multigrading(line, (Fraction(1),), (1, 2, 3), (1, 2, 3), identity, identity)
+        with pytest.raises(DependentDegreesError, match="linearly dependent"):
+            tfp_blending(system, system, g)
+        with pytest.raises(DependentDegreesError, match="linearly dependent"):
+            verify_form_agreement(system, system, g)
 
 
 class TestAssociativity:
