@@ -249,10 +249,10 @@ class DesignMatrix(Frozen):
     """Integer matrix whose columns are configuration points, with a row of
     ones prepended whenever the all-ones vector is not already in the row span."""
 
-    _fields = ("rows", "ones_row_added")
+    _fields = ("rows",)
 
-    def __init__(self, rows: tuple[IntVector, ...], ones_row_added: bool):
-        self.__dict__.update(rows=rows, ones_row_added=ones_row_added)
+    def __init__(self, rows: tuple[IntVector, ...]):
+        self.__dict__.update(rows=rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -268,5 +268,5 @@ def design_matrix(config: PointConfiguration) -> DesignMatrix:
     coordinate_rows = [tuple(p[i] for p in config.points) for i in range(config.dim)]
     ones = tuple(1 for _ in range(n))
     if linalg.in_row_span(coordinate_rows, ones):
-        return DesignMatrix(tuple(coordinate_rows), False)
-    return DesignMatrix((ones, *coordinate_rows), True)
+        return DesignMatrix(tuple(coordinate_rows))
+    return DesignMatrix((ones, *coordinate_rows))

@@ -39,6 +39,8 @@ class HornMatrix(Frozen):
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("ragged rows")
+        if not width:
+            raise ValueError("a Horn matrix needs at least one column")
         for c in range(width):
             total = sum(row[c] for row in entries)
             if total != 0:

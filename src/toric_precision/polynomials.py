@@ -559,6 +559,8 @@ class RationalFunction:
         return self.numerator.is_zero
 
     def reindexed(self, names: Sequence[str]) -> "RationalFunction":
+        if tuple(names) == self.variables:
+            return self
         return RationalFunction(self.numerator.reindexed(names), self.denominator.reindexed(names))
 
     def renamed(self, names: Sequence[str]) -> "RationalFunction":

@@ -33,7 +33,7 @@ def _require(data: Any, key: str, kind, path: str):
     if key not in data:
         raise SchemaError(f"{path}.{key}: missing")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or (kind is int and isinstance(value, bool))):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}")
     return value
 
@@ -171,7 +171,10 @@ def blending_system_from_json(data: Any, path: str = "system") -> BlendingSystem
         names = [f"x{i + 1}" for i in range(config.dim)]
     if not isinstance(names, list) or len(names) != config.dim:
         raise SchemaError(f"{path}.variables: expected {config.dim} names")
-    names = tuple(str(n) for n in names)
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name.isidentifier():
+            raise SchemaError(f"{path}.variables[{i}]: expected an identifier, got {name!r}")
+    names = tuple(names)
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}.variables: duplicate variable names: {names}")
     functions_data = _require(data, "functions", list, path)

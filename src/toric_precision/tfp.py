@@ -84,64 +84,47 @@ class GradedModel(Frozen):
 class Multigrading(Frozen):
     """Validated joint grading of two configurations.
 
-    ``degrees`` holds the degree vectors (one per class), ``omega`` a rational
-    covector with omega . a = 1 for every degree a, and the two degree maps
-    are affine-linear witnesses stored as rows acting on (1, point).
+    ``degrees`` holds the degree vectors, one per class, and
+    ``assignment_b`` / ``assignment_c`` each factor's 1-based class per
+    point.  :func:`validate_multigrading` certifies that the degrees are
+    linearly independent, which makes a covector omega with omega . a = 1
+    for every degree a exist, and that each factor's points admit an
+    affine degree map; it computes neither the covector nor the maps.
     """
 
-    _fields = ("degrees", "omega", "assignment_b", "assignment_c", "degree_map_b", "degree_map_c")
+    _fields = ("degrees", "assignment_b", "assignment_c")
 
-    def __init__(
-        self,
-        degrees: PointConfiguration,
-        omega: tuple[Fraction, ...],
-        assignment_b: tuple[int, ...],
-        assignment_c: tuple[int, ...],
-        degree_map_b: tuple[tuple[Fraction, ...], ...],
-        degree_map_c: tuple[tuple[Fraction, ...], ...],
-    ):
-        self.__dict__.update(
-            degrees=degrees,
-            omega=omega,
-            assignment_b=assignment_b,
-            assignment_c=assignment_c,
-            degree_map_b=degree_map_b,
-            degree_map_c=degree_map_c,
-        )
+    def __init__(self, degrees: PointConfiguration, assignment_b: tuple[int, ...], assignment_c: tuple[int, ...]):
+        self.__dict__.update(degrees=degrees, assignment_b=assignment_b, assignment_c=assignment_c)
 
     @property
     def num_classes(self) -> int:
         return len(self.degrees.points)
 
 
-def _affine_degree_map(
-    graded: GradedConfiguration, degrees: PointConfiguration, side: str
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Solve for an affine map L with L(p) = degree(class of p) for all points.
+def _check_degree_map(graded: GradedConfiguration, degrees: PointConfiguration, side: str) -> None:
+    """Check that an affine map L with L(p) = degree(class of p) exists for all points.
 
     Raises NoDegreeMapError with a witness constraint when infeasible.
     """
     rows = [[Fraction(1)] + [Fraction(x) for x in p] for p in graded.config.points]
-    map_rows = []
     for t in range(degrees.dim):
         rhs = [Fraction(degrees.points[a - 1][t]) for a in graded.assignment]
-        solution = linalg.solve(rows, rhs)
-        if solution is None:
-            # Re-solve on a maximal independent subset, then name a violated point;
-            # one exists, since every row depends on the kept ones.
-            kept = linalg.independent_rows(rows)
-            candidate = linalg.solve([rows[i] for i in kept], [rhs[i] for i in kept])
-            for idx, (row, b) in enumerate(zip(rows, rhs)):
-                got = sum(r * c for r, c in zip(row, candidate))
-                if got != b:
-                    point = graded.config.points[idx]
-                    raise NoDegreeMapError(
-                        f"no affine degree map for {side}: point {point} in class "
-                        f"{graded.assignment[idx]} forces coordinate {t + 1} to {got}, "
-                        f"expected {b}"
-                    )
-        map_rows.append(tuple(solution))
-    return tuple(map_rows)
+        if linalg.solve(rows, rhs) is not None:
+            continue
+        # Re-solve on a maximal independent subset, then name a violated point;
+        # one exists, since every row depends on the kept ones.
+        kept = linalg.independent_rows(rows)
+        candidate = linalg.solve([rows[i] for i in kept], [rhs[i] for i in kept])
+        for idx, (row, b) in enumerate(zip(rows, rhs)):
+            got = sum(r * c for r, c in zip(row, candidate))
+            if got != b:
+                point = graded.config.points[idx]
+                raise NoDegreeMapError(
+                    f"no affine degree map for {side}: point {point} in class "
+                    f"{graded.assignment[idx]} forces coordinate {t + 1} to {got}, "
+                    f"expected {b}"
+                )
 
 
 def validate_multigrading(
@@ -149,9 +132,11 @@ def validate_multigrading(
 ) -> Multigrading:
     """Certify that A grades both configurations.
 
-    Checks, in order: the degree vectors are linearly independent (so a
-    covector omega with omega . a = 1 exists), and each side admits an
-    affine-linear degree map hitting its assigned degree vector on every point.
+    Checks, in order: both sides use one class per degree vector, the
+    degree vectors are linearly independent (so a covector omega with
+    omega . a = 1 exists, which the fiber product needs), and each side
+    admits an affine-linear degree map hitting its assigned degree vector
+    on every point.
     """
     r = len(A.points)
     if B.num_classes != r or C.num_classes != r:
@@ -161,10 +146,9 @@ def validate_multigrading(
     columns = [[Fraction(a[t]) for a in A.points] for t in range(A.dim)]
     if linalg.rank(columns) != r:
         raise DependentDegreesError(f"degree vectors {A.points} are linearly dependent")
-    omega = linalg.solve([list(p) for p in A.points], [Fraction(1)] * r)
-    map_b = _affine_degree_map(B, A, "the first factor")
-    map_c = _affine_degree_map(C, A, "the second factor")
-    return Multigrading(A, tuple(omega), B.assignment, C.assignment, map_b, map_c)
+    _check_degree_map(B, A, "the first factor")
+    _check_degree_map(C, A, "the second factor")
+    return Multigrading(A, B.assignment, C.assignment)
 
 
 def enumerate_product_indices(
@@ -218,11 +202,9 @@ def _renamed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, 
 
 
 def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int], r: int) -> list[RationalFunction]:
-    """S_i, the sum of the class-i functions, for i = 1..r."""
-    classes = [[f for f, a in zip(functions, assignment) if a == i] for i in range(1, r + 1)]
-    if [] in classes:
-        raise EmptyDegreeClassError(f"class {classes.index([]) + 1} is empty")
-    return [sum_rational_functions(members) for members in classes]
+    """S_i, the sum of the class-i functions, for i = 1..r (every class
+    nonempty, once :func:`_product` has checked the grading)."""
+    return [sum_rational_functions(f for f, a in zip(functions, assignment) if a == i) for i in range(1, r + 1)]
 
 
 def _product(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> GradedModel:
@@ -261,12 +243,12 @@ def tfp_blending(
     sides = {"B": (fB, g.assignment_b), "C": (fC, g.assignment_c)}
     if form not in sides:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
+    product = _product(sysB, sysC, g)
     denominators = _class_sums(*sides[form], g.num_classes)
     for i, total in enumerate(denominators, start=1):
         if total.is_zero:
             factor = "first" if form == "B" else "second"
             raise ZeroClassSumError(f"the {factor} factor's class-{i} functions sum to 0")
-    product = _product(sysB, sysC, g)
     functions = tuple([
         fB[bi] * fC[ci] / denominators[i - 1]
         for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)

@@ -65,6 +65,15 @@ class TestFacets:
         assert code == 2
         assert "point configuration" in err
 
+    def test_boolean_dim_exits_2(self, capsys, tmp_path):
+        # a bool is an int to Python, so a type check alone reads true as dimension 1
+        path = tmp_path / "bool_dim.json"
+        path.write_text('{"dim": true, "points": [[0], [1]]}', encoding="utf-8")
+        for verb in ("facets", "blend"):
+            code, out, err = run(capsys, verb, str(path))
+            assert (code, out) == (2, "")
+            assert err == f"input error: {path}.dim: expected int\n"
+
 
 class TestVerify:
     def test_beta_tilde_passes(self, capsys):
@@ -108,9 +117,10 @@ class TestVerify:
         [
             ("square.json", lambda d: d["grading"].update(A=[[1, 0], [0]]), ".grading.A: point (0,)"),
             ("trapezoid_beta_tilde.json", lambda d: d.update(variables=["x", "x"]), ".variables: duplicate"),
+            ("trapezoid_beta_tilde.json", lambda d: d.update(variables=[7, "y2"]), ".variables[0]: expected an identifier, got 7"),
             ("square.json", lambda d: d["config"].update(labels=[]), ".config: label count does not match"),
         ],
-        ids=["ragged-degrees", "duplicate-variables", "empty-labels"],
+        ids=["ragged-degrees", "duplicate-variables", "non-string-variable", "empty-labels"],
     )
     def test_bad_field_is_named(self, capsys, tmp_path, fixture, edit, field):
         data = json.loads(resolve_input_path(fixture).read_text(encoding="utf-8"))
@@ -498,6 +508,13 @@ class TestHornVerbs:
         assert code == 2 and out == ""
         assert f"{path}: label count does not match column count" in err
 
+    def test_horn_validate_no_columns(self, capsys, tmp_path):
+        path = tmp_path / "empty.horn.json"
+        path.write_text('{"H": [[]], "lambda": []}', encoding="utf-8")
+        code, out, err = run(capsys, "horn-validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: a Horn matrix needs at least one column\n"
+
     def test_horn_minimize(self, capsys):
         code, out, _ = run(capsys, "horn-minimize", "square.horn.json")
         assert code == 0
@@ -559,6 +576,21 @@ class TestMleVerbs:
             assert code == 2
             assert out == ""
             assert f"--data: expected comma-separated integers or a file, got {data!r}" in err
+
+    @pytest.mark.parametrize(
+        "counts", [[3, 1, 1, 1], {"1,1": 1, "0,0": 3, "1,0": 1, "0,1": 1}], ids=["array", "object"]
+    )
+    def test_data_file(self, capsys, tmp_path, counts):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(counts), encoding="utf-8")
+        assert run(capsys, "mle", "square.json", "--data", str(path)) == run(capsys, "mle", "square.json", "--data", "3,1,1,1")
+
+    def test_data_file_with_an_unknown_label(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"0,0": 3, "1,0": 1, "0,1": 1, "1,1": 1, "2,2": 1}), encoding="utf-8")
+        code, out, err = run(capsys, "mle", "square.json", "--data", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: unknown labels ['2,2']\n"
 
     def test_bad_data_length(self, capsys):
         code, _, err = run(capsys, "mle", "square.json", "--data", "1,2,3")

@@ -9,6 +9,7 @@ import pytest
 from toric_precision import linalg
 from toric_precision.errors import NotFullDimensionalError
 from toric_precision.geometry import (
+    DesignMatrix,
     Facet,
     LatticePolytope,
     PointConfiguration,
@@ -421,17 +422,15 @@ class TestLatticeDistances:
 class TestDesignMatrix:
     def test_square_gets_ones_row(self, square_config):
         dm = design_matrix(square_config)
-        assert dm.ones_row_added
         assert dm.rows == ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+        assert DesignMatrix._fields == ("rows",)
 
     def test_ones_already_spanned(self):
         dm = design_matrix(PointConfiguration(2, ((1, 0), (0, 1))))
-        assert not dm.ones_row_added
         assert dm.rows == ((1, 0), (0, 1))
 
     def test_trapezoid_shape(self, trapezoid_config):
         dm = design_matrix(trapezoid_config)
-        assert dm.ones_row_added
         assert len(dm.rows) == 3 and dm.n_columns == 5
 
     def test_apply(self, square_config):

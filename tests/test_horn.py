@@ -49,6 +49,12 @@ PRODUCT_LAMBDA = (1, 2, 1, 1, 2, 1, -1, -1, -1, -1)
 
 
 class TestHornMatrix:
+    def test_no_columns_are_refused(self):
+        with pytest.raises(ValueError, match="^a Horn matrix needs at least one column$"):
+            HornMatrix(((),))
+        with pytest.raises(ValueError, match="^a Horn matrix needs at least one column$"):
+            HornMatrix(((), ()))
+
     def test_duplicate_column_labels(self):
         with pytest.raises(ValueError, match="column labels must be unique"):
             HornMatrix(((1, 0), (0, 1), (-1, -1)), ("a", "a"))
@@ -157,6 +163,17 @@ class TestValidateHornPair:
         )
         with pytest.raises(ZeroToNegativePowerError):
             horn_parametrize(pair, (4, 1, 1, 1, 1))
+
+    def test_a_sum_of_one_at_ones_is_witnessed_symbolically(self):
+        # No row mixes signs and each column's sign lambda_c * prod sign(row)**e
+        # is positive, so the pair is positive; its map sums to 1 at u = (1, 1)
+        # but not at (1, 2), so the witness cannot be a sum at the ones vector.
+        pair = HornPair(HornMatrix(((2, 0), (0, 1), (-2, -1))), (Fraction(9, 8), Fraction(-3, 2)))
+        assert horn_parametrize(pair, (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
+        assert horn_parametrize(pair, (1, 2)) == (Fraction(9, 32), Fraction(3, 4))
+        report = validate_horn_pair(pair)
+        assert (report.sums_to_one, report.positive) == (False, True)
+        assert report.witness == "symbolic sum over the columns is not identically 1"
 
     def test_a_column_of_the_wrong_sign_is_witnessed_at_ones(self, square_horn):
         bad = HornPair(square_horn.matrix, (1, 1, -1, 1))

@@ -335,6 +335,14 @@ class TestCanonicalForm:
             g = gcd(g, abs(c.numerator))
         assert g == 1
 
+    def test_reindexed_to_the_same_names_is_the_same_function(self):
+        x1, x2 = variables("x1 x2")
+        f = RationalFunction(F("2/3") * x1, 2 - x2)
+        assert f.reindexed(["x1", "x2"]) is f
+        wider = f.reindexed(("x1", "x2", "x3"))
+        assert wider is not f and wider.variables == ("x1", "x2", "x3")
+        assert wider.reindexed(("x1", "x2", "x3")) is wider
+
     def test_zero_function_normalizes_to_zero_over_one(self):
         x1, x2 = variables("x1 x2")
         f = RationalFunction(Polynomial.zero(("x1", "x2")), (2 - x2) ** 3)

@@ -1,6 +1,7 @@
 """JSON schemas: round trips, dispatch, and field-path error messages."""
 
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,24 @@ class TestBlendingSystemRoundTrip:
         data = serialize.blending_system_to_json(beta_tilde_system)
         data["variables"] = ["x", "x"]
         with pytest.raises(SchemaError, match=r"^system\.variables: duplicate variable names"):
+            serialize.blending_system_from_json(data)
+
+    def test_missing_variables_take_the_default_names(self, beta_tilde_system):
+        data = serialize.blending_system_to_json(beta_tilde_system)
+        assert data.pop("variables") == ["y1", "y2"]
+        back = serialize.blending_system_from_json(data)
+        assert back.variables == ("x1", "x2")
+        assert back.functions == tuple(f.renamed(("x1", "x2")) for f in beta_tilde_system.functions)
+
+    @pytest.mark.parametrize(
+        "names, field",
+        [([7, "y"], "[0]: expected an identifier, got 7"), (["y", True], "[1]: expected an identifier, got True"),
+         (["x 1", "y"], "[0]: expected an identifier, got 'x 1'"), (["y", "1x"], "[1]: expected an identifier, got '1x'")],
+    )
+    def test_variables_must_be_identifiers(self, beta_tilde_system, names, field):
+        data = serialize.blending_system_to_json(beta_tilde_system)
+        data["variables"] = names
+        with pytest.raises(SchemaError, match=f"^{re.escape('system.variables' + field)}$"):
             serialize.blending_system_from_json(data)
 
     def test_polynomial_order_deterministic(self, beta_tilde_system):

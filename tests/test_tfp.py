@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toric_precision import blending, geometry
+from toric_precision import blending, geometry, tfp
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -63,12 +63,19 @@ def canonical(f):
 class TestValidateMultigrading:
     def test_square_trapezoid(self, square_trapezoid_grading):
         g = square_trapezoid_grading
-        assert g.omega == (Fraction(1), Fraction(1))
-        # affine map (x1, x2) -> (1 - x2, x2): rows act on (1, x1, x2)
-        assert g.degree_map_b == (
-            (Fraction(1), Fraction(0), Fraction(-1)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
+        assert g.degrees.points == ((1, 0), (0, 1))
+        assert g.assignment_b == (1, 1, 2, 2)
+        assert g.assignment_c == (1, 1, 1, 2, 2)
+        assert g.num_classes == 2
+        assert Multigrading._fields == ("degrees", "assignment_b", "assignment_c")
+
+    def test_no_covector_is_solved_for(self, square_graded, trapezoid_graded, degree_pair, monkeypatch):
+        # one solve per degree coordinate and factor, for the degree maps only
+        calls = []
+        solve = tfp.linalg.solve
+        monkeypatch.setattr(tfp.linalg, "solve", lambda rows, rhs: calls.append(len(rows)) or solve(rows, rhs))
+        validate_multigrading(square_graded, trapezoid_graded, degree_pair)
+        assert calls == [4, 4, 5, 5]
 
     def test_dependent_degrees(self, square_graded, trapezoid_graded):
         collinear = PointConfiguration(2, ((1, 0), (2, 0)))
@@ -230,7 +237,7 @@ class TestTfpBlending:
         three_degrees = PointConfiguration(2, ((1, 0), (0, 1), (1, 1)))
         grading = square_trapezoid_grading._replace(degrees=three_degrees)
         for form in ("B", "C"):
-            with pytest.raises(EmptyDegreeClassError, match="class 3 is empty"):
+            with pytest.raises(EmptyDegreeClassError, match="^gradings use 2 and 2 classes for 3 degrees$"):
                 tfp_blending(square_system, beta_tilde_system, grading, form)
 
 
@@ -659,8 +666,7 @@ class TestDegreeMapsOfTheFactors:
         # validate_multigrading; the map L(p) = p sends every point to its degree
         line = PointConfiguration(1, ((0,), (1,), (2,)))
         system = toric_blending(convex_hull_facets(line), line, WeightVector.ones(3))
-        identity = ((Fraction(0), Fraction(1)),)
-        g = Multigrading(line, (Fraction(1),), (1, 2, 3), (1, 2, 3), identity, identity)
+        g = Multigrading(line, (1, 2, 3), (1, 2, 3))
         with pytest.raises(DependentDegreesError, match="linearly dependent"):
             tfp_blending(system, system, g)
         with pytest.raises(DependentDegreesError, match="linearly dependent"):
