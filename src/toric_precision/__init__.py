@@ -21,7 +21,6 @@ from .geometry import (
     convex_hull_facets,
     design_matrix,
     lattice_distance_forms,
-    lattice_points,
     sample_interior,
 )
 from .horn import (
@@ -54,11 +53,9 @@ from .tfp import (
     GradedConfiguration,
     GradedModel,
     Multigrading,
-    graded_face,
     tfp_blending,
     tfp_configuration,
     validate_multigrading,
-    verify_face_partition,
     verify_form_agreement,
 )
 

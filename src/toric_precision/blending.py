@@ -157,13 +157,8 @@ class _ProductRecord(NamedTuple):
     factors: tuple[BlendingSystem, BlendingSystem]
 
 
-def toric_blending(
-    poly: LatticePolytope,
-    points: PointConfiguration,
-    w: WeightVector,
-    names: Sequence[str] | None = None,
-) -> BlendingSystem:
-    """Weighted toric blending functions of (poly, points, w).
+def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightVector) -> BlendingSystem:
+    """Weighted toric blending functions of (poly, points, w), in x1..xd.
 
     Each point b gets w_b * prod_i h_i ** h_i(b) divided by the weighted sum
     over all points, where h_i are the lattice-distance forms of the facets.
@@ -173,7 +168,7 @@ def toric_blending(
     """
     if len(w) != len(points.points):
         raise ValueError("weight count does not match configuration")
-    forms = lattice_distance_forms(poly, names)
+    forms = lattice_distance_forms(poly)
     rows = []
     for b in points.points:
         exponents = tuple([f.distance(b) for f in poly.facets])
@@ -565,8 +560,9 @@ def toric_patch_eval(
     p: Sequence[Fraction | int],
 ) -> tuple[Fraction, ...]:
     """Exact patch value sum_b f_b(p) * Q_b for control points Q_b."""
-    if len(control) != len(sys.config.points):
-        raise ValueError("one control point per configuration point required")
+    n = len(sys.config.points)
+    if len(control) != n:
+        raise ValueError(f"expected {n} control points, one per configuration point, got {len(control)}")
     controls = [tuple(Fraction(x) for x in q) for q in control]
     target_dim = len(controls[0])
     if any(len(q) != target_dim for q in controls):

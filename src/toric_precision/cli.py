@@ -34,7 +34,7 @@ from .blending import (
     verify_partition_of_unity,
     verify_rational_linear_precision,
 )
-from .errors import NotFullDimensionalError, SchemaError, ToricPrecisionError
+from .errors import InconsistentBlockIndexError, NotFullDimensionalError, SchemaError, ToricPrecisionError
 from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
     HornPair,
@@ -133,11 +133,11 @@ def _parse_data(raw: str, labels) -> DataVector:
     return serialize.data_vector_from_json(counts, labels, "--data")
 
 
-def _parse_point(raw: str) -> tuple[Fraction, ...]:
+def _parse_point(raw: str, flag: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(x) for x in raw.split(","))
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"expected comma-separated rationals, got {raw!r}") from None
+        raise SchemaError(f"{flag}: expected comma-separated rationals, got {raw!r}") from None
 
 
 def _emit(args, text_lines, json_data) -> None:
@@ -196,7 +196,7 @@ def _cmd_tfp(args) -> int:
     model_b, path_b = _load(args.model_b, "graded")
     model_c, path_c = _load(args.model_c, "graded")
     if model_b.degrees.points != model_c.degrees.points:
-        raise SchemaError("the two models carry different degree configurations")
+        raise SchemaError(f"{args.model_c}.grading.A: the degree vectors differ from those of {args.model_b}")
     # Points a toric system cannot span are named at their field before the
     # grading is checked, whose message could name neither file.
     sys_b = _factor_system(model_b, path_b, args.system_b)
@@ -228,7 +228,10 @@ def _cmd_horn_tfp(args) -> int:
     pair_c = _load(args.horn_c, "horn")[0]
     grading_data = serialize.load_json(resolve_input_path(args.grading))
     r, blocks_b, blocks_c = serialize.block_grading_from_json(grading_data, args.grading)
-    pair = tfp_horn_pair(pair_b, pair_c, r, blocks_b, blocks_c)
+    try:
+        pair = tfp_horn_pair(pair_b, pair_c, r, blocks_b, blocks_c)
+    except InconsistentBlockIndexError as exc:
+        raise SchemaError(f"{args.grading}: {exc}") from None
     lines = [format_horn_matrix(pair.matrix)]
     lines.append("lambda: (" + ", ".join(rational_str(c) for c in pair.coefficients) + ")")
     _emit(args, lines, serialize.horn_pair_to_json(pair))
@@ -308,13 +311,20 @@ def _cmd_ips(args) -> int:
 
 def _cmd_patch(args) -> int:
     system = _as_system(*_load(args.system, "model"))
-    point = _parse_point(args.point)
+    point = _parse_point(args.point, "--point")
+    if len(point) != system.config.dim:
+        raise SchemaError(f"--point: expected {system.config.dim} coordinates, got {len(point)}")
     control_path = _file_or_inline(args.controls)
     if control_path is not None:
+        source = str(control_path)
         controls = serialize.controls_from_json(serialize.load_json(control_path))
     else:
-        controls = [_parse_point(chunk) for chunk in args.controls.split(";")]
-    value = toric_patch_eval(system, controls, point)
+        source = "--controls"
+        controls = [_parse_point(chunk, source) for chunk in args.controls.split(";")]
+    try:
+        value = toric_patch_eval(system, controls, point)
+    except ValueError as exc:  # the point is checked above, so the controls are at fault
+        raise SchemaError(f"{source}: {exc}") from None
     lines = ["value: (" + ", ".join(rational_str(v) for v in value) + ")"]
     _emit(args, lines, {"value": [rational_str(v) for v in value]})
     return 0

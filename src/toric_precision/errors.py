@@ -32,10 +32,6 @@ class NoDegreeMapError(ToricPrecisionError):
     """No affine-linear map sends each graded point to its degree."""
 
 
-class NotAFaceError(ToricPrecisionError):
-    """A degree class is not cut out of the configuration by any facet subset."""
-
-
 class EmptyDegreeClassError(ToricPrecisionError):
     """A degree class contains no points."""
 

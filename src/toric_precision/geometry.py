@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
@@ -184,15 +183,9 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     return LatticePolytope(d, ordered, vertices)
 
 
-def lattice_distance_forms(
-    poly: LatticePolytope, names: Sequence[str] | None = None
-) -> list[Polynomial]:
-    """Degree-1 polynomials h_i(p) = <p, n_i> + a_i, one per facet, in facet order."""
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(poly.dim))
-    names = tuple(names)
-    if len(names) != poly.dim:
-        raise ValueError(f"expected {poly.dim} variable names, got {len(names)}")
+def lattice_distance_forms(poly: LatticePolytope) -> list[Polynomial]:
+    """Degree-1 polynomials h_i(p) = <p, n_i> + a_i in x1..xd, one per facet, in facet order."""
+    names = tuple(f"x{i + 1}" for i in range(poly.dim))
     forms = []
     zero = (0,) * poly.dim
     for normal, offset in poly.facets:
@@ -202,17 +195,6 @@ def lattice_distance_forms(
             terms[exp] = Fraction(coeff)
         forms.append(Polynomial(names, terms))
     return forms
-
-
-def lattice_points(poly: LatticePolytope) -> PointConfiguration:
-    """All integer points of the polytope, by bounding-box scan, in lex order."""
-    lows = [min(v[i] for v in poly.vertices) for i in range(poly.dim)]
-    highs = [max(v[i] for v in poly.vertices) for i in range(poly.dim)]
-    found = []
-    for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if poly.contains(candidate):
-            found.append(candidate)
-    return PointConfiguration(poly.dim, tuple(sorted(found)))
 
 
 def sample_interior(

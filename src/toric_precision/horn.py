@@ -280,9 +280,11 @@ def tfp_horn_pair(
         raise InconsistentBlockIndexError("need at least one degree class")
     blocks_b = tuple(int(i) for i in block_index_b)
     blocks_c = tuple(int(i) for i in block_index_c)
-    if len(blocks_b) != pairB.n_columns or len(blocks_c) != pairC.n_columns:
-        raise InconsistentBlockIndexError("block index length does not match columns")
-    for name, blocks in (("first", blocks_b), ("second", blocks_c)):
+    for name, blocks, pair in (("first", blocks_b, pairB), ("second", blocks_c, pairC)):
+        if len(blocks) != pair.n_columns:
+            raise InconsistentBlockIndexError(
+                f"{name} factor has {len(blocks)} block indices for {pair.n_columns} columns"
+            )
         present = set(blocks)
         if not present <= set(range(1, r + 1)):
             raise InconsistentBlockIndexError(f"{name} factor uses classes {sorted(present)}")

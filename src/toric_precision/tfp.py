@@ -8,8 +8,8 @@ over the same degrees, point (i, j, k) in class i, so it can be a factor of
 the next product.  The blending functions of the product divide the product
 of factor functions by the class sum of either factor; the two choices
 agree on the affine span of the product but differ as global rational
-functions.  That agreement, and the class-i functions summing to 1 on face
-i, are checked as exact identities on the span, with no sample drawn.
+functions.  That agreement is checked as an exact identity on the span,
+with no sample drawn.
 
 A product system that :func:`tfp_blending` returns keeps its two factor
 systems, so its membership and positivity are decided from the factors,
@@ -34,11 +34,10 @@ from .errors import (
     DependentDegreesError,
     EmptyDegreeClassError,
     NoDegreeMapError,
-    NotAFaceError,
     ZeroClassSumError,
 )
 from .frozen import Frozen
-from .geometry import LatticePolytope, PointConfiguration
+from .geometry import PointConfiguration
 from .polynomials import RationalFunction, sum_rational_functions
 
 
@@ -61,10 +60,6 @@ class GradedConfiguration(Frozen):
     @property
     def num_classes(self) -> int:
         return max(self.assignment)
-
-    def class_positions(self, i: int) -> list[int]:
-        """Configuration indices of class i, in configuration order."""
-        return [idx for idx, a in enumerate(self.assignment) if a == i]
 
 
 class GradedModel(Frozen):
@@ -256,56 +251,6 @@ def tfp_blending(
     system = BlendingSystem(product.config, product.weights, functions, "custom", names)
     system.__dict__["_record"] = _ProductRecord((sysB, sysC))
     return system, product
-
-
-def graded_face(
-    B: GradedConfiguration, poly: LatticePolytope, i: int
-) -> tuple[PointConfiguration, tuple[int, ...]]:
-    """Class-i points together with a facet-subset certificate.
-
-    The certificate is the set of facet indices tight on the whole class;
-    the points of the configuration tight on all of them must be exactly the
-    class, otherwise the class is not a face of the polytope.
-    """
-    positions = B.class_positions(i)
-    if not positions:
-        raise EmptyDegreeClassError(f"class {i} is empty")
-    class_points = [B.config.points[p] for p in positions]
-    if B.config.dim != poly.dim:
-        raise ValueError(f"the points have dimension {B.config.dim}, the polytope has dimension {poly.dim}")
-    distances = [[f.distance(p) for f in poly.facets] for p in B.config.points]
-    certificate = tuple(
-        f
-        for f in range(len(poly.facets))
-        if all(distances[p][f] == 0 for p in positions)
-    )
-    cut_out = {
-        idx
-        for idx in range(len(B.config.points))
-        if all(distances[idx][f] == 0 for f in certificate)
-    }
-    if cut_out != set(positions):
-        extras = sorted(cut_out - set(positions))
-        raise NotAFaceError(
-            f"class {i} is not cut out by facets {certificate}; "
-            f"extra configuration points {[B.config.points[e] for e in extras]}"
-        )
-    labels = B.config.labels
-    face_labels = tuple(labels[p] for p in positions) if labels is not None else None
-    face = PointConfiguration(B.config.dim, tuple(class_points), face_labels)
-    return face, certificate
-
-
-def verify_face_partition(
-    sys: BlendingSystem, B: GradedConfiguration, poly: LatticePolytope, i: int
-) -> bool:
-    """Check that the class-i functions of a system on B's points sum to
-    exactly 1 on their face: an identity on the face's span, no sample."""
-    if sys.config.points != B.config.points:
-        raise ValueError("the system's points are not the points of the graded configuration")
-    face, _ = graded_face(B, poly, i)
-    total = sum_rational_functions(sys.functions[p] for p in B.class_positions(i))
-    return _vanishes_on((total - 1).reindexed(sys.variables), _affine_span_substitution(face))
 
 
 def verify_form_agreement(

@@ -71,7 +71,7 @@ def beta_tilde_system(trapezoid_config, trapezoid_weights):
 
 @pytest.fixture(scope="session")
 def trapezoid_toric_system(trapezoid_config, trapezoid_poly, trapezoid_weights):
-    return toric_blending(trapezoid_poly, trapezoid_config, trapezoid_weights, ("y1", "y2"))
+    return toric_blending(trapezoid_poly, trapezoid_config, trapezoid_weights)
 
 
 @pytest.fixture(scope="session")

@@ -77,7 +77,7 @@ def test_criterion_2_trapezoid_dichotomy(trapezoid_poly):
     assert verify_interior_positivity(fixture, trapezoid_poly, samples=50, seed=0)
     assert verify_linear_precision(fixture)
     assert verify_toric_membership(fixture, samples=50, seed=0)
-    toric = toric_blending(trapezoid_poly, fixture.config, fixture.weights, ("y1", "y2"))
+    toric = toric_blending(trapezoid_poly, fixture.config, fixture.weights)
     assert not verify_linear_precision(toric)
     report(2, "trapezoid family from the fixture passes checks 1,3,4 and membership; "
               "the toric family fails linear precision")
@@ -102,7 +102,7 @@ def test_criterion_3_product_blending(square_system, beta_tilde_system, square_t
 def test_criterion_4_face_sums(beta_tilde_system, trapezoid_graded, trapezoid_poly):
     y1, y2 = variables("y1 y2")
     bottom_sum = sum(
-        (beta_tilde_system.functions[i] for i in trapezoid_graded.class_positions(1)),
+        (f for f, a in zip(beta_tilde_system.functions, trapezoid_graded.assignment) if a == 1),
         RationalFunction(0),
     )
     assert bottom_sum == RationalFunction(1 - y2, 1)

