@@ -8,10 +8,15 @@ reproduces linear functions (linear precision), stays nonnegative on the
 interior, and lands on the weighted toric variety are separate checks:
 
 * partition of unity and linear precision are exact symbolic identities,
+  decided from the factors for a fiber product built by
+  :func:`~toric_precision.tfp.tfp_blending` and summed over the expanded
+  functions for every other system,
 * membership in the variety and interior positivity are structural for a
   system built by :func:`toric_blending`, decided from the factors for a
   fiber product built by :func:`~toric_precision.tfp.tfp_blending`, and
   sampled for every other one.
+
+:func:`_decide` is the one rule that picks the mode of every check.
 
 A toric-built system carries the facets (n_i, a_i) and the exponents
 E[b][i] = h_i(b) of its factored form.  Confirming in integers that every
@@ -19,12 +24,16 @@ E[b][i] is the lattice distance <n_i, b> + a_i >= 0 decides both checks:
 each column of E is affine in b, so every binomial of the design matrix's
 kernel cancels exponent by exponent, and each factor h_i with E[b][i] > 0
 is positive on the relative interior.  A fiber product keeps its two factor
-systems, and when both factors pass membership and strict positivity, so
-does the product (see :func:`_factors_certify`).  Every other system,
-including one loaded from JSON or copied with ``_replace``, and a product
-whose factors do not pass, is checked through binomial identities from an
-integer kernel basis of the design matrix and through signs, exactly at
-seeded interior samples.
+systems.  When both factors pass membership and strict positivity, so does
+the product (see :func:`_factors_certify`); when both pass partition of
+unity and linear precision and their functions are defined on their spans,
+so does the product, the paper's statement that a fiber product of systems
+with rational linear precision has it (see :func:`_decide`).  Every other
+system, including one loaded from JSON or copied with ``_replace``, and a
+product whose factors do not pass, is checked through binomial identities
+from an integer kernel basis of the design matrix and through signs,
+exactly at seeded interior samples, and its identities are summed with
+each denominator keyed by its primitive part.
 
 Sampled checks run in integers from the draw to the verdict: each sample is
 an unreduced integer point ``(xs, q)``, evaluated once by the system's
@@ -58,6 +67,7 @@ from .polynomials import (
     lcm_sum,
     point_text,
     power_table,
+    primitive_term,
     sum_rational_functions,
 )
 
@@ -193,8 +203,13 @@ def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightV
 
 
 def verify_partition_of_unity(sys: BlendingSystem) -> bool:
-    """Check symbolically that the functions sum to the constant 1."""
-    return sum_rational_functions(sys.functions).equals(RationalFunction(1))
+    """Check symbolically that the functions sum to the constant 1.
+
+    A fiber product built by :func:`~toric_precision.tfp.tfp_blending`
+    passes with no product sum when both factors pass partition of unity and
+    linear precision (see :func:`_decide`).
+    """
+    return _decide(sys, PARTITION)[0] is None
 
 
 def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | None:
@@ -225,30 +240,60 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
     identity, while configurations spanning a proper affine subspace (such as
     fiber products) are tested after substituting a parametrization of the
     span.  A denominator vanishing identically on the span fails the check.
+    A fiber product built by :func:`~toric_precision.tfp.tfp_blending`
+    passes with no product sum when both factors pass partition of unity and
+    linear precision (see :func:`_decide`).
     """
-    return _linear_precision(sys, _affine_span_substitution(sys.config))
+    return _decide(sys, LINEAR_PRECISION)[0] is None
 
 
-def _linear_precision(sys: BlendingSystem, span: list[Polynomial] | None) -> bool:
-    """:func:`verify_linear_precision` with the configuration's span substitution given.
+def _identities(sys: BlendingSystem, kinds: Sequence[str]) -> tuple[str | None, ...]:
+    """Why each identity of ``kinds`` fails on the expanded functions, None where it holds.
 
-    For each coordinate c, one :func:`~toric_precision.polynomials.lcm_sum` of
-    f_b's numerator times b_c over f_b's denominator, for the b with b_c != 0,
-    gives N / D; (N - x_c * D) / D must have a zero numerator and a nonzero
-    denominator on the span, substituted when it is proper.
+    Every function enters each sum as a
+    :func:`~toric_precision.polynomials.primitive_term`, so canonical
+    denominators equal up to their content are one factor of the
+    :func:`~toric_precision.polynomials.lcm_sum`.  Partition of unity sums
+    all functions to N / D, which is 1 exactly when N = D.  Linear precision
+    sums, for each coordinate c, the numerators times b_c of the b with
+    b_c != 0 to N / D; (N - x_c * D) / D must have a zero numerator and a
+    nonzero denominator on the span, substituted when it is proper.
+    Definition on the span asks that no primitive denominator vanishes
+    identically there.
     """
     names = sys.variables
-    for c, name in enumerate(names):
-        terms = [
-            (f.numerator * b[c], {f.denominator: 1})
-            for f, b in zip(sys.functions, sys.config.points)
-            if b[c]
-        ]
-        total, denominator = lcm_sum(terms, lambda d: d, names)
-        difference = RationalFunction(total - Polynomial.variable(name, names) * denominator, denominator)
-        if not _vanishes_on(difference, span):
-            return False
-    return True
+    terms = [primitive_term(f) for f in sys.functions]
+    span = _affine_span_substitution(sys.config) if set(kinds) - {PARTITION} else None
+    reasons = []
+    for kind in kinds:
+        if kind == PARTITION:
+            total, denominator = lcm_sum(terms, _itself, names)
+            holds = total == denominator
+            # The failing sum is printed as + prints it, whole denominators kept.
+            reason = None if holds else f"functions sum to {sum_rational_functions(sys.functions)}, not 1"
+        elif kind == LINEAR_PRECISION:
+            holds = all(_reproduces(terms, sys.config.points, names, c, span) for c in range(len(names)))
+            reason = None if holds else "sum_b f_b * b does not reproduce the coordinate functions"
+        else:
+            factors = {factor for _, key in terms for factor in key}
+            holds = span is None or not any(factor.substitute(span).is_zero for factor in factors)
+            reason = None if holds else "a denominator vanishes on the span"
+        reasons.append(reason)
+    return tuple(reasons)
+
+
+def _itself(factor: Polynomial) -> Polynomial:
+    return factor
+
+
+def _reproduces(
+    terms: list, points: Sequence[tuple[int, ...]], names: tuple[str, ...], c: int, span: list[Polynomial] | None
+) -> bool:
+    """Whether sum_b f_b * b_c is x_c on the span, from the primitive terms of the f_b."""
+    weighted = [(numerator * b[c], key) for (numerator, key), b in zip(terms, points) if b[c]]
+    total, denominator = lcm_sum(weighted, _itself, names)
+    difference = RationalFunction(total - Polynomial.variable(names[c], names) * denominator, denominator)
+    return _vanishes_on(difference, span)
 
 
 def _vanishes_on(f: RationalFunction, span: list[Polynomial] | None) -> bool:
@@ -326,22 +371,28 @@ def _structural_reason(sys: BlendingSystem) -> str | None:
     return None
 
 
-# The kinds of check _decide builds for any system.  Strict positivity
-# (every value > 0) is what a fiber product asks of its factors.
+# The kinds of check _decide decides for any system.  Strict positivity
+# (every value > 0) and definition on the span (no denominator vanishes
+# identically there) are what a fiber product asks of its factors.
 MEMBERSHIP, POSITIVITY, STRICT_POSITIVITY = "membership", "positivity", "strict positivity"
+PARTITION, LINEAR_PRECISION, DEFINED = "partition of unity", "linear precision", "defined on the span"
+# The symbolic identities; the other kinds are sampled unless a record decides them.
+IDENTITIES = (PARTITION, LINEAR_PRECISION, DEFINED)
 
 
 def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Sequence[str]) -> bool:
-    """Whether both factors of a fiber product pass what its checks need.
+    """Whether both factors of a fiber product pass what its checks of ``kinds``,
+    all identities or none, need.
 
     Each factor is decided by :func:`_decide` with the same samples and seed,
-    so a factor that is itself a product recurses.  Take a kernel vector v of
-    the product's design matrix.  Its marginals v^B_j = sum_k v_ijk and
-    v^C_k = sum_j v_ijk are kernel vectors of the factors, and v sums to 0
-    over each class, since the class indicator is affine in the points
-    (:func:`~toric_precision.tfp.tfp_blending` confirms that the degree
-    vectors are independent and that the degree maps hold on both factors'
-    points).  So prod (f_ijk / (w_j * w_k))**v_ijk is the
+    so a factor that is itself a product recurses.  The identities need all
+    three identities of both factors; the argument is in :func:`_decide`.
+    Take a kernel vector v of the product's design matrix.  Its marginals
+    v^B_j = sum_k v_ijk and v^C_k = sum_j v_ijk are kernel vectors of the
+    factors, and v sums to 0 over each class, since the class indicator is
+    affine in the points (:func:`~toric_precision.tfp.tfp_blending` confirms
+    that the degree vectors are independent and that the degree maps hold
+    on both factors' points).  So prod (f_ijk / (w_j * w_k))**v_ijk is the
     factor-B binomial of v^B at x times the factor-C binomial of v^C at y,
     every S_i cancelling.  With positive values, a binomial that holds on a
     kernel basis holds on every kernel vector.  The relative interior of the
@@ -350,35 +401,80 @@ def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Seq
     Positivity needs strict positivity of both factors, membership needs
     membership too.
     """
-    needed = (MEMBERSHIP, STRICT_POSITIVITY) if MEMBERSHIP in kinds else (STRICT_POSITIVITY,)
-    return all(reason is None for factor in record.factors for reason in _decide(factor, samples, seed, *needed))
+    if kinds[0] in IDENTITIES:
+        needed = IDENTITIES
+    else:
+        needed = (MEMBERSHIP, STRICT_POSITIVITY) if MEMBERSHIP in kinds else (STRICT_POSITIVITY,)
+    return all(
+        reason is None
+        for factor in record.factors
+        for reason in _decide(factor, *needed, samples=samples, seed=seed)
+    )
 
 
 def _decide(
-    sys: BlendingSystem, samples: int, seed: int, *kinds: str, poly: LatticePolytope | None = None
+    sys: BlendingSystem, *kinds: str, samples: int = 50, seed: int = 0, poly: LatticePolytope | None = None
 ) -> tuple[str | None, ...]:
     """Why each check of ``kinds`` fails, None where it holds; the one rule that picks the mode.
 
-    A system that carries the record of :func:`toric_blending` is decided
-    structurally from it, with no sample, kernel basis or evaluation.  A
-    fiber product from :func:`~toric_precision.tfp.tfp_blending` passes every
-    check with no product sample when its factors certify it
-    (:func:`_factors_certify`); a product loaded from JSON carries no record.
-    Every other system, and a product whose factors do not certify it, runs
-    the checks, built only then, in :func:`_holds_at_samples`, and a failure
-    names its first failing sample.  ``poly`` is given to the positivity
-    checks of a sampled system.
+    The identities (partition of unity, linear precision, definition on the
+    span) and the sampled kinds (membership, positivity, strict positivity)
+    are decided as two groups.  A fiber product from
+    :func:`~toric_precision.tfp.tfp_blending` passes a group with no product
+    sum or sample when its factors certify it (:func:`_factors_certify`); a
+    product loaded from JSON carries no record.  Otherwise the identities
+    are summed over the expanded functions (:func:`_identities`).  The
+    sampled kinds of a system that carries the record of
+    :func:`toric_blending` are decided structurally from it, with no sample,
+    kernel basis or evaluation; those of every other system, and of a
+    product whose factors do not certify them, run in
+    :func:`_holds_at_samples`, built only then, and a failure names its first
+    failing sample.  ``poly`` is given to the positivity checks of a sampled
+    system.
+
+    The identities of a product follow from those of its factors.  Take
+    form B, f_ijk = f_j(x) * f_k(y) / S^B_i(x), S^B_i the class-i sum of the
+    first factor and S^C_i of the second (form C is symmetric):
+
+    * summing class i over (j, k) gives S^B_i * S^C_i / S^B_i = S^C_i, so the
+      product sums to sum_i S^C_i, which is 1 when the second factor
+      partitions unity;
+    * in the same way sum f_ijk * c_k = sum_k f_k * c_k, which is y on the
+      second factor's span, and so on the product's span L, which projects
+      onto it;
+    * the grading is validated on the factors' points, so the class-i
+      indicator is an affine function l_i of the first factor's points and
+      m_i of the second's, and l_i(x) = m_i(y) on L, where both are the
+      product points' class indicator.  With partition of unity and linear
+      precision, S^B_i(x) = sum_j f_j * l_i(b_j) = l_i(x) on the first
+      factor's span, and S^C_i(y) = m_i(y) likewise, so S^C_i / S^B_i = 1 on
+      L, and sum f_ijk * b_j = sum_j f_j * b_j = x there;
+    * every product denominator divides d_j * d_k * (the numerator of S^B_i):
+      the factors' denominators do not vanish on their spans, nor on L, and
+      S^B_i is l_i there, which is 1 at the class-i points.
+
+    The same fact, S^B_i = S^C_i on L, decides
+    :func:`~toric_precision.tfp.verify_form_agreement`.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     record = sys._record
-    if isinstance(record, _ToricRecord):
-        return (_structural_reason(sys),) * len(kinds)
-    if isinstance(record, _ProductRecord) and _factors_certify(record, samples, seed, kinds):
-        return (None,) * len(kinds)
-    checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(poly, kind) for kind in kinds]
-    witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)
-    return tuple([None if w is None else w.describe(seed) for w in witnesses])
+    reasons: dict[str, str | None] = {}
+    for group in ([k for k in kinds if k in IDENTITIES], [k for k in kinds if k not in IDENTITIES]):
+        if not group:
+            continue
+        if isinstance(record, _ProductRecord) and _factors_certify(record, samples, seed, group):
+            found = (None,) * len(group)
+        elif group[0] in IDENTITIES:
+            found = _identities(sys, group)
+        elif isinstance(record, _ToricRecord):
+            found = (_structural_reason(sys),) * len(group)
+        else:
+            checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(poly, kind) for kind in group]
+            witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)
+            found = tuple([None if w is None else w.describe(seed) for w in witnesses])
+        reasons.update(zip(group, found))
+    return tuple([reasons[kind] for kind in kinds])
 
 
 def _positivity_check(poly: LatticePolytope | None, kind: str) -> Check:
@@ -417,7 +513,7 @@ def verify_interior_positivity(
     """
     if poly is not None and poly.dim != sys.config.dim:
         raise ValueError(f"the polytope has dimension {poly.dim}, the samples {sys.config.dim}")
-    return _decide(sys, samples, seed, POSITIVITY, poly=poly)[0] is None
+    return _decide(sys, POSITIVITY, samples=samples, seed=seed, poly=poly)[0] is None
 
 
 def _membership_check(sys: BlendingSystem) -> Check:
@@ -477,7 +573,7 @@ def verify_toric_membership(sys: BlendingSystem, samples: int = 50, seed: int = 
     be reduced: scaling one pair (N_b, D_b) by k != 0 multiplies both sides
     by k**|v_b|.
     """
-    return _decide(sys, samples, seed, MEMBERSHIP)[0] is None
+    return _decide(sys, MEMBERSHIP, samples=samples, seed=seed)[0] is None
 
 
 class PrecisionReport(Frozen):
@@ -526,7 +622,13 @@ class PrecisionReport(Frozen):
 def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, seed: int = 0) -> PrecisionReport:
     """Run all four checks.
 
-    Membership and positivity are decided as by :func:`verify_toric_membership`
+    Partition of unity and linear precision are decided as by
+    :func:`verify_partition_of_unity` and :func:`verify_linear_precision`:
+    from the factors for a fiber product built by
+    :func:`~toric_precision.tfp.tfp_blending`, when both pass both, and
+    otherwise as identities of the expanded functions.  A failing partition
+    of unity prints the sum as ``+`` forms it.  Membership and positivity
+    are decided as by :func:`verify_toric_membership`
     and :func:`verify_interior_positivity`: structurally for a system built by
     :func:`toric_blending`, which then needs no hull; from the factors for a
     fiber product built by :func:`~toric_precision.tfp.tfp_blending`, when
@@ -538,20 +640,10 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
     detail names the first failing sample, reproducible as
     ``sample_interior(sys.config, samples, seed)[index]``.
     """
-    span = _affine_span_substitution(sys.config)
-    details: dict[str, str] = {}
-    total = sum_rational_functions(sys.functions)
-    partition = total.equals(1)
-    if not partition:
-        details["partition_of_unity"] = f"functions sum to {total}, not 1"
-    reasons = _decide(sys, samples, seed, MEMBERSHIP, POSITIVITY)
-    for name, reason in zip(("toric_membership", "interior_positivity"), reasons):
-        if reason is not None:
-            details[name] = reason
-    linear = _linear_precision(sys, span)
-    if not linear:
-        details["linear_precision"] = "sum_b f_b * b does not reproduce the coordinate functions"
-    return PrecisionReport(partition, reasons[0] is None, reasons[1] is None, linear, details)
+    names = ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision")
+    reasons = _decide(sys, PARTITION, MEMBERSHIP, POSITIVITY, LINEAR_PRECISION, samples=samples, seed=seed)
+    details = {name: reason for name, reason in zip(names, reasons) if reason is not None}
+    return PrecisionReport(*[reason is None for reason in reasons], details)
 
 
 def toric_patch_eval(

@@ -317,7 +317,7 @@ def _cmd_patch(args) -> int:
     control_path = _file_or_inline(args.controls)
     if control_path is not None:
         source = str(control_path)
-        controls = serialize.controls_from_json(serialize.load_json(control_path))
+        controls = serialize.controls_from_json(serialize.load_json(control_path), source)
     else:
         source = "--controls"
         controls = [_parse_point(chunk, source) for chunk in args.controls.split(";")]

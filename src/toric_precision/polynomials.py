@@ -27,7 +27,11 @@ Equality in the fraction field is decided by cross-multiplication, which is
 exact without any polynomial factorization.  Sums have one path,
 :func:`lcm_sum`, over the exponent-wise lcm of factored denominators; it is
 behind ``+``, :func:`sum_rational_functions`, the Horn sum-to-one and the
-linear-precision check.
+partition-of-unity and linear-precision checks.  Those two key each
+denominator by its primitive part (:func:`primitive_term`), so denominators
+that differ only by an integer content are one factor and a constant
+denominator is none; ``+`` and :func:`sum_rational_functions` key each
+whole canonical denominator, which fixes the printed form of their sums.
 
 Evaluation has one path, in Python integers.  A rational point is written
 as an integer vector ``xs`` over a positive denominator ``q``
@@ -708,6 +712,30 @@ def lcm_sum(
     for denominator, numerator in groups.values():
         total = total + over_lcm(numerator, denominator)
     return total, over_lcm(Polynomial.constant(1, variables), {})
+
+
+def primitive_term(f: RationalFunction) -> tuple[Polynomial, dict]:
+    """``f`` as an :func:`lcm_sum` term keyed by the primitive part of its
+    denominator, the denominator's integer content folded into the numerator.
+
+    A constant denominator adds no factor at all.  Canonical denominators
+    equal up to their content, as the functions of one toric system often
+    are, then share one factor, so no group of a sum is multiplied by the
+    others' "missing" powers of the same polynomial.
+    """
+    numerator, denominator = f.numerator, f.denominator
+    # A canonical denominator has integer coefficients over 1 and a positive
+    # leading coefficient, so its content is the positive gcd below.
+    content = gcd(*denominator._coefficients.values())
+    if content != 1:
+        numerator = Polynomial._make(numerator.variables, numerator._coefficients, numerator._denominator * content)
+    if not any(map(any, denominator._coefficients)):
+        return numerator, {}
+    if content != 1:
+        denominator = Polynomial._make(
+            denominator.variables, {e: c // content for e, c in denominator._coefficients.items()}
+        )
+    return numerator, {denominator: 1}
 
 
 def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:

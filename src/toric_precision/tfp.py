@@ -12,15 +12,16 @@ functions.  That agreement is checked as an exact identity on the span,
 with no sample drawn.
 
 A product system that :func:`tfp_blending` returns keeps its two factor
-systems, so its membership and positivity are decided from the factors,
-each in its own mode (structural, from its own factors, or sampled on its
-own configuration), with no product sample when both pass; see
-:func:`toric_precision.blending._factors_certify`.  Both functions validate
-the grading on the factors' points, as :func:`validate_multigrading` does,
-since the certificate needs independent degrees and degree maps that hold
-there.  A product
-loaded from JSON, or copied with ``_replace``, has no factors and is
-sampled.
+systems, so all four of its checks are decided from the factors, each in
+its own mode (structural, from its own factors, sampled on its own
+configuration, or summed over its own functions), with no product sample
+or product sum when both pass; see
+:func:`toric_precision.blending._decide`.  The same factor checks decide
+:func:`verify_form_agreement`.  Both functions validate the grading on the
+factors' points, as :func:`validate_multigrading` does, since the
+certificates need independent degrees and degree maps that hold there.  A
+product loaded from JSON, or copied with ``_replace``, has no factors: it
+is sampled, and its identities are summed over its functions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .blending import BlendingSystem, WeightVector, _affine_span_substitution, _ProductRecord, _vanishes_on
+from .blending import (
+    IDENTITIES,
+    BlendingSystem,
+    WeightVector,
+    _affine_span_substitution,
+    _factors_certify,
+    _ProductRecord,
+    _vanishes_on,
+)
 from .errors import (
     DependentDegreesError,
     EmptyDegreeClassError,
@@ -264,13 +273,22 @@ def verify_form_agreement(
 
     f^B_ijk / f^C_ijk = S^C_i / S^B_i, the ratio of the factors' class-i sums,
     so the forms agree when every S^C_i / S^B_i - 1 vanishes on the product's
-    span, an identity.  No sample is drawn; ``samples < 1`` is still an error.
+    span, an identity.  They do when both factors pass partition of unity
+    and linear precision, each decided in its own mode, and no factor
+    denominator vanishes on its span, for then S^B_i and S^C_i are one
+    affine function on the span (see
+    :func:`toric_precision.blending._decide`); otherwise the class sums are
+    compared.  No sample is drawn; ``samples < 1`` is still an error.
     Dependent degree vectors raise DependentDegreesError, and classes that
-    admit no affine degree map on a factor's points raise NoDegreeMapError.
+    admit no affine degree map on a factor's points raise NoDegreeMapError,
+    before the factors are decided.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    product = _product(sysB, sysC, g)
+    if _factors_certify(_ProductRecord((sysB, sysC)), samples, seed, IDENTITIES):
+        return True
     fB, fC, names = _renamed_factors(sysB, sysC)
-    span = _affine_span_substitution(_product(sysB, sysC, g).config)
+    span = _affine_span_substitution(product.config)
     sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
     return all(not s_b.is_zero and _vanishes_on((s_c / s_b - 1).reindexed(names), span) for s_b, s_c in sums)

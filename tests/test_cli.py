@@ -275,9 +275,9 @@ class TestBlendAndPatch:
     @pytest.mark.parametrize(
         "controls,field",
         [
-            ([1, 2, 3, 4], "controls[0]: expected a list"),
-            ([[1, "a"], [0, 0], [0, 0], [1, 1]], "controls[0][1]: not a rational number"),
-            ([[0.5, 0], [0, 0], [0, 0], [1, 1]], "controls[0][0]: expected an integer or 'p/q' string"),
+            ([1, 2, 3, 4], "[0]: expected a list"),
+            ([[1, "a"], [0, 0], [0, 0], [1, 1]], "[0][1]: not a rational number"),
+            ([[0.5, 0], [0, 0], [0, 0], [1, 1]], "[0][0]: expected an integer or 'p/q' string"),
         ],
         ids=["point-not-a-list", "bad-coordinate", "float-coordinate"],
     )
@@ -289,7 +289,8 @@ class TestBlendAndPatch:
         )
         assert code == 2
         assert out == ""
-        assert field in err
+        # the message names the controls file, then the field inside it
+        assert f"input error: {path}{field}" in err
 
     def test_patch_empty_or_directory_controls(self, capsys, tmp_path):
         for controls in ("", str(tmp_path)):

@@ -12,6 +12,7 @@ from toric_precision.polynomials import (
     Polynomial,
     RationalFunction,
     lcm_sum,
+    primitive_term,
     sum_rational_functions,
     variables,
 )
@@ -309,6 +310,45 @@ class TestLcmSum:
                 numerator = numerator + term
                 denominator = denominator * f.denominator
             assert sum_rational_functions(fs) == RationalFunction(numerator, denominator)
+
+
+class TestPrimitiveTerms:
+    """Sums keyed by the primitive part of each denominator."""
+
+    def test_denominators_equal_up_to_content_share_one_key(self):
+        x, y = variables("x y")
+        fs = [RationalFunction(1, 2 * (1 + x * y)), RationalFunction(x, 3 + 3 * x * y), RationalFunction(y, 1 + x * y)]
+        assert len({f.denominator for f in fs}) == 3
+        terms = [primitive_term(f) for f in fs]
+        assert [key for _, key in terms] == [{1 + x * y: 1}] * 3
+        assert [numerator for numerator, _ in terms] == [Polynomial.constant(Fraction(1, 2), ("x", "y")), Fraction(1, 3) * x, y]
+        total, denominator = lcm_sum(terms, lambda d: d, ("x", "y"))
+        assert denominator == 1 + x * y
+        assert RationalFunction(total, denominator) == sum_rational_functions(fs)
+        # keyed by whole denominators, each group is multiplied by the other two
+        _, whole = lcm_sum([(f.numerator, {f.denominator: 1}) for f in fs], lambda d: d, ("x", "y"))
+        assert whole == 6 * (1 + x * y) ** 3
+
+    def test_a_constant_denominator_adds_no_factor(self):
+        x, y = variables("x y")
+        fs = [RationalFunction(x, 4), RationalFunction(y, 6), RationalFunction(1 - x - y, 1)]
+        terms = [primitive_term(f) for f in fs]
+        assert [key for _, key in terms] == [{}, {}, {}]
+        total, denominator = lcm_sum(terms, None, ("x", "y"))
+        assert denominator == Polynomial.constant(1, ("x", "y"))
+        assert total == Fraction(1, 4) * x + Fraction(1, 6) * y + 1 - x - y
+
+    def test_each_term_is_its_function(self):
+        rng = random.Random(37)
+        names = ("x1", "x2")
+        for _ in range(40):
+            content = rng.choice((1, 2, 6, 15))
+            f = RationalFunction(random_polynomial(rng, names), content * nonzero_polynomial(rng, names))
+            numerator, key = primitive_term(f)
+            (factor,) = key or (Polynomial.constant(1, names),)
+            assert RationalFunction(numerator, factor) == f
+            assert factor.leading_coefficient() > 0
+            assert gcd(*(int(c) for c in factor.terms.values())) == 1
 
 
 class TestCanonicalForm:

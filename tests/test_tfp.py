@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from toric_precision import blending, geometry, tfp
+from toric_precision import blending, geometry, polynomials, tfp
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -564,7 +564,7 @@ class TestProductsDecidedFromTheirFactors:
         # nonnegative, but zero at the barycenter (1/2, 1/2), the first sample
         zero = changed_function(square_system, 0, FACTOR_PERTURBATIONS["zero on a line"])
         assert verify_interior_positivity(zero, None, 12, 0)
-        assert blending._decide(zero, 12, 0, blending.STRICT_POSITIVITY) == (
+        assert blending._decide(zero, blending.STRICT_POSITIVITY, samples=12, seed=0) == (
             "interior sample 0 (seed 0) at (1/2, 1/2): function 0 is zero",
         )
         system, product = tfp_blending(zero, beta_tilde_system, square_trapezoid_grading)
@@ -579,6 +579,122 @@ class TestProductsDecidedFromTheirFactors:
         assert copy == system and copy._record is None
         assert system._replace(kind="custom")._record is None
         assert blending_system_from_json(blending_system_to_json(system))._record is None
+
+
+@pytest.fixture
+def summed_variables(monkeypatch):
+    """Records the variables of every lcm_sum, from blending's checks and from
+    sum_rational_functions alike."""
+    calls = []
+    lcm_sum = polynomials.lcm_sum
+
+    def recording_lcm_sum(terms, factor, names):
+        calls.append(tuple(names))
+        return lcm_sum(terms, factor, names)
+
+    monkeypatch.setattr(polynomials, "lcm_sum", recording_lcm_sum)
+    monkeypatch.setattr(blending, "lcm_sum", recording_lcm_sum)
+    return calls
+
+
+class TestIdentitiesDecidedFromTheirFactors:
+    """A product from tfp_blending passes partition of unity and linear
+    precision with no product sum when both factors pass both; otherwise the
+    expanded functions are summed, as for its record-free copy."""
+
+    @staticmethod
+    def identities(system):
+        return (
+            verify_rational_linear_precision(system, 12, 0),
+            verify_partition_of_unity(system),
+            verify_linear_precision(system),
+        )
+
+    def test_reports_equal_the_expanded_checks_on_the_chain(self, chain, square_system, square_graded):
+        inner_system, _, _, outer_system, outer = chain
+        # the 40-function rung, in either form over a product of the chain's form
+        grading = validate_multigrading(outer.graded, square_graded, outer.degrees)
+        longer = [tfp_blending(outer_system, square_system, grading, form)[0] for form in "BC"]
+        for system in [inner_system, outer_system] + longer:
+            verdicts = self.identities(system)
+            assert verdicts[0].all_pass and verdicts[1:] == (True, True)
+            assert verdicts == self.identities(system._replace())
+
+    def test_no_product_sum_when_the_factors_pass(
+        self, summed_variables, chain, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        inner_system, _, outer_grading, outer_system, _ = chain
+        products = [tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)[0] for form in "BC"]
+        summed_variables.clear()
+        for system in products + [outer_system]:
+            report, partition, linear = self.identities(system)
+            assert report.all_pass and partition and linear
+        assert verify_form_agreement(square_system, beta_tilde_system, square_trapezoid_grading)
+        assert verify_form_agreement(inner_system, square_system, outer_grading)
+        # only the square (x1, x2) and beta-tilde (y1, y2) are summed
+        assert summed_variables and set(summed_variables) == {("x1", "x2"), ("y1", "y2")}
+
+    def test_a_factor_without_either_identity_falls_back(
+        self, summed_variables, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        doubled = FACTOR_PERTURBATIONS["doubled"]
+        factor_pairs = (
+            (square_system, trapezoid_toric_system),  # no linear precision
+            (changed_function(square_system, 0, doubled), beta_tilde_system),  # neither
+            (square_system, changed_function(beta_tilde_system, 1, doubled)),  # neither
+        )
+        failing = set()
+        for form in "BC":
+            for sysB, sysC in factor_pairs:
+                system, _ = tfp_blending(sysB, sysC, square_trapezoid_grading, form)
+                summed_variables.clear()
+                verdicts = self.identities(system)
+                assert system.variables in summed_variables
+                assert verdicts == self.identities(system._replace())
+                report = verdicts[0]
+                failing.update(report.details)
+                if not report.partition_of_unity:
+                    total = sum_rational_functions(system.functions)
+                    assert report.details["partition_of_unity"] == f"functions sum to {total}, not 1"
+        assert {"partition_of_unity", "linear_precision"} <= failing
+
+    def test_a_factor_undefined_on_its_span_is_no_certificate(
+        self, square_system, square_graded, beta_tilde_system, square_trapezoid_grading
+    ):
+        # The square x beta-tilde product spans x2 = y2, and its function 0 sits
+        # at the origin, so no coordinate sum of linear precision reads it.
+        # Times (x2 - y2) / (x2 - y2), it is undefined on the whole span, yet
+        # the copy passes partition of unity and linear precision.
+        inner, model = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
+        assert inner.config.points[0] == (0, 0, 0, 0)
+        x2, y2 = Polynomial.variable("x2", inner.variables), Polynomial.variable("y2", inner.variables)
+        undefined = changed_function(inner, 0, lambda f: RationalFunction(f.numerator * (x2 - y2), f.denominator * (x2 - y2)))
+        assert verify_partition_of_unity(undefined) and verify_linear_precision(undefined)
+        assert blending._decide(undefined, blending.DEFINED) == ("a denominator vanishes on the span",)
+        grading = validate_multigrading(model.graded, square_graded, model.degrees)
+        # In form B, the second factor's coordinates are summed against every
+        # function of the first one's classes, the undefined one included.
+        system, _ = tfp_blending(undefined, square_system, grading, "B")
+        assert self.identities(system) == self.identities(system._replace())
+        assert not verify_linear_precision(system)
+        assert not verify_form_agreement(undefined, square_system, grading)
+
+    def test_form_agreement_equals_the_symbolic_route(
+        self, monkeypatch, chain, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        inner_system, _, outer_grading, _, _ = chain
+        cases = [
+            (square_system, beta_tilde_system, square_trapezoid_grading),
+            (inner_system, square_system, outer_grading),
+            (square_system, trapezoid_toric_system, square_trapezoid_grading),
+        ]
+        for perturb in FACTOR_PERTURBATIONS.values():
+            cases.append((changed_function(square_system, 3, perturb), beta_tilde_system, square_trapezoid_grading))
+            cases.append((square_system, changed_function(beta_tilde_system, 3, perturb), square_trapezoid_grading))
+        answers = [verify_form_agreement(*case) for case in cases]
+        monkeypatch.setattr(tfp, "_factors_certify", lambda *args: False)
+        assert answers == [verify_form_agreement(*case) for case in cases]
+        assert answers[:2] == [True, True] and False in answers
 
 
 class TestDegreeMapsOfTheFactors:
