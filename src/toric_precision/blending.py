@@ -68,7 +68,6 @@ from .polynomials import (
     point_text,
     power_table,
     primitive_term,
-    sum_rational_functions,
 )
 
 
@@ -267,10 +266,9 @@ def _identities(sys: BlendingSystem, kinds: Sequence[str]) -> tuple[str | None, 
     reasons = []
     for kind in kinds:
         if kind == PARTITION:
-            total, denominator = lcm_sum(terms, _itself, names)
+            total, denominator = lcm_sum(terms, names)
             holds = total == denominator
-            # The failing sum is printed as + prints it, whole denominators kept.
-            reason = None if holds else f"functions sum to {sum_rational_functions(sys.functions)}, not 1"
+            reason = None if holds else f"functions sum to {RationalFunction(total, denominator)}, not 1"
         elif kind == LINEAR_PRECISION:
             holds = all(_reproduces(terms, sys.config.points, names, c, span) for c in range(len(names)))
             reason = None if holds else "sum_b f_b * b does not reproduce the coordinate functions"
@@ -282,16 +280,12 @@ def _identities(sys: BlendingSystem, kinds: Sequence[str]) -> tuple[str | None, 
     return tuple(reasons)
 
 
-def _itself(factor: Polynomial) -> Polynomial:
-    return factor
-
-
 def _reproduces(
     terms: list, points: Sequence[tuple[int, ...]], names: tuple[str, ...], c: int, span: list[Polynomial] | None
 ) -> bool:
     """Whether sum_b f_b * b_c is x_c on the span, from the primitive terms of the f_b."""
     weighted = [(numerator * b[c], key) for (numerator, key), b in zip(terms, points) if b[c]]
-    total, denominator = lcm_sum(weighted, _itself, names)
+    total, denominator = lcm_sum(weighted, names)
     difference = RationalFunction(total - Polynomial.variable(names[c], names) * denominator, denominator)
     return _vanishes_on(difference, span)
 
@@ -332,8 +326,6 @@ def _holds_at_samples(
     yet gets ``(xs, q, pairs)``.  No sample is skipped: a pole at a sample
     fails every check still open.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     witnesses: list[Witness | None] = [None] * len(checks)
     for index, (xs, q) in enumerate(_integer_samples(config, samples, seed)):
         try:

@@ -182,13 +182,15 @@ def _cmd_verify(args) -> int:
 
 
 def _factor_system(model: GradedModel, path: str, override: str | None) -> BlendingSystem:
-    """A user-supplied system over the model's points, else the toric system,
-    whose hull alone needs the points to span their space."""
+    """A user-supplied system over the model's points and weights, else the
+    toric system, whose hull alone needs the points to span their space."""
     if override is None:
         return _as_system(model, path)
     loaded, _ = _load(override, "system")
     if loaded.config.points != model.config.points:
         raise SchemaError(f"{override}: system points do not match the graded model")
+    if loaded.weights.weights != model.weights.weights:
+        raise SchemaError(f"{override}.weights: system weights do not match the graded model")
     return loaded
 
 

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import linalg
 from .errors import NotFullDimensionalError
 from .frozen import Frozen
-from .polynomials import Polynomial, exact_integer, integer_point
+from .polynomials import Polynomial, exact_integer
 
 IntVector = tuple[int, ...]
 
@@ -95,17 +95,6 @@ class LatticePolytope(Frozen):
             if any(f.distance(v) < 0 for f in facets):
                 raise ValueError(f"vertex {v} lies outside a facet")
         self.__dict__.update(dim=dim, facets=facets, vertices=vertices)
-
-    def contains(self, point: Sequence[int | Fraction]) -> bool:
-        """Whether a (rational) point lies in the polytope; raises ValueError
-        when the point's dimension is not the polytope's."""
-        if len(point) != self.dim:
-            raise ValueError(
-                f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {self.dim}"
-            )
-        # q > 0, so each distance has the sign of its numerator.
-        xs, q = integer_point(point)
-        return all(f.distance(xs, q) >= 0 for f in self.facets)
 
 
 def _differences(points: Sequence[IntVector]) -> list[list[int]]:

@@ -208,8 +208,8 @@ def _symbolic_sum_to_one(pair: HornPair) -> bool:
     for constant, exponents in columns:
         numerator = (polys[form] ** e for form, e in exponents.items() if e > 0)
         terms.append((prod(numerator, start=Polynomial.constant(constant, names)),
-                      {form: -e for form, e in exponents.items() if e < 0}))
-    total, common = lcm_sum(terms, polys.__getitem__, names)
+                      {polys[form]: -e for form, e in exponents.items() if e < 0}))
+    total, common = lcm_sum(terms, names)
     return total == common
 
 
@@ -321,18 +321,13 @@ def minimize_horn_pair(pair: HornPair, strict: bool = False) -> HornPair:
     rows = [row for row in pair.matrix.entries if any(row)]
     if not rows:
         raise ValueError("matrix has no nonzero rows")
-    class_order: list[tuple[int, ...]] = []
     classes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for row in rows:
         constant, rep = _scaled_form(row)
-        if rep not in classes:
-            classes[rep] = []
-            class_order.append(rep)
-        classes[rep].append((constant, row))
+        classes.setdefault(rep, []).append((constant, row))
     new_rows: list[tuple[int, ...]] = []
     coefficient_factors = [Fraction(1)] * pair.n_columns
-    for rep in class_order:
-        members = classes[rep]
+    for rep, members in classes.items():
         if len(members) == 1:
             new_rows.append(members[0][1])
             continue

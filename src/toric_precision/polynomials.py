@@ -27,11 +27,10 @@ Equality in the fraction field is decided by cross-multiplication, which is
 exact without any polynomial factorization.  Sums have one path,
 :func:`lcm_sum`, over the exponent-wise lcm of factored denominators; it is
 behind ``+``, :func:`sum_rational_functions`, the Horn sum-to-one and the
-partition-of-unity and linear-precision checks.  Those two key each
-denominator by its primitive part (:func:`primitive_term`), so denominators
-that differ only by an integer content are one factor and a constant
-denominator is none; ``+`` and :func:`sum_rational_functions` key each
-whole canonical denominator, which fixes the printed form of their sums.
+partition-of-unity and linear-precision checks.  Every rational function
+enters a sum keyed by the primitive part of its denominator
+(:func:`primitive_term`), so denominators that differ only by an integer
+content are one factor and a constant denominator is none.
 
 Evaluation has one path, in Python integers.  A rational point is written
 as an integer vector ``xs`` over a positive denominator ``q``
@@ -52,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
 
@@ -435,6 +434,16 @@ def point_text(xs: Sequence[int], q: int) -> str:
     return "(" + ", ".join(str(Fraction(x, q)) for x in xs) + ")"
 
 
+def _primitive(poly: Polynomial) -> tuple[int, Polynomial]:
+    """``(content, primitive part)`` of a polynomial with integer
+    coefficients over 1; the zero polynomial has content 1."""
+    coefficients = poly._coefficients
+    content = gcd(*coefficients.values()) or 1
+    if content == 1:
+        return 1, poly
+    return content, Polynomial._make(poly.variables, {e: c // content for e, c in coefficients.items()})
+
+
 class EvaluationKernel:
     """Shared-monomial evaluation of a fixed list of rational functions.
 
@@ -465,14 +474,11 @@ class EvaluationKernel:
 
         def slot(poly: Polynomial, m: int) -> tuple[int, int]:
             """``(program, content)`` of an integer polynomial homogenised to degree m."""
-            coefficients = poly._coefficients
-            content = gcd(*coefficients.values()) or 1
-            if content != 1:
-                coefficients = {e: c // content for e, c in coefficients.items()}
-                poly = Polynomial._make(poly.variables, coefficients)
+            content, poly = _primitive(poly)
             program = programs.get((m, poly))
             if program is None:
                 program = programs[m, poly] = len(self._programs)
+                coefficients = poly._coefficients
                 columns = [monomials.setdefault((*e, m - sum(e)), len(monomials)) for e in coefficients]
                 self._programs.append((list(coefficients.values()), columns))
             return program, content
@@ -679,15 +685,15 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
 
 
 def lcm_sum(
-    terms: Iterable[tuple[Polynomial, Mapping]], factor: Callable, variables: Sequence[str]
+    terms: Iterable[tuple[Polynomial, Mapping[Polynomial, int]]], variables: Sequence[str]
 ) -> tuple[Polynomial, Polynomial]:
     """``(N, D)`` with ``N / D`` the sum of fractions with factored denominators.
 
-    A term is a numerator over a map {factor key: positive exponent};
-    ``factor(key)`` is the key's polynomial over ``variables``.  Terms with
-    equal maps are summed first, then the groups are brought over the
-    exponent-wise lcm ``D`` of their maps, with each power of a factor
-    built once.  Nothing cancels.
+    A term is a numerator over a map {factor: positive exponent}, each
+    factor a polynomial over ``variables``.  Terms with equal maps are
+    summed first, then the groups are brought over the exponent-wise lcm
+    ``D`` of their maps, with each power of a factor built once.  Nothing
+    cancels.
     """
     groups: dict[frozenset, tuple[Mapping, Polynomial]] = {}
     for numerator, denominator in terms:
@@ -695,17 +701,17 @@ def lcm_sum(
         if key in groups:
             numerator = groups[key][1] + numerator
         groups[key] = (denominator, numerator)
-    lcm_exponents: dict[Hashable, int] = {}
+    lcm_exponents: dict[Polynomial, int] = {}
     for denominator, _ in groups.values():
-        for key, e in denominator.items():
-            lcm_exponents[key] = max(lcm_exponents.get(key, 0), e)
-    powers = {key: power_table(factor(key), e) for key, e in lcm_exponents.items()}
+        for factor, e in denominator.items():
+            lcm_exponents[factor] = max(lcm_exponents.get(factor, 0), e)
+    powers = {factor: power_table(factor, e) for factor, e in lcm_exponents.items()}
 
     def over_lcm(numerator: Polynomial, denominator: Mapping) -> Polynomial:
-        for key, e in lcm_exponents.items():
-            missing = e - denominator.get(key, 0)
+        for factor, e in lcm_exponents.items():
+            missing = e - denominator.get(factor, 0)
             if missing:
-                numerator = numerator * powers[key][missing]
+                numerator = numerator * powers[factor][missing]
         return numerator
 
     total = Polynomial.zero(variables)
@@ -714,7 +720,7 @@ def lcm_sum(
     return total, over_lcm(Polynomial.constant(1, variables), {})
 
 
-def primitive_term(f: RationalFunction) -> tuple[Polynomial, dict]:
+def primitive_term(f: RationalFunction) -> tuple[Polynomial, dict[Polynomial, int]]:
     """``f`` as an :func:`lcm_sum` term keyed by the primitive part of its
     denominator, the denominator's integer content folded into the numerator.
 
@@ -723,30 +729,25 @@ def primitive_term(f: RationalFunction) -> tuple[Polynomial, dict]:
     are, then share one factor, so no group of a sum is multiplied by the
     others' "missing" powers of the same polynomial.
     """
-    numerator, denominator = f.numerator, f.denominator
     # A canonical denominator has integer coefficients over 1 and a positive
-    # leading coefficient, so its content is the positive gcd below.
-    content = gcd(*denominator._coefficients.values())
+    # leading coefficient, so its content is positive.
+    content, denominator = _primitive(f.denominator)
+    numerator = f.numerator
     if content != 1:
         numerator = Polynomial._make(numerator.variables, numerator._coefficients, numerator._denominator * content)
     if not any(map(any, denominator._coefficients)):
         return numerator, {}
-    if content != 1:
-        denominator = Polynomial._make(
-            denominator.variables, {e: c // content for e, c in denominator._coefficients.items()}
-        )
     return numerator, {denominator: 1}
 
 
 def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:
-    """Sum rational functions with :func:`lcm_sum`, each whole canonical
-    denominator one factor, keyed by itself.
+    """Sum rational functions with :func:`lcm_sum`, each a :func:`primitive_term`.
 
-    Functions sharing a denominator are summed first, so the result's
-    denominator is the product of the distinct denominators, not of all
-    summands; that matters because no polynomial GCD is cancelled.
+    Functions whose denominators are equal up to content are summed first,
+    so the result's denominator is the product of the distinct primitive
+    denominators, not of all summands; that matters because no polynomial
+    GCD is cancelled.
     """
     fs = list(functions)
     merged = tuple(dict.fromkeys(name for f in fs for name in f.variables))
-    terms = [(f.numerator.reindexed(merged), {f.denominator.reindexed(merged): 1}) for f in fs]
-    return RationalFunction(*lcm_sum(terms, lambda denominator: denominator, merged))
+    return RationalFunction(*lcm_sum([primitive_term(f.reindexed(merged)) for f in fs], merged))

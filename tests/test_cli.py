@@ -397,6 +397,15 @@ class TestTfp:
             f"error: the {factor} factor's class-{i} functions sum to 0\n"
         )
 
+    def test_system_weights_must_match_the_model(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("trapezoid_beta_tilde.json").read_text(encoding="utf-8"))
+        data["weights"][0] = "3"
+        path = tmp_path / "beta_weights.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json", "--system-c", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}.weights: system weights do not match the graded model\n"
+
     def test_gap_in_the_assignment(self, capsys, tmp_path):
         data = json.loads(resolve_input_path("square.json").read_text(encoding="utf-8"))
         data["grading"] = {"A": [[1, 0], [0, 1], [1, 1]], "assignment": [1, 1, 3, 3]}

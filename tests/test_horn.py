@@ -199,9 +199,9 @@ class TestValidateHornPair:
 
 class TestSumToOneAgreesWithRationalFunctionSum:
     """The Horn check (factored over row forms) and ``sum_rational_functions``
-    (over whole denominators) are two routes through ``lcm_sum``; they must
-    agree.  Product pairs stay out: over whole denominators they take seconds
-    to minutes."""
+    (over the columns' expanded denominators in u) are two routes through
+    ``lcm_sum``; they must agree.  Product pairs stay out: expanded in u they
+    take seconds to minutes."""
 
     @staticmethod
     def columns(pair):

@@ -247,22 +247,20 @@ class TestLcmSum:
     def test_exponentwise_lcm(self):
         x, y = variables("x y")
         one = Polynomial.constant(1, ("x", "y"))
-        numerator, denominator = lcm_sum(
-            [(one, {"x": 2}), (one, {"x": 1, "y": 1})], {"x": x, "y": y}.__getitem__, ("x", "y")
-        )
+        numerator, denominator = lcm_sum([(one, {x: 2}), (one, {x: 1, y: 1})], ("x", "y"))
         assert denominator == x**2 * y
         assert numerator == y + x
 
     def test_equal_denominators_grouped(self):
         x, y = variables("x y")
-        factors = {"a": 1 + x, "b": 2 - y}
-        terms = [(x, {"a": 1}), (y, {"a": 1}), (x * y, {"a": 1, "b": 2})]
-        numerator, denominator = lcm_sum(terms, factors.__getitem__, ("x", "y"))
+        a, b = 1 + x, 2 - y
+        terms = [(x, {a: 1}), (y, {a: 1}), (x * y, {a: 1, b: 2})]
+        numerator, denominator = lcm_sum(terms, ("x", "y"))
         assert denominator == (1 + x) * (2 - y) ** 2
         assert numerator == (x + y) * (2 - y) ** 2 + x * y
 
     def test_no_terms(self):
-        assert lcm_sum([], None, ("x",)) == (Polynomial.zero(("x",)), Polynomial.constant(1, ("x",)))
+        assert lcm_sum([], ("x",)) == (Polynomial.zero(("x",)), Polynomial.constant(1, ("x",)))
 
     def test_add_matches_pairwise_rule(self):
         def pairwise(f, g):
@@ -322,19 +320,23 @@ class TestPrimitiveTerms:
         terms = [primitive_term(f) for f in fs]
         assert [key for _, key in terms] == [{1 + x * y: 1}] * 3
         assert [numerator for numerator, _ in terms] == [Polynomial.constant(Fraction(1, 2), ("x", "y")), Fraction(1, 3) * x, y]
-        total, denominator = lcm_sum(terms, lambda d: d, ("x", "y"))
+        total, denominator = lcm_sum(terms, ("x", "y"))
         assert denominator == 1 + x * y
         assert RationalFunction(total, denominator) == sum_rational_functions(fs)
         # keyed by whole denominators, each group is multiplied by the other two
-        _, whole = lcm_sum([(f.numerator, {f.denominator: 1}) for f in fs], lambda d: d, ("x", "y"))
+        _, whole = lcm_sum([(f.numerator, {f.denominator: 1}) for f in fs], ("x", "y"))
         assert whole == 6 * (1 + x * y) ** 3
+        # sum_rational_functions and + key primitive parts too
+        for summed in (sum_rational_functions(fs), fs[0] + fs[1] + fs[2]):
+            assert summed.denominator.total_degree() == 2
+            assert summed == RationalFunction(total, denominator)
 
     def test_a_constant_denominator_adds_no_factor(self):
         x, y = variables("x y")
         fs = [RationalFunction(x, 4), RationalFunction(y, 6), RationalFunction(1 - x - y, 1)]
         terms = [primitive_term(f) for f in fs]
         assert [key for _, key in terms] == [{}, {}, {}]
-        total, denominator = lcm_sum(terms, None, ("x", "y"))
+        total, denominator = lcm_sum(terms, ("x", "y"))
         assert denominator == Polynomial.constant(1, ("x", "y"))
         assert total == Fraction(1, 4) * x + Fraction(1, 6) * y + 1 - x - y
 

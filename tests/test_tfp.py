@@ -588,9 +588,9 @@ def summed_variables(monkeypatch):
     calls = []
     lcm_sum = polynomials.lcm_sum
 
-    def recording_lcm_sum(terms, factor, names):
+    def recording_lcm_sum(terms, names):
         calls.append(tuple(names))
-        return lcm_sum(terms, factor, names)
+        return lcm_sum(terms, names)
 
     monkeypatch.setattr(polynomials, "lcm_sum", recording_lcm_sum)
     monkeypatch.setattr(blending, "lcm_sum", recording_lcm_sum)
