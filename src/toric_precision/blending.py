@@ -68,6 +68,7 @@ from .polynomials import (
     point_text,
     power_table,
     primitive_term,
+    weighted_quotients,
 )
 
 
@@ -77,7 +78,7 @@ class WeightVector(Frozen):
     _fields = ("weights",)
 
     def __init__(self, weights: Sequence[Fraction | int | str]):
-        weights = tuple(exact_rational(w, "weight") for w in weights)
+        weights = tuple([exact_rational(w, "weight") for w in weights])
         for i, w in enumerate(weights):
             if w <= 0:
                 raise ValueError(f"weight {i} must be positive, got {w}")
@@ -127,7 +128,9 @@ class BlendingSystem(Frozen):
         names = tuple(variables) or tuple(f"x{i + 1}" for i in range(config.dim))
         if len(names) != config.dim:
             raise ValueError(f"expected {config.dim} variables, got {names}")
-        functions = tuple(f.reindexed(names) for f in functions)
+        # From a list, as in _values: every system would leave one tuple on
+        # CPython's free lists otherwise.
+        functions = tuple([f.reindexed(names) for f in functions])
         self.__dict__.update(config=config, weights=weights, functions=functions, kind=kind, variables=names)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
@@ -171,13 +174,17 @@ def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightV
 
     Each point b gets w_b * prod_i h_i ** h_i(b) divided by the weighted sum
     over all points, where h_i are the lattice-distance forms of the facets.
-    The shared denominator is stored uncancelled.  The returned system keeps
-    the facets and exponents, from which membership and positivity are
-    decided without samples.
+    Every function has the canonical form ``RationalFunction`` gives that
+    quotient, found in integers over the weighted sum formed once
+    (:func:`~toric_precision.polynomials.weighted_quotients`); functions with
+    equal canonical denominators share one denominator object.  The returned
+    system keeps the facets and exponents, from which membership and
+    positivity are decided without samples.
     """
     if len(w) != len(points.points):
         raise ValueError("weight count does not match configuration")
     forms = lattice_distance_forms(poly)
+    names = forms[0].variables
     rows = []
     for b in points.points:
         exponents = tuple([f.distance(b) for f in poly.facets])
@@ -188,15 +195,13 @@ def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightV
     powers = [power_table(h, max(column)) for h, column in zip(forms, zip(*rows))]
     numerators: list[Polynomial] = []
     for exponents in rows:
-        beta = Polynomial.constant(1, forms[0].variables)
-        for table, e in zip(powers, exponents):
-            if e:
-                beta = beta * table[e]
+        factors = [table[e] for table, e in zip(powers, exponents) if e]
+        beta = factors[0] if factors else Polynomial.constant(1, names)
+        for factor in factors[1:]:
+            beta = beta * factor
         numerators.append(beta)
-    weighted = [w_b * beta for w_b, beta in zip(w.weights, numerators)]
-    beta_w = sum(weighted, Polynomial.zero(forms[0].variables))
-    functions = tuple(RationalFunction(beta, beta_w) for beta in weighted)
-    system = BlendingSystem(points, w, functions, "toric", tuple(forms[0].variables))
+    functions = weighted_quotients(numerators, w.weights)
+    system = BlendingSystem(points, w, functions, "toric", names)
     system.__dict__["_record"] = _ToricRecord(poly.facets, tuple(rows))
     return system
 

@@ -34,7 +34,7 @@ from .blending import (
     verify_partition_of_unity,
     verify_rational_linear_precision,
 )
-from .errors import InconsistentBlockIndexError, NotFullDimensionalError, SchemaError, ToricPrecisionError
+from .errors import BoundaryDataError, InconsistentBlockIndexError, NotFullDimensionalError, SchemaError, ToricPrecisionError
 from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
     HornPair,
@@ -43,7 +43,7 @@ from .horn import (
     tfp_horn_pair,
     validate_horn_pair,
 )
-from .mle import DataVector, birch_residual, ips_fit, mle_closed_form
+from .mle import DataVector, IpsResult, birch_residual, ips_fit, mle_closed_form
 from .serialize import rational_str
 from .tfp import GradedModel, tfp_blending, validate_multigrading
 
@@ -131,6 +131,21 @@ def _parse_data(raw: str, labels) -> DataVector:
     except ValueError:
         raise SchemaError(f"--data: expected comma-separated integers or a file, got {raw!r}") from None
     return serialize.data_vector_from_json(counts, labels, "--data")
+
+
+def _fit(args, config: PointConfiguration, weights: WeightVector, u: DataVector) -> IpsResult:
+    """IPS on the configuration's design matrix, with each bad input named by its flag."""
+    try:
+        return ips_fit(design_matrix(config), weights, u, tol=args.tol, max_iter=args.max_iter)
+    except BoundaryDataError as exc:
+        labels = config.effective_labels()
+        face = [labels[j] for j in exc.face]
+        message = f"counts {u.counts} lie on the face of points {face}, so no positive fit exists"
+        raise SchemaError(f"--data: {message}") from None
+    except ValueError as exc:
+        # The counts and weights match the design, so an option is at fault.
+        flag = "--tol" if str(exc).startswith("tolerance") else "--max-iter"
+        raise SchemaError(f"{flag}: {exc}") from None
 
 
 def _parse_point(raw: str, flag: str) -> tuple[Fraction, ...]:
@@ -270,9 +285,8 @@ def _cmd_mle(args) -> int:
     system = _as_system(*_load(args.model, "model"))
     u = _parse_data(args.data, system.config.effective_labels())
     estimate = mle_closed_form(system, u)
-    dm = design_matrix(system.config)
-    residual = birch_residual(dm, u, estimate)
-    ips = ips_fit(dm, system.weights, u, tol=args.tol, max_iter=args.max_iter)
+    residual = birch_residual(design_matrix(system.config), u, estimate)
+    ips = _fit(args, system.config, system.weights, u)
     agreement = max(abs(float(e) - f) for e, f in zip(estimate.probs, ips.distribution.probs))
     lines = [
         "exact: (" + ", ".join(rational_str(p) for p in estimate.probs) + ")",
@@ -296,7 +310,7 @@ def _cmd_ips(args) -> int:
     config = model if isinstance(model, PointConfiguration) else model.config
     weights = WeightVector.ones(len(config.points)) if config is model else model.weights
     u = _parse_data(args.data, config.effective_labels())
-    ips = ips_fit(design_matrix(config), weights, u, tol=args.tol, max_iter=args.max_iter)
+    ips = _fit(args, config, weights, u)
     lines = [
         f"fit: ({', '.join(repr(p) for p in ips.distribution.probs)})",
         f"iterations: {ips.iterations}",

@@ -72,3 +72,12 @@ class NotConvergedError(ToricPrecisionError):
 
 class DomainError(ToricPrecisionError):
     """A statistical operation left its domain (zero probability or margin)."""
+
+
+class BoundaryDataError(DomainError):
+    """Counts that lie on a proper face of the configuration, so some margin
+    of the scaled design is 0; ``face`` holds the indices of that face's points."""
+
+    def __init__(self, face: tuple[int, ...], message: str):
+        self.face = face
+        super().__init__(message)

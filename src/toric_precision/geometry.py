@@ -33,14 +33,17 @@ class PointConfiguration(Frozen):
     _fields = ("dim", "points", "labels")
 
     def __init__(self, dim: int, points: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        points = tuple(tuple(exact_integer(x, "coordinate") for x in p) for p in points)
+        # Tuples here are built from lists, which have their length: tuple()
+        # of a generator resizes its guess, and CPython keeps the resized
+        # tuple on the free list of its final length.
+        points = tuple([tuple([exact_integer(x, "coordinate") for x in p]) for p in points])
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         for p in points:
             if len(p) != dim:
                 raise ValueError(f"point {p} does not have dimension {dim}")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple([str(s) for s in labels])
             if len(labels) != len(points):
                 raise ValueError("label count does not match point count")
             if len(set(labels)) != len(labels):
@@ -75,11 +78,11 @@ class LatticePolytope(Frozen):
     _fields = ("dim", "facets", "vertices")
 
     def __init__(self, dim: int, facets: Sequence[tuple[Sequence[int], int]], vertices: Sequence[Sequence[int]]):
-        facets = tuple(
-            Facet(tuple(exact_integer(x, "normal entry") for x in n), exact_integer(a, "offset"))
+        facets = tuple([
+            Facet(tuple([exact_integer(x, "normal entry") for x in n]), exact_integer(a, "offset"))
             for n, a in facets
-        )
-        vertices = tuple(tuple(exact_integer(x, "vertex coordinate") for x in v) for v in vertices)
+        ])
+        vertices = tuple([tuple([exact_integer(x, "vertex coordinate") for x in v]) for v in vertices])
         for v in vertices:
             if len(v) != dim:
                 raise ValueError(f"vertex {v} does not have dimension {dim}")
@@ -162,27 +165,33 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
                 facet = Facet(tuple([x // g for x in normal]), (v_pos * a_neg - v_neg * a_pos) // g)
                 kept.append((facet, common | bit))
         facets = kept
-    ordered = tuple(sorted(facet for facet, _ in facets))
+    # Every point is processed, so each tight set holds every point on its
+    # facet: a point tight on a new facet v+ * h- - v- * h+ has h- = h+ = 0.
+    facets.sort()
     vertices = []
-    for p in points:
-        tight = [f.normal for f in ordered if f.distance(p) == 0]
+    for index, p in enumerate(points):
+        tight = [facet.normal for facet, mask in facets if mask >> index & 1]
         if len(tight) >= d and linalg.rank(tight) == d:
             vertices.append(p)
-    vertices = tuple(sorted(set(vertices)))
-    return LatticePolytope(d, ordered, vertices)
+    return LatticePolytope(d, [facet for facet, _ in facets], sorted(vertices))
 
 
 def lattice_distance_forms(poly: LatticePolytope) -> list[Polynomial]:
-    """Degree-1 polynomials h_i(p) = <p, n_i> + a_i in x1..xd, one per facet, in facet order."""
-    names = tuple(f"x{i + 1}" for i in range(poly.dim))
+    """Degree-1 polynomials h_i(p) = <p, n_i> + a_i in x1..xd, one per facet, in facet order.
+
+    Normals and offsets are integers, so each form is built directly with
+    integer coefficients over the denominator 1; zero entries, such as the
+    offset of a facet through the origin, get no term.
+    """
+    d = poly.dim
+    names = tuple(f"x{i + 1}" for i in range(d))
+    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     forms = []
-    zero = (0,) * poly.dim
     for normal, offset in poly.facets:
-        terms = {zero: Fraction(offset)}
-        for i, coeff in enumerate(normal):
-            exp = tuple(1 if j == i else 0 for j in range(poly.dim))
-            terms[exp] = Fraction(coeff)
-        forms.append(Polynomial(names, terms))
+        coefficients = {unit: n for unit, n in zip(units, normal) if n}
+        if offset:
+            coefficients[(0,) * d] = offset
+        forms.append(Polynomial._make(names, coefficients))
     return forms
 
 
@@ -236,8 +245,8 @@ class DesignMatrix(Frozen):
 def design_matrix(config: PointConfiguration) -> DesignMatrix:
     """Coordinate rows of the configuration, homogenized with a ones row if needed."""
     n = len(config.points)
-    coordinate_rows = [tuple(p[i] for p in config.points) for i in range(config.dim)]
-    ones = tuple(1 for _ in range(n))
+    coordinate_rows = [tuple([p[i] for p in config.points]) for i in range(config.dim)]
+    ones = (1,) * n
     if linalg.in_row_span(coordinate_rows, ones):
         return DesignMatrix(tuple(coordinate_rows))
     return DesignMatrix((ones, *coordinate_rows))

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from .blending import BlendingSystem, WeightVector
-from .errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
+from .errors import BoundaryDataError, DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from .frozen import Frozen
 from .geometry import DesignMatrix
 from .polynomials import integer_point, point_text
@@ -181,7 +181,10 @@ def ips_fit(
     within tol in the max norm.
 
     Positivity of every scaled margin is checked exactly, in integers, before
-    any float is formed.  The iteration then runs in Python floats: with M the
+    any float is formed; counts on a proper face of the configuration, where
+    some margin is 0, raise BoundaryDataError naming that face's points.  A
+    tolerance that is not positive and finite and a ``max_iter`` below 1
+    raise ValueError.  The iteration then runs in Python floats: with M the
     scaled design, s its column sum and t = M u/|u|, each step is
     p <- p * exp(M^T (log t - log Mp) / s) followed by normalisation.  One
     product Mp per step, over the distinct rows of M, serves both that step
@@ -209,9 +212,14 @@ def ips_fit(
     if any(slack):
         shifted.append(slack)
     # Exact positivity check of the touched margins before going to floats.
+    # Each row of M is >= 0 and not 0, so a zero margin puts every count on
+    # the points where the row is 0, a proper face.
     for row in shifted:
-        if sum(e * c for e, c in zip(row, u.counts)) <= 0:
-            raise DomainError(f"margin of row {row} is not positive for counts {u.counts}")
+        if not sum(map(mul, row, u.counts)):
+            face = tuple([j for j, e in enumerate(row) if not e])
+            raise BoundaryDataError(
+                face, f"counts {u.counts} lie on the face of points {face}: row {row} of the scaled design has margin 0"
+            )
 
     # Each distinct row of M is multiplied once per step; rows[i] reads the
     # margin of the equal row of M, or is multiplied itself (slot None).

@@ -48,6 +48,7 @@ becomes a ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import add, mul
 from types import MappingProxyType
@@ -83,6 +84,18 @@ def _names(variables: Sequence[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")
     return names
+
+
+def _content(coefficients: Mapping[Exponent, int], start: int = 0) -> int:
+    """The gcd of ``start`` and the coefficients' values (0 for none).
+
+    Folded pair by pair, not as ``gcd(*values)``: that call builds an
+    argument tuple per polynomial, and CPython 3.11 keeps every freed tuple
+    of exactly 20 items on a free list that it never takes from, so the
+    tuples of 19- and 20-term polynomials would pile up there until a full
+    garbage collection.
+    """
+    return reduce(gcd, coefficients.values(), start)
 
 
 def _grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
@@ -128,7 +141,7 @@ class Polynomial:
             else:
                 clean[exp] = c
         # Reduced fractions over the lcm of their denominators are canonical.
-        denominator = lcm(*(c.denominator for c in clean.values()))
+        denominator = lcm(*[c.denominator for c in clean.values()])
         self.variables = names
         self._coefficients = {
             e: c.numerator * (denominator // c.denominator) for e, c in clean.items()
@@ -143,7 +156,7 @@ class Polynomial:
         """Unchecked constructor for arithmetic results: nonzero integer
         coefficients over a positive denominator, whose gcd it divides out."""
         if denominator != 1:
-            g = gcd(denominator, *coefficients.values())
+            g = _content(coefficients, denominator)
             if g != 1:
                 coefficients = {e: c // g for e, c in coefficients.items()}
                 denominator //= g
@@ -425,7 +438,7 @@ def power_table(base: Polynomial, top: int) -> list[Polynomial]:
 def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """A rational point as ``(xs, q)``: integers over one positive common denominator."""
     point = [Fraction(v) for v in values]
-    q = lcm(*(v.denominator for v in point))
+    q = lcm(*[v.denominator for v in point])
     return [v.numerator * (q // v.denominator) for v in point], q
 
 
@@ -438,7 +451,7 @@ def _primitive(poly: Polynomial) -> tuple[int, Polynomial]:
     """``(content, primitive part)`` of a polynomial with integer
     coefficients over 1; the zero polynomial has content 1."""
     coefficients = poly._coefficients
-    content = gcd(*coefficients.values()) or 1
+    content = _content(coefficients) or 1
     if content == 1:
         return 1, poly
     return content, Polynomial._make(poly.variables, {e: c // content for e, c in coefficients.items()})
@@ -558,6 +571,14 @@ class RationalFunction:
         self.numerator = num
         self.denominator = den
 
+    @classmethod
+    def _make(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
+        """Unchecked constructor for a pair already in canonical form."""
+        f = object.__new__(cls)
+        f.numerator = numerator
+        f.denominator = denominator
+        return f
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -672,7 +693,7 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     positive leading denominator coefficient."""
     # num / den = (a / p) / (b / r) = (a * r) / (b * p); g is the joint content.
     p, r = num._denominator, den._denominator
-    g = gcd(r * gcd(*num._coefficients.values()), p * gcd(*den._coefficients.values()))
+    g = gcd(r * _content(num._coefficients), p * _content(den._coefficients))
     if den.leading_coefficient() < 0:
         g = -g
 
@@ -738,6 +759,59 @@ def primitive_term(f: RationalFunction) -> tuple[Polynomial, dict[Polynomial, in
     if not any(map(any, denominator._coefficients)):
         return numerator, {}
     return numerator, {denominator: 1}
+
+
+def weighted_quotients(numerators: Sequence[Polynomial], weights: Sequence[Fraction]) -> list[RationalFunction]:
+    """``RationalFunction(w_b * N_b, D)`` for every b, with D = sum_b w_b * N_b.
+
+    The numerators are nonzero primitive integer polynomials over one
+    variable tuple, as products of primitive forms are (Gauss's lemma), and
+    the weights positive rationals w_b = a_b / c_b.  With L the lcm of the
+    c_b and m_b = a_b * L / c_b, the integer polynomial L * D = sum_b m_b * N_b
+    is formed once, and so are its content C and leading sign s.  When D has
+    no monomial factor nothing cancels, and the canonical form of
+    m_b * N_b / (L * D) is (u * N_b, v * D'), where D' = s * L * D / C is
+    primitive and leads positive and u / v = s * m_b / C in lowest terms with
+    v > 0, so the parts are jointly primitive.  Functions with equal v share
+    one denominator object.  When D has a monomial factor, every function is
+    built by ``RationalFunction``, which cancels what its parts share.
+    """
+    if not numerators:
+        return []
+    variables = numerators[0].variables
+    scale = lcm(*[w.denominator for w in weights])
+    multipliers = [w.numerator * (scale // w.denominator) for w in weights]
+    total: dict[Exponent, int] = {}
+    get = total.get
+    for m, numerator in zip(multipliers, numerators):
+        for e, c in numerator._coefficients.items():
+            total[e] = get(e, 0) + m * c
+    total = {e: c for e, c in total.items() if c}
+    if not total:
+        raise ZeroDivisionError("zero denominator polynomial")
+    if any(map(min, zip(*total))):
+        denominator = Polynomial._make(variables, total)
+        return [
+            RationalFunction(Polynomial._make(variables, {e: m * c for e, c in n._coefficients.items()}), denominator)
+            for m, n in zip(multipliers, numerators)
+        ]
+    content = _content(total)
+    sign = 1 if total[max(total, key=_grlex_key)] > 0 else -1
+    primitive = {e: sign * c // content for e, c in total.items()}
+    denominators: dict[int, Polynomial] = {}
+    functions = []
+    for m, numerator in zip(multipliers, numerators):
+        g = gcd(m, content)
+        u, v = sign * m // g, content // g
+        if u != 1:
+            numerator = Polynomial._make(variables, {e: u * c for e, c in numerator._coefficients.items()})
+        denominator = denominators.get(v)
+        if denominator is None:
+            denominator = denominators[v] = Polynomial._make(
+                variables, primitive if v == 1 else {e: v * c for e, c in primitive.items()}
+            )
+        functions.append(RationalFunction._make(numerator, denominator))
+    return functions
 
 
 def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFunction:

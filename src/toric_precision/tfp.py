@@ -56,7 +56,7 @@ class GradedConfiguration(Frozen):
     _fields = ("config", "assignment")
 
     def __init__(self, config: PointConfiguration, assignment: Sequence[int]):
-        assignment = tuple(int(a) for a in assignment)
+        assignment = tuple([int(a) for a in assignment])
         if len(assignment) != len(config.points):
             raise ValueError("assignment length does not match configuration")
         if any(a < 1 for a in assignment):

@@ -4,7 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -40,7 +40,7 @@ from toric_precision.polynomials import (
 from toric_precision.serialize import blending_system_from_json, blending_system_to_json
 from toric_precision.tfp import tfp_blending
 
-from test_geometry import lattice_distances, lattice_points
+from test_geometry import fraction_forms, lattice_distances, lattice_points
 
 
 class TestWeightVector:
@@ -725,3 +725,103 @@ class TestPowerTables:
         for f, beta in zip(system.functions, numerators):
             expected = RationalFunction(beta, total)
             assert (f.numerator, f.denominator) == (expected.numerator, expected.denominator)
+
+
+def plain_weighted_numerators(poly, config, weights):
+    """w_b * prod_i h_i**h_i(b) for every point b, from Fraction forms and a
+    product that starts at the constant 1, with w_b multiplied as a polynomial."""
+    forms = fraction_forms(poly)
+    names = forms[0].variables
+    weighted = []
+    for w, b in zip(weights.weights, config.points):
+        beta = Polynomial.constant(1, names)
+        for h, facet in zip(forms, poly.facets):
+            e = facet.distance(b)
+            if e:
+                beta = beta * h**e
+        weighted.append(w * beta)
+    return weighted
+
+
+def plain_toric_functions(poly, config, weights):
+    """toric_blending's functions built the plain way: one RationalFunction
+    per point over the uncancelled weighted sum."""
+    weighted = plain_weighted_numerators(poly, config, weights)
+    total = sum(weighted, Polynomial.zero(weighted[0].variables))
+    return [RationalFunction(beta, total) for beta in weighted]
+
+
+def canonical_form_cases():
+    cases = []
+    for d in (1, 2, 3):
+        for k in range(1, 5):
+            points = list(product(range(k + 1), repeat=d))
+            cases.append((f"[0,{k}]^{d}-binomial", points, [prod(comb(k, x) for x in p) for p in points]))
+            cases.append((f"[0,{k}]^{d}-unit", points, [1] * len(points)))
+    rng = random.Random(7)
+    for d, k in ((1, 3), (2, 2), (2, 3), (2, 4), (3, 2)):
+        points = [p for p in product(range(k + 1), repeat=d) if sum(p) <= k]
+        multinomial = [factorial(k) // (prod(factorial(x) for x in p) * factorial(k - sum(p))) for p in points]
+        cases.append((f"{k}simplex{d}-multinomial", points, multinomial))
+        cases.append((f"{k}simplex{d}-unit", points, [1] * len(points)))
+        random_weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+        cases.append((f"{k}simplex{d}-random", points, random_weights))
+    trapezoid = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    cases.append(("trapezoid", trapezoid, [1, 2, 1, 1, 1]))
+    cases.append(("trapezoid-unit", trapezoid, [1] * 5))
+    cases.append(("segment[1,2]", [(1,), (2,)], [1, 2]))
+    return cases
+
+
+CANONICAL_FORM_CASES = canonical_form_cases()
+
+
+class TestCanonicalForms:
+    """toric_blending gives every function the canonical form of the plain construction."""
+
+    @pytest.mark.parametrize("name, points, weights", CANONICAL_FORM_CASES, ids=[case[0] for case in CANONICAL_FORM_CASES])
+    def test_equal_to_the_plain_construction(self, name, points, weights):
+        config = PointConfiguration(len(points[0]), points)
+        poly = convex_hull_facets(config)
+        w = WeightVector(weights)
+        system = toric_blending(poly, config, w)
+        for f, g in zip(system.functions, plain_toric_functions(poly, config, w), strict=True):
+            for mine, plain in ((f.numerator, g.numerator), (f.denominator, g.denominator)):
+                assert mine._coefficients == plain._coefficients
+                assert mine._denominator == plain._denominator
+            assert str(f) == str(g)
+
+    def test_cases_cover_both_signs_contents_and_a_monomial_denominator(self):
+        """The weighted sums of the cases lead with either sign, have integer
+        content 1 and above 1, and one of them is the monomial x1."""
+        signs, contents, monomial = set(), set(), []
+        for name, points, weights in CANONICAL_FORM_CASES:
+            config = PointConfiguration(len(points[0]), points)
+            weighted = plain_weighted_numerators(convex_hull_facets(config), config, WeightVector(weights))
+            total = sum(weighted, Polynomial.zero(weighted[0].variables))
+            signs.add(total.leading_coefficient() > 0)
+            contents.add(gcd(*total._coefficients.values()) > 1)
+            if any(map(min, zip(*total._coefficients))):
+                monomial.append(name)
+        assert signs == {True, False}
+        assert contents == {True, False}
+        assert monomial == ["segment[1,2]"]
+
+    def test_no_points_no_functions(self, square_poly):
+        assert toric_blending(square_poly, PointConfiguration(2, ()), WeightVector(())).functions == ()
+
+    def test_segment_with_a_monomial_denominator(self):
+        config = PointConfiguration(1, [(1,), (2,)])
+        system = toric_blending(convex_hull_facets(config), config, WeightVector((1, 2)))
+        assert [str(f) for f in system.functions] == ["(-x1 + 2) / (x1)", "(2*x1 - 2) / (x1)"]
+
+    @pytest.mark.parametrize(
+        "system",
+        [lambda: bernstein_box(2, 2, binomial=False), lambda: seeded_random_weights(3)[1]],
+        ids=["unit-box", "random-simplex"],
+    )
+    def test_equal_denominators_are_one_object(self, system):
+        functions = system().functions
+        for f in functions:
+            for g in functions:
+                assert (f.denominator is g.denominator) == (f.denominator == g.denominator)

@@ -629,6 +629,32 @@ class TestMleVerbs:
         assert f"max_iter must be at least 1, got {max_iter}" in err
 
     @pytest.mark.parametrize("verb", ["mle", "ips"])
+    @pytest.mark.parametrize(
+        "model, counts, face",
+        [("square.json", "0,0,0,5", "['1,1']"), ("trapezoid.json", "1,1,0,0,0", "['0,0', '1,0', '2,0']")],
+    )
+    def test_boundary_counts_name_the_flag_and_the_face(self, capsys, verb, model, counts, face):
+        code, out, err = run(capsys, verb, model, "--data", counts)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"input error: --data: counts ({counts.replace(',', ', ')}) lie on the face of points {face}, "
+            "so no positive fit exists\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["mle", "ips"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "tolerance must be positive and finite, got nan"),
+            ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_options_name_their_flag(self, capsys, verb, flag, value, message):
+        code, out, err = run(capsys, verb, "trapezoid.json", "--data", "1,1,1,1,1", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {flag}: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["mle", "ips"])
     def test_empty_or_directory_data_reaches_inline_parser(self, capsys, tmp_path, verb):
         for data in ("", str(tmp_path)):
             code, out, err = run(capsys, verb, "square.json", "--data", data)

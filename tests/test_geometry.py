@@ -18,7 +18,7 @@ from toric_precision.geometry import (
     lattice_distance_forms,
     sample_interior,
 )
-from toric_precision.polynomials import integer_point
+from toric_precision.polynomials import Polynomial, integer_point
 
 
 def lattice_distances(poly, point):
@@ -43,6 +43,19 @@ def design_product(dm, vector):
     if len(vector) != dm.n_columns:
         raise ValueError(f"vector of length {len(vector)} does not match the {dm.n_columns} columns")
     return tuple(sum((Fraction(x) * r for x, r in zip(vector, row)), Fraction(0)) for row in dm.rows)
+
+
+def fraction_forms(poly):
+    """The lattice-distance forms built through the validating constructor,
+    one Fraction per coefficient, the offset term always given."""
+    names = tuple(f"x{i + 1}" for i in range(poly.dim))
+    forms = []
+    for normal, offset in poly.facets:
+        terms = {(0,) * poly.dim: Fraction(offset)}
+        for i, n in enumerate(normal):
+            terms[tuple(int(j == i) for j in range(poly.dim))] = Fraction(n)
+        forms.append(Polynomial(names, terms))
+    return forms
 
 
 def forms_as_strings(poly):
@@ -310,6 +323,27 @@ class TestHullAgainstBruteForce:
 
 
 class TestLatticeDistanceForms:
+    def test_integer_forms_equal_the_fraction_built_ones(self):
+        configurations = (
+            [(0, 0), (1, 0), (0, 1), (1, 1)], [(1,), (2,)], list(product(range(3), repeat=3)), [(-1, 0), (1, -1), (0, 2)]
+        )
+        for points in configurations:
+            poly = convex_hull_facets(PointConfiguration(len(points[0]), points))
+            forms = lattice_distance_forms(poly)
+            plain = fraction_forms(poly)
+            assert forms == plain
+            for form, expected in zip(forms, plain, strict=True):
+                assert form._denominator == 1
+                assert form._coefficients == expected._coefficients
+                assert all(type(c) is int and c for c in form._coefficients.values())
+
+    def test_a_facet_through_the_origin_has_no_constant_term(self, square_poly):
+        forms = lattice_distance_forms(square_poly)
+        through_origin = [form for form, facet in zip(forms, square_poly.facets) if facet.offset == 0]
+        assert through_origin
+        for form in through_origin:
+            assert (0, 0) not in form._coefficients
+
     def test_square_forms(self, square_poly):
         assert forms_as_strings(square_poly) == {"x1", "x2", "-x1 + 1", "-x2 + 1"}
 

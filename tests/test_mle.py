@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 
 import toric_precision
 from toric_precision.blending import BlendingSystem, WeightVector, toric_blending
-from toric_precision.errors import DomainError, NotConvergedError, PoleError, ZeroClassTotalError
+from toric_precision.errors import BoundaryDataError, DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
 from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
 from toric_precision.mle import (
@@ -130,6 +131,13 @@ class TestIps:
         dm = design_matrix(square_config)
         with pytest.raises(DomainError):
             ips_fit(dm, square_system.weights, DataVector((3, 0, 1, 0)), 1e-10, 100)
+
+    @pytest.mark.parametrize("counts, face", [((3, 0, 1, 0), (0, 2)), ((0, 0, 0, 5), (3,))])
+    def test_boundary_counts_name_their_face(self, square_config, square_system, counts, face):
+        # (0, 0, 0, 5) meets the slack row of the scaled design, not a design row
+        with pytest.raises(BoundaryDataError, match=re.escape(f"lie on the face of points {face}")) as info:
+            ips_fit(design_matrix(square_config), square_system.weights, DataVector(counts), 1e-10, 100)
+        assert info.value.face == face
 
     def test_negative_coordinates(self):
         # a coordinate row that is a negative multiple of ones shifts to zero
