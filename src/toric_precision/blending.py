@@ -377,7 +377,7 @@ PARTITION, LINEAR_PRECISION, DEFINED = "partition of unity", "linear precision",
 IDENTITIES = (PARTITION, LINEAR_PRECISION, DEFINED)
 
 
-def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Sequence[str]) -> bool:
+def _factors_certify(factors: Sequence[BlendingSystem], samples: int, seed: int, kinds: Sequence[str]) -> bool:
     """Whether both factors of a fiber product pass what its checks of ``kinds``,
     all identities or none, need.
 
@@ -404,7 +404,7 @@ def _factors_certify(record: _ProductRecord, samples: int, seed: int, kinds: Seq
         needed = (MEMBERSHIP, STRICT_POSITIVITY) if MEMBERSHIP in kinds else (STRICT_POSITIVITY,)
     return all(
         reason is None
-        for factor in record.factors
+        for factor in factors
         for reason in _decide(factor, *needed, samples=samples, seed=seed)
     )
 
@@ -460,7 +460,7 @@ def _decide(
     for group in ([k for k in kinds if k in IDENTITIES], [k for k in kinds if k not in IDENTITIES]):
         if not group:
             continue
-        if isinstance(record, _ProductRecord) and _factors_certify(record, samples, seed, group):
+        if isinstance(record, _ProductRecord) and _factors_certify(record.factors, samples, seed, group):
             found = (None,) * len(group)
         elif group[0] in IDENTITIES:
             found = _identities(sys, group)

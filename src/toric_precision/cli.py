@@ -183,6 +183,8 @@ def _cmd_blend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise SchemaError("--samples: need at least one sample")
     system = _as_system(*_load(args.system, "model"))
     report = verify_rational_linear_precision(system, samples=args.samples, seed=args.seed)
     lines = []

@@ -24,7 +24,7 @@ from .errors import (
 from .frozen import Frozen
 from .linalg import independent_rows, primitive_integer, solve
 from .polynomials import Polynomial, exact_integer, exact_rational, integer_point, lcm_sum
-from .tfp import enumerate_product_indices
+from .tfp import PRODUCT_LABEL, enumerate_product_indices
 
 
 class HornMatrix(Frozen):
@@ -273,8 +273,9 @@ def tfp_horn_pair(
     ``r`` is the number of degree classes, and ``block_index_*`` assigns
     each factor column its 1-based degree class.
     The column for (i, j, k) stacks column j of the first factor, column k
-    of the second, and the negated class-i column of the simplex pair on the
-    classes; its coefficient is minus the product of the factor coefficients.
+    of the second, and -e_i over +1, the negated class-i column of
+    :func:`simplex_horn_pair` on the classes; its coefficient is minus the
+    product of the factor coefficients.
     """
     if r < 1:
         raise InconsistentBlockIndexError("need at least one degree class")
@@ -291,19 +292,14 @@ def tfp_horn_pair(
         if present != set(range(1, r + 1)):
             missing = sorted(set(range(1, r + 1)) - present)
             raise InconsistentBlockIndexError(f"{name} factor has empty classes {missing}")
-    simplex = simplex_horn_pair(r).matrix
     columns = []
     coefficients = []
     labels = []
     for i, j, k, bi, ci in enumerate_product_indices(blocks_b, blocks_c):
-        stacked = (
-            pairB.matrix.column(bi)
-            + pairC.matrix.column(ci)
-            + tuple(-x for x in simplex.column(i - 1))
-        )
-        columns.append(stacked)
+        block = tuple([-(a == i) for a in range(1, r + 1)] + [1])
+        columns.append(pairB.matrix.column(bi) + pairC.matrix.column(ci) + block)
         coefficients.append(-pairB.coefficients[bi] * pairC.coefficients[ci])
-        labels.append(f"z[{i}][{j}][{k}]")
+        labels.append(PRODUCT_LABEL.format(i, j, k))
     rows = tuple(tuple(col[a] for col in columns) for a in range(len(columns[0])))
     return HornPair(HornMatrix(rows, tuple(labels)), tuple(coefficients))
 
@@ -311,12 +307,12 @@ def tfp_horn_pair(
 def minimize_horn_pair(pair: HornPair, strict: bool = False) -> HornPair:
     """Fold proportional rows into single rows, compensating the coefficients.
 
-    Rows proportional over the rationals to one primitive vector are replaced
-    by their sum; the per-column coefficient absorbs the proportionality
-    constants so the parametrization is unchanged (verified exactly, by
-    comparing the factored columns, before returning).  A class whose constants sum to zero
-    cannot be folded; it is kept as-is, or raises in strict mode.  All-zero
-    rows are dropped.
+    Rows k_m * f with one primitive form f become K * f, K = sum k_m, and
+    column c's coefficient gains rho**f_c, rho = prod k_m**k_m / K**K, so
+    the parametrization is unchanged (verified exactly, by comparing the
+    factored columns, before returning).  A class whose constants sum to
+    zero cannot be folded; it is kept as-is, or raises in strict mode.
+    All-zero rows are dropped.
     """
     rows = [row for row in pair.matrix.entries if any(row)]
     if not rows:
@@ -331,23 +327,17 @@ def minimize_horn_pair(pair: HornPair, strict: bool = False) -> HornPair:
         if len(members) == 1:
             new_rows.append(members[0][1])
             continue
-        total_constant = sum(constant for constant, _ in members)
-        if total_constant == 0:
+        total = sum(k for k, _ in members)
+        if total == 0:
             if strict:
-                raise MergeAbortedError(
-                    f"rows proportional to {rep} have constants summing to 0"
-                )
+                raise MergeAbortedError(f"rows proportional to {rep} have constants summing to 0")
             new_rows.extend(row for _, row in members)
             continue
-        merged = tuple(sum(row[c] for _, row in members) for c in range(pair.n_columns))
-        new_rows.append(merged)
-        for c in range(pair.n_columns):
-            folded = Fraction(1)
-            for constant, row in members:
-                if row[c]:
-                    folded *= Fraction(constant) ** row[c]
-            exponent = merged[c]
-            coefficient_factors[c] *= folded / Fraction(total_constant) ** exponent
+        new_rows.append(tuple([total * x for x in rep]))
+        rho = prod([Fraction(k) ** k for k, _ in members]) / Fraction(total) ** total
+        for c, x in enumerate(rep):
+            if x:
+                coefficient_factors[c] *= rho**x
     minimized = HornPair(
         HornMatrix(tuple(new_rows), pair.matrix.column_labels),
         tuple(c * f for c, f in zip(pair.coefficients, coefficient_factors)),

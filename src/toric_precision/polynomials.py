@@ -242,14 +242,15 @@ class Polynomial:
             coefficients[tuple(new_exp)] = c
         return Polynomial._make(names, coefficients, self._denominator)
 
-    def renamed(self, variables: Sequence[str]) -> "Polynomial":
-        """Rename variables positionally (same count, exponents untouched)."""
-        names = tuple(str(v) for v in variables)
-        if len(names) != len(self.variables):
-            raise ValueError(f"expected {len(self.variables)} names, got {len(names)}")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names}")
-        return Polynomial._make(names, self._coefficients, self._denominator)
+    def placed(self, variables: tuple[str, ...], offset: int) -> "Polynomial":
+        """This polynomial over ``variables``, its own variables at positions
+        ``offset``..: every exponent is padded with zeros, which keeps the term order."""
+        pad = len(variables) - offset - len(self.variables)
+        if offset < 0 or pad < 0:
+            raise ValueError(f"{len(self.variables)} variables do not fit {variables} at offset {offset}")
+        before, after = (0,) * offset, (0,) * pad
+        coefficients = {before + e + after: c for e, c in self._coefficients.items()}
+        return Polynomial._make(variables, coefficients, self._denominator)
 
     def _aligned(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if self.variables == other.variables:
@@ -594,8 +595,9 @@ class RationalFunction:
             return self
         return RationalFunction(self.numerator.reindexed(names), self.denominator.reindexed(names))
 
-    def renamed(self, names: Sequence[str]) -> "RationalFunction":
-        return RationalFunction(self.numerator.renamed(names), self.denominator.renamed(names))
+    def placed(self, variables: tuple[str, ...], offset: int) -> "RationalFunction":
+        """Both parts placed (:meth:`Polynomial.placed`), which keeps the canonical form."""
+        return RationalFunction._make(self.numerator.placed(variables, offset), self.denominator.placed(variables, offset))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -173,6 +173,10 @@ def enumerate_product_indices(
     return out
 
 
+# The label of product point (i, j, k), and of the Horn column of the same index.
+PRODUCT_LABEL = "z[{}][{}][{}]"
+
+
 def tfp_configuration(
     B: GradedConfiguration,
     wB: WeightVector,
@@ -192,36 +196,30 @@ def tfp_configuration(
         points.append(B.config.points[bi] + C.config.points[ci])
         weights.append(wB[bi] * wC[ci])
         classes.append(i)
-        labels.append(f"z[{i}][{j}][{k}]")
+        labels.append(PRODUCT_LABEL.format(i, j, k))
     config = PointConfiguration(B.config.dim + C.config.dim, tuple(points), tuple(labels))
     return GradedModel(GradedConfiguration(config, tuple(classes)), WeightVector(tuple(weights)), g.degrees)
 
 
-def _renamed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list, tuple[str, ...]]:
-    """The factors' functions renamed positionally to x1.. and y1.., and the product's variables."""
-    x_names = tuple(f"x{i + 1}" for i in range(sysB.config.dim))
-    y_names = tuple(f"y{i + 1}" for i in range(sysC.config.dim))
-    fB = [f.renamed(x_names) for f in sysB.functions]
-    return fB, [f.renamed(y_names) for f in sysC.functions], x_names + y_names
+def _placed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list, tuple[str, ...]]:
+    """The factors' functions placed into the product's variables x1.., y1..,
+    the first factor's at offset 0 and the second's after them, and those variables."""
+    dB = sysB.config.dim
+    names = tuple([f"x{i + 1}" for i in range(dB)] + [f"y{i + 1}" for i in range(sysC.config.dim)])
+    return [f.placed(names, 0) for f in sysB.functions], [f.placed(names, dB) for f in sysC.functions], names
 
 
 def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int], r: int) -> list[RationalFunction]:
     """S_i, the sum of the class-i functions, for i = 1..r (every class
-    nonempty, once :func:`_product` has checked the grading)."""
+    nonempty, once :func:`_graded_factors` has checked the grading)."""
     return [sum_rational_functions(f for f, a in zip(functions, assignment) if a == i) for i in range(1, r + 1)]
 
 
-def _product(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> GradedModel:
-    """The product of the factors of two systems, as :func:`tfp_configuration` gives it.
-
-    The grading is validated on the factors' points as
-    :func:`validate_multigrading` does: dependent degree vectors raise
-    DependentDegreesError, and classes that admit no affine degree map on a
-    factor's points raise NoDegreeMapError naming the factor and a point.
-    """
+def _graded_factors(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> tuple[GradedConfiguration, ...]:
+    """The factors' points graded by ``g``, once :func:`validate_multigrading` has validated ``g`` on them."""
     B, C = GradedConfiguration(sysB.config, g.assignment_b), GradedConfiguration(sysC.config, g.assignment_c)
     validate_multigrading(B, C, g.degrees)
-    return tfp_configuration(B, sysB.weights, C, sysC.weights, g)
+    return B, C
 
 
 def tfp_blending(
@@ -234,20 +232,22 @@ def tfp_blending(
     product as a graded model, which can be a factor of the next product.
 
     The function for product point (i, j, k) is f_j * f_k divided by the
-    class-i sum of the chosen factor ("B" or "C" denominator).  Factor
-    variables are renamed positionally to x1.. and y1.. so the product lives
-    over disjoint variables.  A class sum of 0 in the chosen factor raises
+    class-i sum of the chosen factor ("B" or "C" denominator).  The factors'
+    functions are placed once into the product's variables x1.., y1.. by
+    padding exponents, so every product function and class sum is built
+    over one variable tuple.  A class sum of 0 in the chosen factor raises
     ZeroClassSumError naming the factor and the class; dependent degree
     vectors raise DependentDegreesError, and classes that admit no affine
     degree map on a factor's points raise NoDegreeMapError.  The
     system keeps both factor systems, from which its membership and
     positivity are decided (see the module docstring).
     """
-    fB, fC, names = _renamed_factors(sysB, sysC)
+    fB, fC, names = _placed_factors(sysB, sysC)
     sides = {"B": (fB, g.assignment_b), "C": (fC, g.assignment_c)}
     if form not in sides:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
-    product = _product(sysB, sysC, g)
+    B, C = _graded_factors(sysB, sysC, g)
+    product = tfp_configuration(B, sysB.weights, C, sysC.weights, g)
     denominators = _class_sums(*sides[form], g.num_classes)
     for i, total in enumerate(denominators, start=1):
         if total.is_zero:
@@ -277,18 +277,18 @@ def verify_form_agreement(
     and linear precision, each decided in its own mode, and no factor
     denominator vanishes on its span, for then S^B_i and S^C_i are one
     affine function on the span (see
-    :func:`toric_precision.blending._decide`); otherwise the class sums are
-    compared.  No sample is drawn; ``samples < 1`` is still an error.
-    Dependent degree vectors raise DependentDegreesError, and classes that
+    :func:`toric_precision.blending._decide`); otherwise the product's span
+    and the class sums are built and compared.  No sample is drawn;
+    ``samples < 1`` is still an error.  Dependent degree vectors raise DependentDegreesError, and classes that
     admit no affine degree map on a factor's points raise NoDegreeMapError,
     before the factors are decided.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    product = _product(sysB, sysC, g)
-    if _factors_certify(_ProductRecord((sysB, sysC)), samples, seed, IDENTITIES):
+    B, C = _graded_factors(sysB, sysC, g)
+    if _factors_certify((sysB, sysC), samples, seed, IDENTITIES):
         return True
-    fB, fC, names = _renamed_factors(sysB, sysC)
-    span = _affine_span_substitution(product.config)
+    fB, fC, _ = _placed_factors(sysB, sysC)
+    span = _affine_span_substitution(tfp_configuration(B, sysB.weights, C, sysC.weights, g).config)
     sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
-    return all(not s_b.is_zero and _vanishes_on((s_c / s_b - 1).reindexed(names), span) for s_b, s_c in sums)
+    return all(not s_b.is_zero and _vanishes_on(s_c / s_b - 1, span) for s_b, s_c in sums)

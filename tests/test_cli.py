@@ -153,7 +153,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "square.json", "--samples", "0")
         assert code == 2
         assert out == ""
-        assert "need at least one sample" in err
+        assert err == "input error: --samples: need at least one sample\n"
 
 
 class TestLowerDimensionalPoints:

@@ -358,13 +358,13 @@ class TestLatticeDistanceForms:
             assert sum(1 for d in distances if d == 0) == 2
 
     def test_custom_names(self, trapezoid_poly):
-        # the forms are in x1..xd; other names come from renaming them
+        # the forms are in x1..xd; other names come from placing them
         forms = lattice_distance_forms(trapezoid_poly)
         assert all(f.variables == ("x1", "x2") for f in forms)
-        renamed = [f.renamed(("y1", "y2")) for f in forms]
-        assert all(g.variables == ("y1", "y2") for g in renamed)
+        placed = [f.placed(("y1", "y2"), 0) for f in forms]
+        assert all(g.variables == ("y1", "y2") for g in placed)
         point = (Fraction(1, 3), Fraction(1, 2))
-        assert [g.evaluate(point) for g in renamed] == [f.evaluate(point) for f in forms]
+        assert [g.evaluate(point) for g in placed] == [f.evaluate(point) for f in forms]
 
 
 class TestLatticePoints:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from toric_precision import horn
 from toric_precision.cli import resolve_input_path
 from toric_precision.errors import (
     InconsistentBlockIndexError,
@@ -287,6 +288,23 @@ class TestProductHornPair:
                 for (i, _, _, bi, ci) in order
             )
             assert horn_parametrize(pair, u) == expected
+
+    @pytest.mark.parametrize("r, blocks_b, blocks_c", [
+        (2, (1, 1, 2, 2), (1, 1, 1, 2, 2)), (3, (1, 2, 3, 3), (1, 2, 2, 3, 3)),
+    ])
+    def test_the_class_block_is_written_without_a_simplex_pair(
+        self, square_horn, trapezoid_horn, monkeypatch, r, blocks_b, blocks_c
+    ):
+        # column (i, j, k) ends in -e_i over +1, the negated class-i column of
+        # the simplex pair on the classes, which is never built
+        simplex = simplex_horn_pair(r).matrix
+        calls = []
+        monkeypatch.setattr(horn, "simplex_horn_pair", lambda m: calls.append(m))
+        pair = tfp_horn_pair(square_horn, trapezoid_horn, r, blocks_b, blocks_c)
+        assert calls == []
+        for c, label in enumerate(pair.matrix.column_labels):
+            i = int(label[2])
+            assert pair.matrix.column(c)[-(r + 1):] == tuple(-x for x in simplex.column(i - 1))
 
     def test_inconsistent_blocks(self, square_horn, trapezoid_horn):
         with pytest.raises(InconsistentBlockIndexError):

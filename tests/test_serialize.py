@@ -102,7 +102,7 @@ class TestBlendingSystemRoundTrip:
         assert data.pop("variables") == ["y1", "y2"]
         back = serialize.blending_system_from_json(data)
         assert back.variables == ("x1", "x2")
-        assert back.functions == tuple(f.renamed(("x1", "x2")) for f in beta_tilde_system.functions)
+        assert back.functions == tuple(f.placed(("x1", "x2"), 0) for f in beta_tilde_system.functions)
 
     @pytest.mark.parametrize(
         "names, field",

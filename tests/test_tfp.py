@@ -253,6 +253,57 @@ class TestTfpBlending:
                 tfp_blending(square_system, beta_tilde_system, grading, form)
 
 
+def padded(poly, names, offset):
+    """The polynomial over ``names`` with its exponents padded by zeros, through the validating constructor."""
+    after = (0,) * (len(names) - offset - len(poly.variables))
+    return Polynomial(names, {(0,) * offset + e + after: c for e, c in poly.terms.items()})
+
+
+class TestPlacement:
+    """The factors' functions are placed into the product's variables by padding exponents."""
+
+    @pytest.mark.parametrize("offset", [0, 2], ids=["offset-0", "offset-dB"])
+    def test_placement_keeps_the_canonical_form(
+        self, offset, square_system, trapezoid_toric_system, beta_tilde_system, product_system
+    ):
+        for system in (square_system, trapezoid_toric_system, beta_tilde_system, product_system[0]):
+            d = system.config.dim
+            names = tuple(f"v{i + 1}" for i in range(d + 2))
+            for f in system.functions:
+                placed = f.placed(names, offset)
+                expected = RationalFunction(padded(f.numerator, names, offset), padded(f.denominator, names, offset))
+                assert placed.variables == names
+                assert placed.numerator == expected.numerator
+                assert placed.denominator == expected.denominator
+
+    def test_placement_must_fit(self, square_system):
+        f = square_system.functions[0]
+        for names, offset in ((("a", "b", "c"), 2), (("a", "b"), -1), (("a",), 0)):
+            with pytest.raises(ValueError, match="do not fit"):
+                f.placed(names, offset)
+
+    def test_a_build_never_reindexes(
+        self, monkeypatch, chain, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        inner_system, _, outer_grading, _, _ = chain
+        calls = []
+        reindexed = Polynomial.reindexed
+
+        def recording_reindexed(poly, names):
+            calls.append((poly.variables, tuple(names)))
+            return reindexed(poly, names)
+
+        monkeypatch.setattr(Polynomial, "reindexed", recording_reindexed)
+        for form in "BC":
+            tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)
+            tfp_blending(inner_system, square_system, outer_grading, form)
+        assert calls == []
+        # the toric trapezoid lacks linear precision, so the class sums are
+        # compared; of S^C / S^B - 1, only the constant 1 gains variables
+        assert not verify_form_agreement(square_system, trapezoid_toric_system, square_trapezoid_grading)
+        assert calls and all(variables == () for variables, _ in calls)
+
+
 def with_zero_class(system, kept, cancelled):
     """The system with function ``cancelled`` replaced by minus function ``kept``."""
     functions = list(system.functions)
