@@ -10,7 +10,8 @@ interior, and lands on the weighted toric variety are separate checks:
 * partition of unity and linear precision are exact symbolic identities,
   decided from the factors for a fiber product built by
   :func:`~toric_precision.tfp.tfp_blending` and summed over the expanded
-  functions for every other system,
+  functions for every other system, except that a system built by
+  :func:`toric_blending` partitions unity by construction,
 * membership in the variety and interior positivity are structural for a
   system built by :func:`toric_blending`, decided from the factors for a
   fiber product built by :func:`~toric_precision.tfp.tfp_blending`, and
@@ -103,7 +104,8 @@ class BlendingSystem(Frozen):
     Only the systems :func:`toric_blending` and
     :func:`~toric_precision.tfp.tfp_blending` return carry a record of how
     they were built; ``==``, serialization and ``_replace`` neither see nor
-    copy it, nor the cached ``_kernel``.
+    copy it, nor the cached ``_kernel``.  A fiber product's ``functions``
+    are formed from its record on first read.
     """
 
     _fields = ("config", "weights", "functions", "kind", "variables")
@@ -132,6 +134,14 @@ class BlendingSystem(Frozen):
         # CPython's free lists otherwise.
         functions = tuple([f.reindexed(names) for f in functions])
         self.__dict__.update(config=config, weights=weights, functions=functions, kind=kind, variables=names)
+
+    @cached_property
+    def functions(self) -> tuple[RationalFunction, ...]:
+        """The functions of a fiber product, formed from its factors on first
+        read; every other system sets this field in ``__init__``."""
+        from .tfp import _product_functions  # tfp imports this module
+
+        return _product_functions(*self._record)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """All function values at a rational point (PoleError on any pole)."""
@@ -167,6 +177,8 @@ class _ProductRecord(NamedTuple):
     """The factors of a fiber product: f_ijk = f_j * f_k / S_i with weight w_j * w_k."""
 
     factors: tuple[BlendingSystem, BlendingSystem]
+    grading: "Multigrading"  # validated on the factors' points
+    form: str  # "B" or "C", the factor whose class sums S_i divide
 
 
 def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightVector) -> BlendingSystem:
@@ -452,20 +464,38 @@ def _decide(
 
     The same fact, S^B_i = S^C_i on L, decides
     :func:`~toric_precision.tfp.verify_form_agreement`.
+
+    A system whose toric record holds (:func:`_structural_reason`) passes
+    partition of unity and definition on the span with no sum; its linear
+    precision is still summed.  Its functions are
+    f_b = w_b * prod_i h_i**E[b][i] / T with T = sum_b w_b * prod_i h_i**E[b][i],
+    their own weighted sum, so they sum to T / T = 1.  With E[b][i] the
+    lattice distance h_i(b) >= 0, every term of T is >= 0 at every
+    configuration point b', and the term of b' itself is
+    w_b' * prod_i h_i(b')**h_i(b') > 0 (a zero distance gives the factor
+    0**0 = 1), so T(b') > 0.  Every canonical denominator divides T up to a
+    constant, so none vanishes at the configuration points, which lie on
+    the span, and none vanishes identically there.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     record = sys._record
+    toric = isinstance(record, _ToricRecord)
+    structural = _structural_reason(sys) if toric else None
     reasons: dict[str, str | None] = {}
-    for group in ([k for k in kinds if k in IDENTITIES], [k for k in kinds if k not in IDENTITIES]):
+    identities = [k for k in kinds if k in IDENTITIES]
+    if toric and structural is None:
+        reasons.update(dict.fromkeys([k for k in identities if k != LINEAR_PRECISION]))
+        identities = [k for k in identities if k == LINEAR_PRECISION]
+    for group in (identities, [k for k in kinds if k not in IDENTITIES]):
         if not group:
             continue
         if isinstance(record, _ProductRecord) and _factors_certify(record.factors, samples, seed, group):
             found = (None,) * len(group)
         elif group[0] in IDENTITIES:
             found = _identities(sys, group)
-        elif isinstance(record, _ToricRecord):
-            found = (_structural_reason(sys),) * len(group)
+        elif toric:
+            found = (structural,) * len(group)
         else:
             checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(poly, kind) for kind in group]
             witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)

@@ -156,29 +156,38 @@ def _parse_point(raw: str, flag: str) -> tuple[Fraction, ...]:
 
 
 def _emit(args, text_lines, json_data) -> None:
+    """Print the report in the chosen format.  Each argument is a function of
+    no arguments that builds its format (the text as an iterable of lines),
+    so only the printed one is built."""
     if args.output == "json":
-        sys.stdout.write(serialize.dump_json(json_data))
+        sys.stdout.write(serialize.dump_json(json_data()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
 def _cmd_facets(args) -> int:
     poly = _hull(*_load(args.config, "points"))
-    lines = [f"dim {poly.dim}, {len(poly.facets)} facets, {len(poly.vertices)} vertices"]
-    for normal, offset in poly.facets:
-        terms = " + ".join(f"{n}*x{i + 1}" for i, n in enumerate(normal) if n)
-        lines.append(f"  {terms} + {offset} >= 0")
-    lines.append("vertices: " + " ".join(str(list(v)) for v in poly.vertices))
-    _emit(args, lines, serialize.polytope_to_json(poly))
+
+    def lines():
+        yield f"dim {poly.dim}, {len(poly.facets)} facets, {len(poly.vertices)} vertices"
+        for normal, offset in poly.facets:
+            terms = " + ".join(f"{n}*x{i + 1}" for i, n in enumerate(normal) if n)
+            yield f"  {terms} + {offset} >= 0"
+        yield "vertices: " + " ".join(str(list(v)) for v in poly.vertices)
+
+    _emit(args, lines, lambda: serialize.polytope_to_json(poly))
     return 0
 
 
 def _cmd_blend(args) -> int:
     system = _as_system(*_load(args.model, "model"))
     labels = system.config.effective_labels()
-    lines = [f"{label}: {f}" for label, f in zip(labels, system.functions)]
-    _emit(args, lines, serialize.blending_system_to_json(system))
+    _emit(
+        args,
+        lambda: [f"{label}: {f}" for label, f in zip(labels, system.functions)],
+        lambda: serialize.blending_system_to_json(system),
+    )
     return 0
 
 
@@ -187,14 +196,14 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--samples: need at least one sample")
     system = _as_system(*_load(args.system, "model"))
     report = verify_rational_linear_precision(system, samples=args.samples, seed=args.seed)
-    lines = []
-    for name in ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision"):
-        ok = getattr(report, name)
-        line = f"{name}: {'pass' if ok else 'FAIL'}"
-        if not ok and name in report.details:
-            line += f" ({report.details[name]})"
-        lines.append(line)
-    _emit(args, lines, report.as_dict())
+
+    def lines():
+        for name in ("partition_of_unity", "toric_membership", "interior_positivity", "linear_precision"):
+            ok = getattr(report, name)
+            line = f"{name}: {'pass' if ok else 'FAIL'}"
+            yield line + f" ({report.details[name]})" if not ok and name in report.details else line
+
+    _emit(args, lines, report.as_dict)
     return 0 if report.all_pass else 1
 
 
@@ -227,18 +236,17 @@ def _cmd_tfp(args) -> int:
         elif not verify_linear_precision(factor):
             print(f"warning: {name} factor lacks linear precision", file=sys.stderr)
     system, product = tfp_blending(sys_b, sys_c, grading, form=args.form)
-    labels = product.config.labels
-    lines = [f"{len(product.config.points)} points, weights "
-             f"({', '.join(rational_str(w) for w in product.weights.weights)})"]
-    lines += [
-        f"{label} = {list(point)}: {f}"
-        for label, point, f in zip(labels, product.config.points, system.functions)
-    ]
-    json_data = {
+
+    def lines():
+        weights = ", ".join(rational_str(w) for w in product.weights.weights)
+        yield f"{len(product.config.points)} points, weights ({weights})"
+        for label, point, f in zip(product.config.labels, product.config.points, system.functions):
+            yield f"{label} = {list(point)}: {f}"
+
+    _emit(args, lines, lambda: {
         "model": serialize.graded_model_to_json(product),
         "system": serialize.blending_system_to_json(system),
-    }
-    _emit(args, lines, json_data)
+    })
     return 0
 
 
@@ -251,35 +259,45 @@ def _cmd_horn_tfp(args) -> int:
         pair = tfp_horn_pair(pair_b, pair_c, r, blocks_b, blocks_c)
     except InconsistentBlockIndexError as exc:
         raise SchemaError(f"{args.grading}: {exc}") from None
-    lines = [format_horn_matrix(pair.matrix)]
-    lines.append("lambda: (" + ", ".join(rational_str(c) for c in pair.coefficients) + ")")
-    _emit(args, lines, serialize.horn_pair_to_json(pair))
+    _emit(
+        args,
+        lambda: [format_horn_matrix(pair.matrix), _coefficients_line(pair)],
+        lambda: serialize.horn_pair_to_json(pair),
+    )
     return 0
+
+
+def _coefficients_line(pair: HornPair) -> str:
+    return "lambda: (" + ", ".join(rational_str(c) for c in pair.coefficients) + ")"
 
 
 def _cmd_horn_validate(args) -> int:
     pair = _load(args.horn, "horn")[0]
     report = validate_horn_pair(pair)
-    lines = [
-        f"sums_to_one: {'pass' if report.sums_to_one else 'FAIL'}",
-        f"positive: {'pass' if report.positive else 'FAIL'}",
-        f"symbolic_checked: {report.symbolic_checked}",
-    ]
-    if report.witness:
-        lines.append(f"witness: {report.witness}")
-    _emit(args, lines, report.as_dict())
+
+    def lines():
+        yield f"sums_to_one: {'pass' if report.sums_to_one else 'FAIL'}"
+        yield f"positive: {'pass' if report.positive else 'FAIL'}"
+        yield f"symbolic_checked: {report.symbolic_checked}"
+        if report.witness:
+            yield f"witness: {report.witness}"
+
+    _emit(args, lines, report.as_dict)
     return 0 if report.valid else 1
 
 
 def _cmd_horn_minimize(args) -> int:
     pair = _load(args.horn, "horn")[0]
     minimized = minimize_horn_pair(pair, strict=args.strict)
-    lines = [
-        f"rows: {pair.matrix.n_rows} -> {minimized.matrix.n_rows}",
-        format_horn_matrix(minimized.matrix),
-        "lambda: (" + ", ".join(rational_str(c) for c in minimized.coefficients) + ")",
-    ]
-    _emit(args, lines, serialize.horn_pair_to_json(minimized))
+    _emit(
+        args,
+        lambda: [
+            f"rows: {pair.matrix.n_rows} -> {minimized.matrix.n_rows}",
+            format_horn_matrix(minimized.matrix),
+            _coefficients_line(minimized),
+        ],
+        lambda: serialize.horn_pair_to_json(minimized),
+    )
     return 0
 
 
@@ -290,19 +308,21 @@ def _cmd_mle(args) -> int:
     residual = birch_residual(design_matrix(system.config), u, estimate)
     ips = _fit(args, system.config, system.weights, u)
     agreement = max(abs(float(e) - f) for e, f in zip(estimate.probs, ips.distribution.probs))
-    lines = [
-        "exact: (" + ", ".join(rational_str(p) for p in estimate.probs) + ")",
-        "birch_residual: (" + ", ".join(rational_str(r) for r in residual) + ")",
-        f"ips: ({', '.join(repr(p) for p in ips.distribution.probs)}) in {ips.iterations} iterations",
-        f"ips_agreement: {agreement:.3e}",
-    ]
-    json_data = {
-        "exact": [rational_str(p) for p in estimate.probs],
-        "float": list(ips.distribution.probs),
-        "birch_residual": [rational_str(r) for r in residual],
-        "iterations": ips.iterations,
-    }
-    _emit(args, lines, json_data)
+    _emit(
+        args,
+        lambda: [
+            "exact: (" + ", ".join(rational_str(p) for p in estimate.probs) + ")",
+            "birch_residual: (" + ", ".join(rational_str(r) for r in residual) + ")",
+            f"ips: ({', '.join(repr(p) for p in ips.distribution.probs)}) in {ips.iterations} iterations",
+            f"ips_agreement: {agreement:.3e}",
+        ],
+        lambda: {
+            "exact": [rational_str(p) for p in estimate.probs],
+            "float": list(ips.distribution.probs),
+            "birch_residual": [rational_str(r) for r in residual],
+            "iterations": ips.iterations,
+        },
+    )
     return 1 if any(residual) else 0
 
 
@@ -313,17 +333,15 @@ def _cmd_ips(args) -> int:
     weights = WeightVector.ones(len(config.points)) if config is model else model.weights
     u = _parse_data(args.data, config.effective_labels())
     ips = _fit(args, config, weights, u)
-    lines = [
-        f"fit: ({', '.join(repr(p) for p in ips.distribution.probs)})",
-        f"iterations: {ips.iterations}",
-        f"residual: {ips.residual:.3e}",
-    ]
-    json_data = {
-        "float": list(ips.distribution.probs),
-        "iterations": ips.iterations,
-        "residual": ips.residual,
-    }
-    _emit(args, lines, json_data)
+    _emit(
+        args,
+        lambda: [
+            f"fit: ({', '.join(repr(p) for p in ips.distribution.probs)})",
+            f"iterations: {ips.iterations}",
+            f"residual: {ips.residual:.3e}",
+        ],
+        lambda: {"float": list(ips.distribution.probs), "iterations": ips.iterations, "residual": ips.residual},
+    )
     return 0
 
 
@@ -343,8 +361,11 @@ def _cmd_patch(args) -> int:
         value = toric_patch_eval(system, controls, point)
     except ValueError as exc:  # the point is checked above, so the controls are at fault
         raise SchemaError(f"{source}: {exc}") from None
-    lines = ["value: (" + ", ".join(rational_str(v) for v in value) + ")"]
-    _emit(args, lines, {"value": [rational_str(v) for v in value]})
+    _emit(
+        args,
+        lambda: ["value: (" + ", ".join(rational_str(v) for v in value) + ")"],
+        lambda: {"value": [rational_str(v) for v in value]},
+    )
     return 0
 
 

@@ -215,11 +215,14 @@ class Polynomial:
             return Fraction(0)
         return Fraction(self._coefficients[max(self._coefficients, key=_grlex_key)], self._denominator)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
+        """Terms in descending graded-lexicographic order, with the stored
+        integer coefficients when the denominator is 1 and Fractions otherwise."""
+        den = self._denominator
+        items = sorted(self._coefficients.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return items if den == 1 else [(e, Fraction(c, den)) for e, c in items]
 
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponent, int | Fraction]]:
         return iter(self.sorted_terms())
 
     # -- variable handling --------------------------------------------
@@ -386,13 +389,7 @@ class Polynomial:
     # -- formatting ----------------------------------------------------
 
     def _monomial_str(self, exp: Exponent) -> str:
-        parts = []
-        for name, e in zip(self.variables, exp):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exp) if e])
 
     def __str__(self) -> str:
         if not self._coefficients:

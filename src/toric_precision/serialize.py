@@ -22,9 +22,10 @@ from .polynomials import Polynomial, RationalFunction
 from .tfp import GradedConfiguration, GradedModel
 
 
-def rational_str(value: Fraction) -> str:
+def rational_str(value: int | Fraction) -> str:
     """Serialize a rational as "p/q", omitting "/q" when the denominator is 1."""
-    return str(Fraction(value))
+    # An int or a Fraction already prints so; only other values need converting.
+    return str(value) if type(value) is int or type(value) is Fraction else str(Fraction(value))
 
 
 def _require(data: Any, key: str, kind, path: str):

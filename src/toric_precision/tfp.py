@@ -12,16 +12,18 @@ functions.  That agreement is checked as an exact identity on the span,
 with no sample drawn.
 
 A product system that :func:`tfp_blending` returns keeps its two factor
-systems, so all four of its checks are decided from the factors, each in
-its own mode (structural, from its own factors, sampled on its own
-configuration, or summed over its own functions), with no product sample
-or product sum when both pass; see
+systems, the grading and the form, and forms its functions only when they
+are first read.  All four of its checks are decided from the factors, each
+in its own mode (structural, from its own factors, sampled on its own
+configuration, or summed over its own functions), with no product function,
+sample or sum when both pass; see
 :func:`toric_precision.blending._decide`.  The same factor checks decide
-:func:`verify_form_agreement`.  Both functions validate the grading on the
-factors' points, as :func:`validate_multigrading` does, since the
-certificates need independent degrees and degree maps that hold there.  A
-product loaded from JSON, or copied with ``_replace``, has no factors: it
-is sampled, and its identities are summed over its functions.
+:func:`verify_form_agreement`.  Both functions need the grading validated
+on the factors' points, since the certificates need independent degrees
+and degree maps that hold there; a grading from :func:`validate_multigrading`
+remembers the points it was validated on, and is validated again only on
+other points.  A product loaded from JSON, or copied with ``_replace``, has
+no factors: it is sampled, and its identities are summed over its functions.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class Multigrading(Frozen):
     """
 
     _fields = ("degrees", "assignment_b", "assignment_c")
+    # The factors' point tuples validate_multigrading validated this grading
+    # on; not a field, so ==, hash and _replace neither see nor copy it.
+    _validated = None
 
     def __init__(self, degrees: PointConfiguration, assignment_b: tuple[int, ...], assignment_c: tuple[int, ...]):
         self.__dict__.update(degrees=degrees, assignment_b=assignment_b, assignment_c=assignment_c)
@@ -140,7 +145,9 @@ def validate_multigrading(
     degree vectors are linearly independent (so a covector omega with
     omega . a = 1 exists, which the fiber product needs), and each side
     admits an affine-linear degree map hitting its assigned degree vector
-    on every point.
+    on every point.  The grading returned remembers both point tuples, so
+    :func:`tfp_blending` and :func:`verify_form_agreement` do not validate
+    it again on factor systems over the same points.
     """
     r = len(A.points)
     if B.num_classes != r or C.num_classes != r:
@@ -152,7 +159,9 @@ def validate_multigrading(
         raise DependentDegreesError(f"degree vectors {A.points} are linearly dependent")
     _check_degree_map(B, A, "the first factor")
     _check_degree_map(C, A, "the second factor")
-    return Multigrading(A, B.assignment, C.assignment)
+    g = Multigrading(A, B.assignment, C.assignment)
+    g.__dict__["_validated"] = (B.config.points, C.config.points)
+    return g
 
 
 def enumerate_product_indices(
@@ -201,12 +210,16 @@ def tfp_configuration(
     return GradedModel(GradedConfiguration(config, tuple(classes)), WeightVector(tuple(weights)), g.degrees)
 
 
-def _placed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list, tuple[str, ...]]:
+def _product_variables(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[str, ...]:
+    """The product's variables: x1.. for the first factor, y1.. for the second."""
+    return tuple([f"x{i + 1}" for i in range(sysB.config.dim)] + [f"y{i + 1}" for i in range(sysC.config.dim)])
+
+
+def _placed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list]:
     """The factors' functions placed into the product's variables x1.., y1..,
-    the first factor's at offset 0 and the second's after them, and those variables."""
-    dB = sysB.config.dim
-    names = tuple([f"x{i + 1}" for i in range(dB)] + [f"y{i + 1}" for i in range(sysC.config.dim)])
-    return [f.placed(names, 0) for f in sysB.functions], [f.placed(names, dB) for f in sysC.functions], names
+    the first factor's at offset 0 and the second's after them."""
+    dB, names = sysB.config.dim, _product_variables(sysB, sysC)
+    return [f.placed(names, 0) for f in sysB.functions], [f.placed(names, dB) for f in sysC.functions]
 
 
 def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int], r: int) -> list[RationalFunction]:
@@ -216,10 +229,24 @@ def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int]
 
 
 def _graded_factors(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> tuple[GradedConfiguration, ...]:
-    """The factors' points graded by ``g``, once :func:`validate_multigrading` has validated ``g`` on them."""
+    """The factors' points graded by ``g``, validated by :func:`validate_multigrading`
+    unless ``g`` was validated on exactly these points."""
     B, C = GradedConfiguration(sysB.config, g.assignment_b), GradedConfiguration(sysC.config, g.assignment_c)
-    validate_multigrading(B, C, g.degrees)
+    if g._validated != (B.config.points, C.config.points):
+        validate_multigrading(B, C, g.degrees)
     return B, C
+
+
+def _product_functions(factors: tuple[BlendingSystem, ...], g: Multigrading, form: str) -> tuple[RationalFunction, ...]:
+    """The functions of the product :func:`tfp_blending` built from ``factors``
+    (its record), each f_j * f_k / S_i over the placed factors."""
+    fB, fC = _placed_factors(*factors)
+    chosen = (fB, g.assignment_b) if form == "B" else (fC, g.assignment_c)
+    denominators = _class_sums(*chosen, g.num_classes)
+    return tuple([
+        fB[bi] * fC[ci] / denominators[i - 1]
+        for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)
+    ])
 
 
 def tfp_blending(
@@ -232,33 +259,35 @@ def tfp_blending(
     product as a graded model, which can be a factor of the next product.
 
     The function for product point (i, j, k) is f_j * f_k divided by the
-    class-i sum of the chosen factor ("B" or "C" denominator).  The factors'
-    functions are placed once into the product's variables x1.., y1.. by
-    padding exponents, so every product function and class sum is built
-    over one variable tuple.  A class sum of 0 in the chosen factor raises
-    ZeroClassSumError naming the factor and the class; dependent degree
-    vectors raise DependentDegreesError, and classes that admit no affine
-    degree map on a factor's points raise NoDegreeMapError.  The
-    system keeps both factor systems, from which its membership and
-    positivity are decided (see the module docstring).
+    class-i sum of the chosen factor ("B" or "C" denominator).  No product
+    function is formed here: the system keeps both factor systems, the
+    grading and the form, from which its checks are decided (see the module
+    docstring) and its functions are formed on first read.  Then the
+    factors' functions are placed once into the product's variables x1..,
+    y1.. by padding exponents, so every product function and class sum is
+    built over one variable tuple.  A class sum of 0 in the chosen factor
+    raises ZeroClassSumError naming the factor and the class; dependent
+    degree vectors raise DependentDegreesError, and classes that admit no
+    affine degree map on a factor's points raise NoDegreeMapError.
     """
-    fB, fC, names = _placed_factors(sysB, sysC)
-    sides = {"B": (fB, g.assignment_b), "C": (fC, g.assignment_c)}
-    if form not in sides:
+    if form not in ("B", "C"):
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
     B, C = _graded_factors(sysB, sysC, g)
     product = tfp_configuration(B, sysB.weights, C, sysC.weights, g)
-    denominators = _class_sums(*sides[form], g.num_classes)
-    for i, total in enumerate(denominators, start=1):
+    # Placing keeps a sum zero or nonzero, so the factor's own functions are summed.
+    factor, chosen, assignment = ("first", sysB, g.assignment_b) if form == "B" else ("second", sysC, g.assignment_c)
+    for i, total in enumerate(_class_sums(chosen.functions, assignment, g.num_classes), start=1):
         if total.is_zero:
-            factor = "first" if form == "B" else "second"
             raise ZeroClassSumError(f"the {factor} factor's class-{i} functions sum to 0")
-    functions = tuple([
-        fB[bi] * fC[ci] / denominators[i - 1]
-        for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)
-    ])
-    system = BlendingSystem(product.config, product.weights, functions, "custom", names)
-    system.__dict__["_record"] = _ProductRecord((sysB, sysC))
+    # Every field but functions, which only a product leaves to its cached property.
+    system = object.__new__(BlendingSystem)
+    system.__dict__.update(
+        config=product.config,
+        weights=product.weights,
+        kind="custom",
+        variables=_product_variables(sysB, sysC),
+        _record=_ProductRecord((sysB, sysC), g, form),
+    )
     return system, product
 
 
@@ -288,7 +317,7 @@ def verify_form_agreement(
     B, C = _graded_factors(sysB, sysC, g)
     if _factors_certify((sysB, sysC), samples, seed, IDENTITIES):
         return True
-    fB, fC, _ = _placed_factors(sysB, sysC)
+    fB, fC = _placed_factors(sysB, sysC)
     span = _affine_span_substitution(tfp_configuration(B, sysB.weights, C, sysC.weights, g).config)
     sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
     return all(not s_b.is_zero and _vanishes_on(s_c / s_b - 1, span) for s_b, s_c in sums)

@@ -600,6 +600,35 @@ class TestStructuralChecks:
             assert structural == sampled, name
         assert not verify_rational_linear_precision(systems["trapezoid-toric-weights"]).linear_precision
 
+    def test_partition_of_unity_holds_by_construction(self, systems, monkeypatch):
+        sums = []
+        lcm_sum = blending.lcm_sum
+        monkeypatch.setattr(blending, "lcm_sum", lambda terms, names: sums.append(len(terms)) or lcm_sum(terms, names))
+        for name, s in systems.items():
+            n = len(s.config.points)
+            assert verify_partition_of_unity(s) and sums == [], name
+            report = verify_rational_linear_precision(s, samples=self.SAMPLES, seed=0)
+            summed, sums[:] = list(sums), []
+            # only linear precision is summed: no sum over all n functions
+            assert report.partition_of_unity and summed and n not in summed, name
+            copy = sampled_copy(s)
+            assert verify_partition_of_unity(copy) and sums == [n], name
+            sums.clear()
+            assert verify_rational_linear_precision(copy, samples=self.SAMPLES, seed=0) == report
+            assert sums == [n] + summed, name
+            sums.clear()
+        s = systems["square"]
+        scaled = s._replace(functions=(2 * s.functions[0],) + s.functions[1:])
+        assert scaled._record is None
+        assert not verify_partition_of_unity(scaled)
+        assert not verify_rational_linear_precision(scaled, samples=self.SAMPLES, seed=0).partition_of_unity
+        # a record that does not hold certifies no identity either
+        tampered = toric_system(s.config.points)
+        rows = tampered._record.exponents
+        object.__setattr__(tampered, "_record", tampered._record._replace(exponents=rows[1:] + rows[:1]))
+        sums.clear()
+        assert verify_partition_of_unity(tampered) and sums == [4]
+
     def test_the_record_is_not_a_field(self, square_system):
         copy = sampled_copy(square_system)
         assert square_system._record is not None

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import toric_precision
+from toric_precision import serialize
 from toric_precision.cli import main, resolve_input_path
 from toric_precision.errors import SchemaError
+from toric_precision.polynomials import RationalFunction
 from toric_precision.serialize import blending_system_to_json
 
 
@@ -357,6 +359,21 @@ class TestTfp:
         data = json.loads(out)
         assert len(data["model"]["config"]["points"]) == 10
         assert data["model"]["weights"] == ["1", "2", "1", "1", "2", "1", "1", "1", "1", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ("tfp", "square.json", "trapezoid.json", "--system-c", "trapezoid_beta_tilde.json"),
+        ("blend", "trapezoid.json"),
+    ], ids=["tfp", "blend"])
+    def test_only_the_printed_output_is_formatted(self, capsys, monkeypatch, argv):
+        calls = []
+        to_json, to_text = serialize.blending_system_to_json, RationalFunction.__str__
+        monkeypatch.setattr(serialize, "blending_system_to_json", lambda s: calls.append("json") or to_json(s))
+        monkeypatch.setattr(RationalFunction, "__str__", lambda f: calls.append("text") or to_text(f))
+        for output in ("text", "json"):
+            code, out, _ = run(capsys, *argv, "--output", output)
+            assert code == 0 and out
+            assert set(calls) == {output}
+            calls.clear()
 
     def test_factor_warnings_in_the_cli_format(self, capsys):
         code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json")

@@ -411,6 +411,16 @@ class TestOrderingAndFormat:
         exponents = [e for e, _ in p.sorted_terms()]
         assert exponents == [(0, 3), (1, 1), (1, 0), (0, 1), (0, 0)]
 
+    def test_integer_coefficients_are_read_as_stored(self):
+        x1, x2 = variables("x1 x2")
+        integral, halves = 3 * x1**2 - 2 * x1 * x2 + 1, (3 * x1**2 - x2) * F("1/2")
+        assert [type(c) for _, c in integral.sorted_terms()] == [int] * 3
+        assert [type(c) for _, c in halves.sorted_terms()] == [Fraction] * 2
+        for p in (integral, halves, -integral, Polynomial.constant(F("-7/3"), ("x1",))):
+            assert p.sorted_terms() == sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        assert str(integral) == "3*x1^2 - 2*x1*x2 + 1"
+        assert str(halves) == "3/2*x1^2 - 1/2*x2"
+
     def test_str_roundtrip_examples(self):
         x1, x2 = variables("x1 x2")
         assert str(2 - x1 - x2) == "-x1 - x2 + 2"

@@ -625,7 +625,7 @@ class TestProductsDecidedFromTheirFactors:
 
     def test_a_replace_copy_carries_no_record(self, square_system, beta_tilde_system, square_trapezoid_grading):
         system, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
-        assert system._record == blending._ProductRecord((square_system, beta_tilde_system))
+        assert system._record == blending._ProductRecord((square_system, beta_tilde_system), square_trapezoid_grading, "B")
         copy = system._replace()
         assert copy == system and copy._record is None
         assert system._replace(kind="custom")._record is None
@@ -800,6 +800,147 @@ class TestDegreeMapsOfTheFactors:
             tfp_blending(system, system, g)
         with pytest.raises(DependentDegreesError, match="linearly dependent"):
             verify_form_agreement(system, system, g)
+
+
+def eager_functions(sysB, sysC, g, form):
+    """The product's functions built the plain way: f_j * f_k / S_i over the placed factors."""
+    names = tuple([f"x{i + 1}" for i in range(sysB.config.dim)] + [f"y{i + 1}" for i in range(sysC.config.dim)])
+    fB = [f.placed(names, 0) for f in sysB.functions]
+    fC = [f.placed(names, sysB.config.dim) for f in sysC.functions]
+    chosen, assignment = (fB, g.assignment_b) if form == "B" else (fC, g.assignment_c)
+    sums = [sum_rational_functions(f for f, a in zip(chosen, assignment) if a == i) for i in range(1, g.num_classes + 1)]
+    return [fB[bi] * fC[ci] / sums[i - 1] for i, _, _, bi, ci in tfp.enumerate_product_indices(g.assignment_b, g.assignment_c)]
+
+
+def unexpanded(system):
+    return "functions" not in system.__dict__
+
+
+class TestProductsFormedOnFirstRead:
+    """tfp_blending forms no product function; the first read of ``functions``
+    forms them from the record, exactly as an eager build does."""
+
+    @staticmethod
+    def chain_of(square_system, square_graded, beta_tilde_system, square_trapezoid_grading, form, rungs):
+        """The factors, grading and system of each rung of square x beta-tilde x square^(rungs - 1)."""
+        built = [(square_system, beta_tilde_system, square_trapezoid_grading)]
+        system, model = tfp_blending(*built[0], form)
+        for _ in range(rungs - 1):
+            grading = validate_multigrading(model.graded, square_graded, model.degrees)
+            built.append((system, square_system, grading))
+            system, model = tfp_blending(system, square_system, grading, form)
+        return built, system
+
+    @pytest.mark.parametrize("form", ["B", "C"])
+    def test_build_report_and_form_agreement_form_no_function(
+        self, form, square_system, square_graded, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        system, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)
+        assert unexpanded(system)
+        assert verify_rational_linear_precision(system).all_pass
+        assert verify_form_agreement(square_system, beta_tilde_system, square_trapezoid_grading)
+        assert unexpanded(system)
+        built, top = self.chain_of(square_system, square_graded, beta_tilde_system, square_trapezoid_grading, form, 3)
+        assert len(top.config.points) == 40 and unexpanded(top)
+        assert verify_rational_linear_precision(top).all_pass
+        assert verify_form_agreement(*built[-1])
+        assert unexpanded(top)
+        # the toric trapezoid lacks linear precision: form agreement compares
+        # the factors' class sums, and the report sums the product's functions
+        system, _ = tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, form)
+        assert not verify_form_agreement(square_system, trapezoid_toric_system, square_trapezoid_grading)
+        assert unexpanded(system)
+        report = verify_rational_linear_precision(system)
+        assert not unexpanded(system)
+        assert report == verify_rational_linear_precision(system._replace())
+
+    @pytest.mark.parametrize("form", ["B", "C"])
+    def test_the_first_read_equals_an_eager_build(
+        self, form, square_system, square_graded, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
+    ):
+        built, _ = self.chain_of(square_system, square_graded, beta_tilde_system, square_trapezoid_grading, form, 3)
+        built.append((square_system, trapezoid_toric_system, square_trapezoid_grading))
+        for sysB, sysC, g in built:
+            expected = eager_functions(sysB, sysC, g, form)
+            system, _ = tfp_blending(sysB, sysC, g, form)
+            assert unexpanded(system)
+            assert len(system.functions) == len(expected) and not unexpanded(system)
+            for got, want in zip(system.functions, expected):
+                assert dict(got.numerator.terms) == dict(want.numerator.terms)
+                assert dict(got.denominator.terms) == dict(want.denominator.terms)
+                assert got.variables == want.variables == system.variables
+                assert str(got) == str(want)
+            assert system.functions is system.functions
+
+    def test_equality_hash_replace_and_json_keep_their_meaning(
+        self, square_system, beta_tilde_system, square_trapezoid_grading
+    ):
+        for form in "BC":
+            lazy, product = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, form)
+            functions = eager_functions(square_system, beta_tilde_system, square_trapezoid_grading, form)
+            eager = BlendingSystem(product.config, product.weights, functions, "custom", lazy.variables)
+            assert lazy == eager and eager == lazy
+            assert repr(lazy) == repr(eager)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(lazy)  # rational functions are not hashable
+            copy = lazy._replace()
+            assert copy == eager and copy._record is None and not unexpanded(copy)
+            assert lazy._replace(kind="toric") != eager
+            assert blending_system_to_json(lazy) == blending_system_to_json(eager)
+            assert blending_system_from_json(blending_system_to_json(lazy)) == lazy
+            other, _ = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading, "C" if form == "B" else "B")
+            assert lazy != other
+
+
+class TestGradingValidatedOnce:
+    """A grading from validate_multigrading is not validated again on the
+    points it was validated on, and is on any other points, with the same errors."""
+
+    @pytest.fixture
+    def degree_maps(self, monkeypatch):
+        calls = []
+        check = tfp._check_degree_map
+
+        def recording_check(graded, degrees, side):
+            calls.append(graded.config.points)
+            return check(graded, degrees, side)
+
+        monkeypatch.setattr(tfp, "_check_degree_map", recording_check)
+        return calls
+
+    def test_no_solve_on_the_validated_points(self, square_system, square_graded, trapezoid_graded, beta_tilde_system, degree_pair, degree_maps):
+        g = validate_multigrading(square_graded, trapezoid_graded, degree_pair)
+        assert degree_maps == [square_graded.config.points, trapezoid_graded.config.points]
+        assert g._validated == (square_graded.config.points, trapezoid_graded.config.points)
+        assert "_validated" not in Multigrading._fields
+        degree_maps.clear()
+        for form in "BC":
+            tfp_blending(square_system, beta_tilde_system, g, form)
+        assert verify_form_agreement(square_system, beta_tilde_system, g)
+        assert degree_maps == []
+        # a copy or a hand-built grading carries no record and is validated
+        for copy in (g._replace(), Multigrading(*(getattr(g, name) for name in Multigrading._fields))):
+            assert copy == g and copy._validated is None
+            tfp_blending(square_system, beta_tilde_system, copy)
+            assert len(degree_maps) == 2
+            degree_maps.clear()
+
+    def test_other_points_are_validated(self, beta_tilde_system, square_trapezoid_grading, degree_maps):
+        # the corners of [0, 2]^2 fit another degree map; opposite corners paired fit none
+        doubled = PointConfiguration(2, ((0, 0), (2, 0), (0, 2), (2, 2)))
+        crossed = PointConfiguration(2, ((0, 0), (1, 1), (1, 0), (0, 1)))
+        doubled_system, crossed_system = (
+            toric_blending(convex_hull_facets(config), config, WeightVector.ones(4)) for config in (doubled, crossed)
+        )
+        tfp_blending(doubled_system, beta_tilde_system, square_trapezoid_grading)
+        assert degree_maps == [doubled.points, beta_tilde_system.config.points]
+        degree_maps.clear()
+        message = "no affine degree map for the first factor: point (0, 1) in class 2 forces coordinate 1 to 2, expected 0"
+        for call in (tfp_blending, verify_form_agreement):
+            with pytest.raises(NoDegreeMapError, match=re.escape(message)):
+                call(crossed_system, beta_tilde_system, square_trapezoid_grading)
+            assert degree_maps == [crossed.points]
+            degree_maps.clear()
 
 
 class TestAssociativity:
