@@ -63,6 +63,7 @@ from .polynomials import (
     EvaluationKernel,
     Polynomial,
     RationalFunction,
+    common_variables,
     exact_rational,
     integer_point,
     lcm_sum,
@@ -131,8 +132,11 @@ class BlendingSystem(Frozen):
         if len(names) != config.dim:
             raise ValueError(f"expected {config.dim} variables, got {names}")
         # From a list, as in _values: every system would leave one tuple on
-        # CPython's free lists otherwise.
-        functions = tuple([f.reindexed(names) for f in functions])
+        # CPython's free lists otherwise.  A constant over no variables is
+        # padded; a function over other variables is refused.
+        functions = tuple([
+            f if f.variables == names else f.placed(common_variables(names, f.variables), 0) for f in functions
+        ])
         self.__dict__.update(config=config, weights=weights, functions=functions, kind=kind, variables=names)
 
     @cached_property

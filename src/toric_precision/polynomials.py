@@ -4,11 +4,16 @@ A polynomial stores nonzero integer coefficients over one positive common
 denominator, keyed by exponent vectors.  The pair is kept canonical: the
 content of the coefficients is coprime to the denominator, so equal
 polynomials store equal integers and ``==`` compares them directly.
-``terms`` is a read-only ``{exponent: Fraction}`` view of the same values.
 ``Polynomial(...)`` validates its input; the results of arithmetic,
 variables and constants given as ints or Fractions are built by the
 unchecked :meth:`Polynomial._make`, which trusts its caller to pass nonzero
 integers and only divides out their gcd with the denominator.
+
+A polynomial's variable tuple is its ring.  Arithmetic, comparison and
+every constructor of a rational function take operands over one tuple
+(:func:`common_variables`); a constant over no variables, such as an ``int``
+or a ``Fraction``, is padded to its partner's tuple by
+:meth:`Polynomial.placed`, the one change of variables.
 
 Terms are listed under a fixed graded-lexicographic monomial order (total
 degree first, ties broken lexicographically on the exponent vector).  That
@@ -51,7 +56,6 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
 from operator import add, mul
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
@@ -102,18 +106,23 @@ def _grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
-def _merge_variables(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    """Union of two variable tuples, keeping first-seen order."""
-    return tuple(dict.fromkeys((*a, *b)))
+def common_variables(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The variable tuple of operands over ``a`` and ``b``: equal tuples, or
+    one of them empty (a constant); any other pair raises ValueError."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    raise ValueError(f"operands over different variables: {a} and {b}")
 
 
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients.
 
-    ``terms`` maps exponent tuples (one entry per variable, all nonnegative)
-    to nonzero ``Fraction`` coefficients.  Instances must not be mutated
-    after creation; every operation returns a fresh polynomial, and the hash
-    is computed once.
+    Nonzero coefficients are keyed by exponent tuples, one nonnegative entry
+    per variable; iteration yields them in :meth:`sorted_terms` order.
+    Instances must not be mutated after creation; every operation returns a
+    fresh polynomial, and the hash is computed once.
     """
 
     __slots__ = ("variables", "_coefficients", "_denominator", "_hash")
@@ -194,12 +203,6 @@ class Polynomial:
     # -- basic queries ------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """Read-only ``{exponent: Fraction}`` view of the coefficients."""
-        den = self._denominator
-        return MappingProxyType({e: Fraction(c, den) for e, c in self._coefficients.items()})
-
-    @property
     def is_zero(self) -> bool:
         return not self._coefficients
 
@@ -208,12 +211,6 @@ class Polynomial:
         if not self._coefficients:
             return -1
         return max(sum(e) for e in self._coefficients)
-
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the graded-lex leading term (0 for the zero polynomial)."""
-        if not self._coefficients:
-            return Fraction(0)
-        return Fraction(self._coefficients[max(self._coefficients, key=_grlex_key)], self._denominator)
 
     def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
         """Terms in descending graded-lexicographic order, with the stored
@@ -227,24 +224,6 @@ class Polynomial:
 
     # -- variable handling --------------------------------------------
 
-    def reindexed(self, variables: Sequence[str]) -> "Polynomial":
-        """Rewrite over a superset of the current variables (zero exponents added)."""
-        names = tuple(variables)
-        if names == self.variables:
-            return self
-        positions = []
-        for v in self.variables:
-            if v not in names:
-                raise ValueError(f"variable {v!r} missing from {names}")
-            positions.append(names.index(v))
-        coefficients = {}
-        for exp, c in self._coefficients.items():
-            new_exp = [0] * len(names)
-            for pos, e in zip(positions, exp):
-                new_exp[pos] = e
-            coefficients[tuple(new_exp)] = c
-        return Polynomial._make(names, coefficients, self._denominator)
-
     def placed(self, variables: tuple[str, ...], offset: int) -> "Polynomial":
         """This polynomial over ``variables``, its own variables at positions
         ``offset``..: every exponent is padded with zeros, which keeps the term order."""
@@ -256,10 +235,13 @@ class Polynomial:
         return Polynomial._make(variables, coefficients, self._denominator)
 
     def _aligned(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Both operands over their :func:`common_variables`, the one over none padded."""
         if self.variables == other.variables:
             return self, other
-        merged = _merge_variables(self.variables, other.variables)
-        return self.reindexed(merged), other.reindexed(merged)
+        names = common_variables(self.variables, other.variables)
+        if self.variables:
+            return self, other.placed(names, 0)
+        return self.placed(names, 0), other
 
     # -- arithmetic ----------------------------------------------------
 
@@ -346,41 +328,36 @@ class Polynomial:
                 f"expected {len(self.variables)} substitutions, got {len(values)}"
             )
         images = [Polynomial._coerce(v) for v in values]
-        merged: tuple[str, ...] = ()
-        for image in images:
-            merged = _merge_variables(merged, image.variables)
-        zero_exp = (0,) * len(merged)
-        total = Polynomial._make(merged, {})
+        names = reduce(common_variables, [image.variables for image in images], ())
+        zero_exp = (0,) * len(names)
+        total = Polynomial._make(names, {})
         for exp, c in self._coefficients.items():
-            term = Polynomial._make(merged, {zero_exp: c})
+            term = Polynomial._make(names, {zero_exp: c})
             for image, e in zip(images, exp):
                 if e:
                     term = term * image**e
             total = total + term
-        return Polynomial._make(merged, total._coefficients, total._denominator * self._denominator)
+        return Polynomial._make(names, total._coefficients, total._denominator * self._denominator)
 
     def __eq__(self, other) -> bool:
+        """False for operands over two different nonempty variable tuples."""
         if not isinstance(other, (Polynomial, int, Fraction)):
             return NotImplemented
-        f, g = self._aligned(self._coerce(other))
+        g = self._coerce(other)
+        if self.variables and g.variables and self.variables != g.variables:
+            return False
+        f, g = self._aligned(g)
         return f._denominator == g._denominator and f._coefficients == g._coefficients
 
     def __hash__(self) -> int:
         """Agrees with ``==``: a constant hashes as its value, any other
-        polynomial by its monomials keyed by variable name."""
+        polynomial by its stored integers and denominator."""
         if self._hash is None:
             coefficients = self._coefficients
             if not any(map(any, coefficients)):
                 self._hash = hash(Fraction(sum(coefficients.values()), self._denominator))
             else:
-                names = self.variables
-                self._hash = hash((
-                    frozenset(
-                        (frozenset((v, e) for v, e in zip(names, exp) if e), c)
-                        for exp, c in coefficients.items()
-                    ),
-                    self._denominator,
-                ))
+                self._hash = hash((frozenset(coefficients.items()), self._denominator))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -541,10 +518,10 @@ class EvaluationKernel:
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
-    The denominator is never the zero polynomial.  Construction aligns the
-    variable sets, cancels a common monomial factor, scales both parts by a
-    single rational so they become jointly primitive integer polynomials,
-    and flips signs so the denominator's leading coefficient is positive.
+    The denominator is never the zero polynomial.  Construction pads a part
+    over no variables to the other part's (:meth:`Polynomial._aligned`),
+    cancels a common monomial factor, scales both parts by a single rational
+    so they become jointly primitive integer polynomials, and flips signs so the denominator's leading coefficient is positive.
     No other cancellation happens, so two equal functions can have different
     canonical forms.  ``==`` and :meth:`equals` both test equality in the
     fraction field (cross-multiplication); compare ``numerator`` and
@@ -586,11 +563,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.numerator.is_zero
-
-    def reindexed(self, names: Sequence[str]) -> "RationalFunction":
-        if tuple(names) == self.variables:
-            return self
-        return RationalFunction(self.numerator.reindexed(names), self.denominator.reindexed(names))
 
     def placed(self, variables: tuple[str, ...], offset: int) -> "RationalFunction":
         """Both parts placed (:meth:`Polynomial.placed`), which keeps the canonical form."""
@@ -656,9 +628,13 @@ class RationalFunction:
         return (self.numerator * g.denominator - g.numerator * self.denominator).is_zero
 
     def __eq__(self, other) -> bool:
+        """:meth:`equals`, but False for operands over two different nonempty variable tuples."""
         if not isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
             return NotImplemented
-        return self.equals(other)
+        g = self._coerce(other)
+        if self.variables and g.variables and self.variables != g.variables:
+            return False
+        return self.equals(g)
 
     __hash__ = None
 
@@ -693,7 +669,8 @@ def _jointly_primitive(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Po
     # num / den = (a / p) / (b / r) = (a * r) / (b * p); g is the joint content.
     p, r = num._denominator, den._denominator
     g = gcd(r * _content(num._coefficients), p * _content(den._coefficients))
-    if den.leading_coefficient() < 0:
+    # the denominator of den is positive, so its leading integer gives the sign
+    if den._coefficients[max(den._coefficients, key=_grlex_key)] < 0:
         g = -g
 
     def scaled(poly: Polynomial, factor: int) -> Polynomial:
@@ -822,5 +799,5 @@ def sum_rational_functions(functions: Iterable[RationalFunction]) -> RationalFun
     GCD is cancelled.
     """
     fs = list(functions)
-    merged = tuple(dict.fromkeys(name for f in fs for name in f.variables))
-    return RationalFunction(*lcm_sum([primitive_term(f.reindexed(merged)) for f in fs], merged))
+    names = reduce(common_variables, [f.variables for f in fs], ())
+    return RationalFunction(*lcm_sum([primitive_term(f) for f in fs], names))

@@ -116,6 +116,18 @@ class TestPartitionOfUnity:
         )
         assert not verify_partition_of_unity(bad)
 
+    def test_functions_share_the_system_variables(self, segment_config):
+        (x,), (t,) = variables("x1"), variables("t")
+        with pytest.raises(ValueError, match=re.escape("('x1',) and ('t',)")):
+            BlendingSystem(segment_config, WeightVector.ones(2), (RationalFunction(1 - x), RationalFunction(t)))
+        # a constant over no variables is padded to the system's
+        padded = BlendingSystem(segment_config, WeightVector.ones(2), (RationalFunction(1), RationalFunction(Fraction(1, 2))))
+        assert [f.variables for f in padded.functions] == [("x1",)] * 2
+        assert [(f.numerator, f.denominator) for f in padded.functions] == [
+            (Polynomial.constant(1, ("x1",)),) * 2,
+            (Polynomial.constant(1, ("x1",)), Polynomial.constant(2, ("x1",))),
+        ]
+
     def test_random_small_polytopes(self):
         # partition of unity holds by construction for any weights
         rng = random.Random(2024)
@@ -202,8 +214,8 @@ def reference_linear_precision(sys):
                 return False
             continue
         difference = weighted - coordinate
-        num = difference.numerator.reindexed(sys.variables).substitute(span)
-        den = difference.denominator.reindexed(sys.variables).substitute(span)
+        num = difference.numerator.substitute(span)
+        den = difference.denominator.substitute(span)
         if den.is_zero or not num.is_zero:
             return False
     return True
@@ -828,7 +840,7 @@ class TestCanonicalForms:
             config = PointConfiguration(len(points[0]), points)
             weighted = plain_weighted_numerators(convex_hull_facets(config), config, WeightVector(weights))
             total = sum(weighted, Polynomial.zero(weighted[0].variables))
-            signs.add(total.leading_coefficient() > 0)
+            signs.add(total.sorted_terms()[0][1] > 0)
             contents.add(gcd(*total._coefficients.values()) > 1)
             if any(map(min, zip(*total._coefficients))):
                 monomial.append(name)

@@ -77,10 +77,9 @@ class TestKernelAgainstRationalFunctionEvaluate:
         functions = (
             RationalFunction(3 * x**2 - y, 1 + x**2 + y**4),
             RationalFunction(x * y**3 - Fraction(1, 7), 2 + y),
-            RationalFunction(0),
+            RationalFunction(0 * x),
             RationalFunction(x**5, x + y + 3),
         )
-        functions = tuple(f.reindexed(("x", "y")) for f in functions)
         kernel = EvaluationKernel(functions)
         for _ in range(50):
             q = rng.randint(1, 30)
