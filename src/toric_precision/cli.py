@@ -34,8 +34,15 @@ from .blending import (
     verify_partition_of_unity,
     verify_rational_linear_precision,
 )
-from .errors import BoundaryDataError, InconsistentBlockIndexError, NotFullDimensionalError, SchemaError, ToricPrecisionError
-from .geometry import LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
+from .errors import (
+    BoundaryDataError,
+    InconsistentBlockIndexError,
+    NotConvergedError,
+    NotFullDimensionalError,
+    SchemaError,
+    ToricPrecisionError,
+)
+from .geometry import DesignMatrix, LatticePolytope, PointConfiguration, convex_hull_facets, design_matrix
 from .horn import (
     HornPair,
     format_horn_matrix,
@@ -133,10 +140,13 @@ def _parse_data(raw: str, labels) -> DataVector:
     return serialize.data_vector_from_json(counts, labels, "--data")
 
 
-def _fit(args, config: PointConfiguration, weights: WeightVector, u: DataVector) -> IpsResult:
-    """IPS on the configuration's design matrix, with each bad input named by its flag."""
+def _fit(args, config: PointConfiguration, dm: DesignMatrix, weights: WeightVector, u: DataVector) -> IpsResult:
+    """IPS on the configuration's design matrix ``dm``, with each bad input
+    named by its flag; a fit that does not converge names ``--max-iter``."""
     try:
-        return ips_fit(design_matrix(config), weights, u, tol=args.tol, max_iter=args.max_iter)
+        return ips_fit(dm, weights, u, tol=args.tol, max_iter=args.max_iter)
+    except NotConvergedError as exc:
+        raise SchemaError(f"--max-iter: {exc}") from None
     except BoundaryDataError as exc:
         labels = config.effective_labels()
         face = [labels[j] for j in exc.face]
@@ -305,8 +315,9 @@ def _cmd_mle(args) -> int:
     system = _as_system(*_load(args.model, "model"))
     u = _parse_data(args.data, system.config.effective_labels())
     estimate = mle_closed_form(system, u)
-    residual = birch_residual(design_matrix(system.config), u, estimate)
-    ips = _fit(args, system.config, system.weights, u)
+    dm = design_matrix(system.config)
+    residual = birch_residual(dm, u, estimate)
+    ips = _fit(args, system.config, dm, system.weights, u)
     agreement = max(abs(float(e) - f) for e, f in zip(estimate.probs, ips.distribution.probs))
     _emit(
         args,
@@ -332,7 +343,7 @@ def _cmd_ips(args) -> int:
     config = model if isinstance(model, PointConfiguration) else model.config
     weights = WeightVector.ones(len(config.points)) if config is model else model.weights
     u = _parse_data(args.data, config.effective_labels())
-    ips = _fit(args, config, weights, u)
+    ips = _fit(args, config, design_matrix(config), weights, u)
     _emit(
         args,
         lambda: [

@@ -202,8 +202,8 @@ def _symbolic_sum_to_one(pair: HornPair) -> bool:
     forms = list(dict.fromkeys(form for _, exponents in columns for form in exponents))
     basis = [forms[i] for i in independent_rows(forms)]
     names = tuple(f"z{i + 1}" for i in range(len(basis)))
-    z = [Polynomial.variable(name, names) for name in names]
-    polys = {form: sum(map(mul, solve(list(zip(*basis)), form), z), Polynomial.zero(names)) for form in forms}
+    units = [tuple(int(i == j) for j in range(len(names))) for i in range(len(names))]
+    polys = {form: Polynomial(names, zip(units, solve(list(zip(*basis)), form))) for form in forms}
     terms = []
     for constant, exponents in columns:
         numerator = (polys[form] ** e for form, e in exponents.items() if e > 0)

@@ -11,8 +11,10 @@ rescaled to a nonnegative matrix with constant column sums and the
 classical multiplicative update is iterated until the margins match, with
 one product M p per step shared by the update and the stopping test.  The
 design matrices are small (a few rows; the fiber product of the fixtures
-has 10 columns), so the oracle runs in plain Python floats and the package
-needs nothing beyond the standard library.
+has 10 columns), so the oracle runs in plain Python floats, on float copies
+of the scaled design made once per fit, and the package needs nothing
+beyond the standard library.  An exact value that is already a
+``Fraction`` is kept, not rebuilt.
 """
 
 from __future__ import annotations
@@ -52,20 +54,22 @@ class DataVector(Frozen):
 
 
 class Distribution(Frozen):
-    """Probability vector, exact (Fractions) or floating point (IPS output)."""
+    """Probability vector, exact (Fractions) or floating point (IPS output).
+
+    An exact entry that is already a ``Fraction`` is kept as it is."""
 
     _fields = ("probs", "exact")
 
     def __init__(self, probs: Sequence, exact: bool = True):
         if exact:
-            probs = tuple(Fraction(p) for p in probs)
+            probs = tuple([p if type(p) is Fraction else Fraction(p) for p in probs])
             if any(p < 0 for p in probs):
                 raise ValueError("negative probability")
             xs, q = integer_point(probs)
             if sum(xs) != q:
                 raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
         else:
-            probs = tuple(float(p) for p in probs)
+            probs = tuple([float(p) for p in probs])
             if any(p < 0 for p in probs):
                 raise ValueError("negative probability")
             if abs(sum(probs) - 1.0) > 1e-12:
@@ -190,7 +194,10 @@ def ips_fit(
     product Mp per step, over the distinct rows of M, serves both that step
     and the stopping test: a design row that M keeps unchanged reads its
     margin from it, and only the rows the shift changed or dropped get a
-    product of their own.
+    product of their own.  M's columns, its distinct rows and the design rows
+    are converted to floats once per call, so each product is float x float;
+    an integer entry converts exactly, so every iterate is the one integer
+    entries give.  Nothing outlives the call.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -222,14 +229,21 @@ def ips_fit(
             )
 
     # Each distinct row of M is multiplied once per step; rows[i] reads the
-    # margin of the equal row of M, or is multiplied itself (slot None).
+    # margin of the equal row of M, or is multiplied itself (slot None).  The
+    # rows and columns are held as floats (exact for integers), so every
+    # product below is float x float.
     slot_of: dict[tuple[int, ...], int] = {}
     shifted_slots = [slot_of.setdefault(tuple(row), len(slot_of)) for row in shifted]
-    margin_rows = list(slot_of)
-    columns = list(zip(*shifted))
-    u_hat = [c / u.total for c in u.counts]
-    stop_rows = [(slot_of.get(tuple(row)), row, sum(map(mul, row, u_hat))) for row in rows]
-    log_target = [math.log(sum(map(mul, row, u_hat))) for row in shifted]
+    margin_rows = [[float(x) for x in row] for row in slot_of]
+    columns = [[float(x) for x in column] for column in zip(*shifted)]
+    total = u.total
+    u_hat = [c / total for c in u.counts]
+    stop_rows = [
+        (slot_of.get(tuple(row)), [float(x) for x in row], sum(map(mul, row, u_hat))) for row in rows
+    ]
+    log, exp = math.log, math.exp
+    log_target = [log(sum(map(mul, row, u_hat))) for row in shifted]
+    s = float(s)
     p = [float(x) for x in w.weights]
     norm = sum(p)
     p = [x / norm for x in p]
@@ -238,13 +252,13 @@ def ips_fit(
     while residual >= tol:
         if iterations >= max_iter:
             raise NotConvergedError(max_iter, residual)
-        step = [lt - math.log(margins[k]) for lt, k in zip(log_target, shifted_slots)]
-        p = [x * math.exp(sum(map(mul, col, step)) / s) for x, col in zip(p, columns)]
+        step = [lt - log(margins[k]) for lt, k in zip(log_target, shifted_slots)]
+        p = [x * exp(sum(map(mul, col, step)) / s) for x, col in zip(p, columns)]
         norm = sum(p)
         p = [x / norm for x in p]
         iterations += 1
         margins, residual = _margins_and_residual(margin_rows, stop_rows, p)
-    return IpsResult(Distribution(tuple(p), exact=False), iterations, residual)
+    return IpsResult(Distribution(p, exact=False), iterations, residual)
 
 
 def _margins_and_residual(margin_rows, stop_rows, p) -> tuple[list[float], float]:

@@ -411,8 +411,9 @@ def power_table(base: Polynomial, top: int) -> list[Polynomial]:
 
 
 def integer_point(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """A rational point as ``(xs, q)``: integers over one positive common denominator."""
-    point = [Fraction(v) for v in values]
+    """A rational point as ``(xs, q)``: integers over one positive common
+    denominator.  An ``int`` or ``Fraction`` coordinate is read as it is."""
+    point = [v if type(v) is Fraction or type(v) is int else Fraction(v) for v in values]
     q = lcm(*[v.denominator for v in point])
     return [v.numerator * (q // v.denominator) for v in point], q
 

@@ -672,6 +672,12 @@ class TestMleVerbs:
         assert err == f"input error: {flag}: {message}\n"
 
     @pytest.mark.parametrize("verb", ["mle", "ips"])
+    def test_no_convergence_names_max_iter(self, capsys, verb):
+        code, out, err = run(capsys, verb, "square.json", "--data", "3,1,1,1", "--max-iter", "1")
+        assert (code, out) == (2, "")
+        assert err == "input error: --max-iter: no convergence after 1 iterations (residual 1.092e-01)\n"
+
+    @pytest.mark.parametrize("verb", ["mle", "ips"])
     def test_empty_or_directory_data_reaches_inline_parser(self, capsys, tmp_path, verb):
         for data in ("", str(tmp_path)):
             code, out, err = run(capsys, verb, "square.json", "--data", data)

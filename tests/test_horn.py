@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toric_precision import horn
-from toric_precision.cli import resolve_input_path
+from toric_precision.cli import main, resolve_input_path
 from toric_precision.errors import (
     InconsistentBlockIndexError,
     MergeAbortedError,
@@ -25,7 +25,7 @@ from toric_precision.horn import (
     tfp_horn_pair,
     validate_horn_pair,
 )
-from toric_precision.polynomials import RationalFunction, sum_rational_functions, variables
+from toric_precision.polynomials import Polynomial, RationalFunction, sum_rational_functions, variables
 from toric_precision.serialize import horn_pair_from_json, parse_model_file
 
 # Product pair of the square and trapezoid pairs, column order (i, j, k).
@@ -119,6 +119,16 @@ class TestValidateHornPair:
     def test_trapezoid_pair(self, trapezoid_horn):
         report = validate_horn_pair(trapezoid_horn, 100, 0)
         assert report.valid and report.symbolic_checked
+
+    def test_row_forms_are_built_without_padding(self, monkeypatch, capsys):
+        """Each row form is one polynomial over z1..z_rho, built from its
+        solved coefficients: no constant over no variables is padded."""
+        pads = []
+        placed = Polynomial.placed
+        monkeypatch.setattr(Polynomial, "placed", lambda self, *args: pads.append(args) or placed(self, *args))
+        assert main(["horn-validate", "trapezoid.horn.json"]) == 0
+        assert capsys.readouterr().out == "sums_to_one: pass\npositive: pass\nsymbolic_checked: True\n"
+        assert pads == []
 
     def test_bad_coefficients_witnessed(self, square_horn):
         bad = HornPair(square_horn.matrix, tuple(Fraction(v) for v in (1, 1, 1, 2)))

@@ -27,7 +27,7 @@ from toric_precision.mle import (
     tfp_marginal_counts,
     tfp_mle_combine,
 )
-from toric_precision.polynomials import RationalFunction, variables
+from toric_precision.polynomials import RationalFunction, integer_point, variables
 from toric_precision.tfp import tfp_blending
 
 from test_geometry import design_product
@@ -74,6 +74,30 @@ class TestDistribution:
         assert Distribution((F("1/3"), F("1/6"), F("1/2"))).probs == (F("1/3"), F("1/6"), F("1/2"))
         with pytest.raises(ValueError, match="probabilities sum to 5/6, not 1"):
             Distribution((F("1/3"), F("1/3"), F("1/6")))
+
+
+class TestExactValuesAreKept:
+    """A Fraction given to ``Distribution`` or ``integer_point`` is read as
+    it is: no Fraction is built, and the distribution holds the given objects."""
+
+    def test_no_fraction_is_built(self, monkeypatch):
+        given = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
+        coordinates = (Fraction(1, 2), 3, Fraction(-1, 3))
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: built.append(a) or new(*a, **k)))
+        probs = Distribution(given).probs
+        point = integer_point(coordinates)
+        monkeypatch.undo()
+        assert built == []
+        assert all(kept is p for kept, p in zip(probs, given))
+        assert point == ([3, 18, -2], 6)
+
+    def test_still_refuses_a_negative_entry_and_a_sum_other_than_one(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            Distribution((Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match="probabilities sum to 3/2, not 1"):
+            Distribution((Fraction(1, 2), 1))
 
 
 class TestBirchResidual:
@@ -428,6 +452,23 @@ def sweep_systems(square_system, beta_tilde_system, trapezoid_toric_system, squa
     }
 
 
+def _square_lifted_to_minus_one():
+    """The square at x3 = -1: its third row is constant, so it shifts to zero."""
+    config = PointConfiguration(3, ((0, 0, -1), (1, 0, -1), (0, 1, -1), (1, 1, -1)))
+    return design_matrix(config), WeightVector.ones(4)
+
+
+def _dilated_simplex_5():
+    """5 Delta_2 with multinomial weights: entries up to 5, slack 5 - i - j."""
+    points = tuple((i, j) for i in range(6) for j in range(6 - i))
+    weights = [math.factorial(5) // (math.factorial(i) * math.factorial(j) * math.factorial(5 - i - j))
+               for i, j in points]
+    return design_matrix(PointConfiguration(2, points)), WeightVector(weights)
+
+
+DESIGNS = {"square-lifted-to-minus-one": _square_lifted_to_minus_one, "dilated-simplex-5": _dilated_simplex_5}
+
+
 SWEEP = ["square", "beta-tilde", "trapezoid-toric", "square-at-minus-one", "square-at-minus-three-two",
          "square-x-beta-tilde", "simplex3x2"]
 
@@ -450,7 +491,9 @@ class TestIpsMatchesTheReferenceLoop:
         rows = design_matrix(sweep_systems["square-x-beta-tilde"].config).rows
         assert len(set(rows)) < len(rows)
 
-    @pytest.mark.parametrize("name", ["trapezoid-toric", "square-at-minus-three-two", "simplex3x2"])
+    @pytest.mark.parametrize(
+        "name", ["trapezoid-toric", "square-at-minus-three-two", "simplex3x2", "square-x-beta-tilde"]
+    )
     def test_random_weights(self, sweep_systems, name):
         config = sweep_systems[name].config
         dm = design_matrix(config)
@@ -461,6 +504,27 @@ class TestIpsMatchesTheReferenceLoop:
             p, iterations, residual, converged = _reference_ips(dm, w, u, 1e-10, 10000)
             assert converged
             assert (result.distribution.probs, result.iterations, result.residual) == (p, iterations, residual)
+
+    @pytest.mark.parametrize("name", list(DESIGNS))
+    def test_designs(self, name):
+        """A constant row dropped from M but multiplied on its own in the
+        stopping test; entries and slack above 1."""
+        dm, w = DESIGNS[name]()
+        for u in random_data_vectors(8, dm.n_columns, seed=47):
+            result = ips_fit(dm, w, u, 1e-10, 10000)
+            p, iterations, residual, converged = _reference_ips(dm, w, u, 1e-10, 10000)
+            assert converged
+            assert (result.distribution.probs, result.iterations, result.residual) == (p, iterations, residual)
+        u = random_data_vectors(1, dm.n_columns, seed=53)[0]
+        with pytest.raises(NotConvergedError) as info:
+            ips_fit(dm, w, u, 1e-12, 2)
+        assert _reference_ips(dm, w, u, 1e-12, 2)[1:] == (2, info.value.residual, False)
+
+    def test_designs_reach_their_paths(self):
+        lifted, _ = DESIGNS["square-lifted-to-minus-one"]()
+        assert (-1, -1, -1, -1) in lifted.rows and (1, 1, 1, 1) not in lifted.rows
+        dilated, _ = DESIGNS["dilated-simplex-5"]()
+        assert max(map(max, dilated.rows)) == 5 and (0, 0, 0) not in dilated.rows
 
     @pytest.mark.parametrize("name", ["square", "square-at-minus-one", "square-x-beta-tilde"])
     def test_not_converged_with_the_same_residual(self, sweep_systems, name):
