@@ -239,9 +239,11 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     t1..ts where s is the affine dimension.
     """
     base = config.points[0]
-    basis, _ = linalg._echelon([[x - b for x, b in zip(p, base)] for p in config.points[1:]])
-    if len(basis) == config.dim:
+    differences = [[x - b for x, b in zip(p, base)] for p in config.points[1:]]
+    # d rows of the transposed differences eliminate faster than n - 1 rows
+    if linalg.rank(list(zip(*differences))) == config.dim:
         return None
+    basis, _ = linalg._echelon(differences)
     t_names = tuple(f"t{i + 1}" for i in range(len(basis)))
     images = []
     for c in range(config.dim):

@@ -213,15 +213,25 @@ def _integer_samples(
     """The samples of :func:`sample_interior` as unreduced integer points.
 
     Each is ``(xs, q)``: the weighted sum of the points and the sum of the
-    weights, drawn lazily with the same generator calls.
+    weights, drawn lazily.  Each weight after the barycenter is the one
+    ``random.Random(seed).randint(1, 1000)`` would give at that place in the
+    stream, drawn without its call overhead.
     """
     if not config.points:
         raise ValueError("cannot sample from an empty configuration")
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     n = len(config.points)
     coordinates = list(zip(*config.points))
+    raw = [1] * n
     for index in range(count):
-        raw = [1] * n if index == 0 else [rng.randint(1, 1000) for _ in range(n)]
+        if index:
+            # as randint(1, 1000) draws: 10 bits, again while they read >= 1000
+            raw = []
+            for _ in range(n):
+                r = draw(10)
+                while r >= 1000:
+                    r = draw(10)
+                raw.append(r + 1)
         yield [sum(map(mul, raw, column)) for column in coordinates], sum(raw)
 
 

@@ -40,10 +40,11 @@ content are one factor and a constant denominator is none.
 Evaluation has one path, in Python integers.  A rational point is written
 as an integer vector ``xs`` over a positive denominator ``q``
 (:func:`integer_point`, or a sampler that never builds the fraction).  An
-:class:`EvaluationKernel` is planned once for a list of rational functions;
-each call computes every distinct monomial, homogenised in ``q``, once and
-every distinct polynomial once (so a shared denominator once), and returns
-one unreduced integer pair ``(N, D)`` per function with ``f(xs / q) = N / D``.
+:class:`EvaluationKernel` is planned once for a list of rational functions
+and compiled on its first call into straight-line integer code; each call
+computes every distinct monomial, homogenised in ``q``, once and every
+distinct polynomial once (so a shared denominator once), and returns one
+unreduced integer pair ``(N, D)`` per function with ``f(xs / q) = N / D``.
 A function has a pole exactly where its ``D`` is 0.  ``evaluate`` on a
 rational function is the kernel of that one function, a polynomial is
 evaluated as the rational function ``p / 1``, and only the final value
@@ -54,8 +55,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm, prod
-from operator import add, mul
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PoleError
@@ -433,6 +434,16 @@ def _primitive(poly: Polynomial) -> tuple[int, Polynomial]:
     return content, Polynomial._make(poly.variables, {e: c // content for e, c in coefficients.items()})
 
 
+# Terms per statement of a generated sum: the compiler recurses once per
+# operator of an expression, so one sum over a large program would exceed
+# its recursion limit.
+_TERMS_PER_STATEMENT = 64
+
+
+def _pole_error(denominator: Polynomial, xs: Sequence[int], q: int) -> PoleError:
+    return PoleError(f"denominator {denominator} vanishes at {point_text(xs, q)}")
+
+
 class EvaluationKernel:
     """Shared-monomial evaluation of a fixed list of rational functions.
 
@@ -441,12 +452,13 @@ class EvaluationKernel:
     keeps their quotient: a part with coefficients ``c_e`` becomes the
     program ``sum c_e * xs**e * q**(m - |e|)``.  Parts equal up to their
     integer content, as the canonical denominators of one toric system are,
-    share one program.  Each call of :meth:`pairs` computes every distinct
-    monomial once, as a product of powers of the coordinates and of ``q``,
-    and every program once.
+    share one program.  The first call of :meth:`pairs` compiles the plan
+    into straight-line Python (:meth:`_source`) that computes every
+    distinct monomial once, as a product of powers of the coordinates and
+    of ``q``, and every program once.
     """
 
-    __slots__ = ("functions", "_arity", "_tops", "_monomials", "_programs", "_pairs", "_denominators")
+    __slots__ = ("functions", "_arity", "_monomials", "_programs", "_pairs", "_compiled")
 
     def __init__(self, functions: Sequence["RationalFunction"]):
         self.functions = tuple(functions)
@@ -477,16 +489,9 @@ class EvaluationKernel:
         for f in self.functions:
             m = max(f.numerator.total_degree(), f.denominator.total_degree())
             self._pairs.append((*slot(f.numerator, m), *slot(f.denominator, m)))
-        self._denominators = list(dict.fromkeys(pair[2] for pair in self._pairs))
-        # Powers x**1 .. x**top of each coordinate (q last) sit in one flat
-        # list; a monomial is the product of the entries its indices name.
-        self._tops = [max(column) for column in zip(*monomials)]
-        offsets = [0]
-        for top in self._tops:
-            offsets.append(offsets[-1] + top)
-        self._monomials = [
-            [offset + e - 1 for offset, e in zip(offsets, exp) if e] for exp in monomials
-        ]
+        # the exponent vectors (q last) that the programs' columns index
+        self._monomials = list(monomials)
+        self._compiled = None
 
     def pairs(self, xs: Sequence[int], q: int) -> list[tuple[int, int]]:
         """Unreduced integers ``(N_b, D_b)`` with ``f_b(xs / q) = N_b / D_b``.
@@ -496,24 +501,76 @@ class EvaluationKernel:
         """
         if self._arity is not None and len(xs) != self._arity:
             raise ValueError(f"expected {self._arity} coordinates, got {len(xs)}")
-        powers = []
-        for x, top in zip((*xs, q), self._tops):
-            power = 1
-            for _ in range(top):
-                power *= x
-                powers.append(power)
-        monomials = [prod(map(powers.__getitem__, factors)) for factors in self._monomials]
-        values = [
-            sum(map(mul, coefficients, map(monomials.__getitem__, columns)))
-            for coefficients, columns in self._programs
-        ]
-        for program in self._denominators:
-            if not values[program]:
-                b = next(b for b, pair in enumerate(self._pairs) if pair[2] == program)
-                raise PoleError(
-                    f"denominator {self.functions[b].denominator} vanishes at {point_text(xs, q)}"
-                )
-        return [(values[n] * cn, values[d] * cd) for n, cn, d, cd in self._pairs]
+        compiled = self._compiled
+        if compiled is None:
+            source, values = self._source()
+            namespace: dict = {}
+            exec(compile(source, "<evaluation kernel>", "exec"), namespace)
+            compiled = self._compiled = namespace.pop("_bind")(*values)
+        return compiled(xs, q)
+
+    def _source(self) -> tuple[str, list]:
+        """Python source of ``_bind(*values)``, which returns the plan as a
+        straight-line function ``pairs(xs, q)``, and those values.
+
+        Coordinate ``i`` is ``x{i}``, its power ``e`` is ``x{i}_{e}``,
+        monomial ``j`` is ``m{j}`` and program ``p`` is ``v{p}``.  Integers
+        enter as bound values, never as text, since an int of more than
+        4300 digits has no text under Python's default limit; a factor 1 is
+        left out.  Each statement sums at most ``_TERMS_PER_STATEMENT``
+        terms.  A program tested for a pole names the denominator of the
+        first function that reads it.
+        """
+        params, values = ["_pole"], [_pole_error]
+        names: dict[int, str] = {}
+
+        def bound(value: int) -> str:
+            if value not in names:
+                names[value] = f"k{len(names)}"
+                params.append(names[value])
+                values.append(value)
+            return names[value]
+
+        def times(*factors: str | int) -> str:
+            """The product of names and bound integers, leaving out 1s."""
+            return " * ".join([f if type(f) is str else bound(f) for f in factors if f != 1]) or "1"
+
+        coordinates = [f"x{i}" for i in range(self._arity or 0)]
+        body = [f"{', '.join(coordinates)}, = xs"] if coordinates else []
+        coordinates.append("q")
+        powers = [[None, x] for x in coordinates]
+        for x, row, top in zip(coordinates, powers, map(max, zip(*self._monomials))):
+            for e in range(2, top + 1):
+                row.append(f"{x}_{e}")
+                body.append(f"{row[e]} = {row[e - 1]} * {x}")
+        monomials: list[str | int] = []
+        for j, exponent in enumerate(self._monomials):
+            factors = [row[e] for row, e in zip(powers, exponent) if e]
+            if len(factors) > 1:
+                body.append(f"m{j} = {' * '.join(factors)}")
+                factors = [f"m{j}"]
+            monomials.append(factors[0] if factors else 1)
+        for p, (coefficients, columns) in enumerate(self._programs):
+            terms = [
+                f"{'-' if c < 0 else '+'} {times(abs(c), monomials[column])}"
+                for c, column in zip(coefficients, columns)
+            ]
+            chunks = [" ".join(terms[s:s + _TERMS_PER_STATEMENT]) for s in range(0, len(terms), _TERMS_PER_STATEMENT)]
+            body.append(f"v{p} = {chunks[0].removeprefix('+ ') if chunks else 0}")
+            body += [f"v{p} = v{p} {chunk}" for chunk in chunks[1:]]
+        first: dict[int, int] = {}
+        for b, pair in enumerate(self._pairs):
+            first.setdefault(pair[2], b)
+        for p, b in first.items():
+            params.append(f"d{p}")
+            values.append(self.functions[b].denominator)
+            body.append(f"if not v{p}: raise _pole(d{p}, xs, q)")
+        pairs = ", ".join(f"({times(f'v{n}', cn)}, {times(f'v{d}', cd)})" for n, cn, d, cd in self._pairs)
+        body.append(f"return [{pairs}]")
+        lines = [f"def _bind({', '.join(params)}):", "    def pairs(xs, q):"]
+        lines += [f"        {line}" for line in body]
+        lines.append("    return pairs")
+        return "\n".join(lines), values
 
 
 class RationalFunction:

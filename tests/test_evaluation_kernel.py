@@ -1,6 +1,8 @@
 """The shared-monomial evaluation kernel and the integer sampler behind every sampled check."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -16,7 +18,14 @@ from toric_precision.blending import (
 from toric_precision.cli import _as_system, _load
 from toric_precision.errors import PoleError
 from toric_precision.geometry import PointConfiguration, _integer_samples, convex_hull_facets, sample_interior
-from toric_precision.polynomials import EvaluationKernel, RationalFunction, variables
+from toric_precision.polynomials import (
+    _TERMS_PER_STATEMENT,
+    EvaluationKernel,
+    Polynomial,
+    RationalFunction,
+    point_text,
+    variables,
+)
 from toric_precision.tfp import tfp_blending
 
 from test_tfp import face_partition_holds
@@ -111,6 +120,121 @@ class TestKernelAgainstRationalFunctionEvaluate:
             face_partition_holds(segment, trapezoid_graded, 1)
 
 
+def fraction_value(poly, point):
+    """The polynomial at ``point``, summed term by term in Fractions."""
+    return sum(
+        (c * prod(Fraction(x) ** e for x, e in zip(point, exponent)) for exponent, c in poly.sorted_terms()),
+        Fraction(0),
+    )
+
+
+def expected_pairs(functions, xs, q):
+    """Each function's value at ``xs / q`` in Fractions, or the PoleError
+    text naming the first function whose denominator vanishes."""
+    point = [Fraction(x, q) for x in xs]
+    values = []
+    for f in functions:
+        denominator = fraction_value(f.denominator, point)
+        if denominator == 0:
+            return f"denominator {f.denominator} vanishes at {point_text(xs, q)}"
+        values.append(fraction_value(f.numerator, point) / denominator)
+    return values
+
+
+def assert_exact(functions, points):
+    kernel = EvaluationKernel(functions)
+    for xs, q in points:
+        expected = expected_pairs(functions, xs, q)
+        if isinstance(expected, str):
+            with pytest.raises(PoleError) as caught:
+                kernel.pairs(xs, q)
+            assert str(caught.value) == expected
+        else:
+            assert [Fraction(n, d) for n, d in kernel.pairs(xs, q)] == expected
+
+
+def random_polynomial(rng, names, terms, degree):
+    return Polynomial(names, [
+        (tuple(rng.randint(0, degree) for _ in names), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for _ in range(terms)
+    ])
+
+
+class TestCompiledKernelIsExact:
+    """The compiled kernel against term-by-term Fraction sums of ``sorted_terms()``."""
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3, 4])
+    def test_seeded_random_functions(self, arity):
+        rng = random.Random(90 + arity)
+        names = tuple(f"z{i}" for i in range(arity))
+        for _ in range(6):
+            denominators = [random_polynomial(rng, names, rng.randint(1, 4), 3) for _ in range(3)]
+            functions = []
+            for _ in range(rng.randint(1, 6)):
+                denominator = rng.choice([d for d in denominators if d] or [Polynomial.constant(1, names)])
+                # content multiples of one denominator share its program
+                scale = rng.choice([1, 1, -3, Fraction(5, 2)])
+                numerator = random_polynomial(rng, names, rng.randint(0, 6), 4)
+                functions.append(RationalFunction(numerator, denominator * scale))
+            points = [([rng.randint(-5, 5) for _ in names], rng.randint(1, 4)) for _ in range(12)]
+            assert_exact(functions, points)
+
+    def test_coefficient_of_more_than_4300_digits(self):
+        x, y = variables("x y")
+        big = 7**5200 + 1
+        assert big.bit_length() > 4300 * 3.33
+        functions = (
+            RationalFunction(big * x**2 - y, x + big * y + 1),
+            RationalFunction(big**2 * x * y, 3 + x**2),
+            RationalFunction(y, big),
+        )
+        assert_exact(functions, [([1, 2], 3), ([-4, 5], 7), ([0, 0], 1)])
+
+    def test_program_of_more_than_2000_terms(self):
+        rng = random.Random(93)
+        names = ("a", "b", "c")
+        exponents = [e for e in product(range(22), repeat=3) if sum(e) <= 21]
+        numerator = Polynomial(names, {e: rng.choice([-2, -1, 1, 3, 10**30]) for e in exponents})
+        assert len(numerator.sorted_terms()) > 2000
+        a, b, c = variables(names)
+        functions = (RationalFunction(numerator, 1 + a**2 + b * c), RationalFunction(a, 1 + a**2 + b * c))
+        assert_exact(functions, [([1, -2, 3], 5), ([2, 1, 1], 1)])
+        # the long sum is split into bounded statements
+        source, _ = EvaluationKernel(functions)._source()
+        assert max(line.count(" + ") + line.count(" - ") for line in source.splitlines()) <= _TERMS_PER_STATEMENT
+
+    def test_pole_names_the_first_function(self):
+        x, y = variables("x y")
+        functions = (
+            RationalFunction(x, y + 1),
+            RationalFunction(1, x - y),
+            RationalFunction(y, 2 * x - 2 * y),
+            RationalFunction(x * y, x - 2),
+        )
+        kernel = EvaluationKernel(functions)
+        with pytest.raises(PoleError) as caught:
+            kernel.pairs([2, 2], 4)
+        assert str(caught.value) == "denominator x - y vanishes at (1/2, 1/2)"
+        with pytest.raises(PoleError) as caught:
+            kernel.pairs([4, 1], 2)
+        assert str(caught.value) == "denominator x - 2 vanishes at (2, 1/2)"
+        assert_exact(functions, [([2, 2], 4), ([4, 1], 2), ([1, 3], 2), ([1, -2], 2)])
+
+    def test_wrong_arity_before_and_after_the_first_call(self):
+        x, y = variables("x y")
+        kernel = EvaluationKernel((RationalFunction(x, y + 1),))
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            kernel.pairs([1], 1)
+        assert kernel.pairs([1, 1], 1) == [(1, 2)]
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+            kernel.pairs([1, 1, 1], 1)
+
+    def test_empty_kernel(self):
+        kernel = EvaluationKernel(())
+        assert kernel.pairs([], 1) == []
+        assert kernel.pairs([1, 2], 3) == []
+
+
 class TestPoles:
     def test_vanishing_denominator_raises_and_fails_the_check(self, square_system):
         # 2*x1 - 1 vanishes at the square's barycenter, sample 0
@@ -154,6 +278,18 @@ class TestIntegerSampler:
         assert integer[0][1] == 9
         assert all(q >= 9 for _, q in integer)
 
+    @pytest.mark.parametrize("seed, count", [(0, 1), (1, 7), (5, 50), (21, 120), (1234, 33)])
+    def test_weights_are_the_randint_stream(self, seed, count):
+        points = ((0, 0), (3, 0), (0, 2), (1, 1), (2, 5), (-1, 4), (7, -3))
+        config = PointConfiguration(2, points)
+        rng = random.Random(seed)
+        expected = []
+        for index in range(count):
+            weights = [1] * len(points) if index == 0 else [rng.randint(1, 1000) for _ in points]
+            xs = [sum(w * p[c] for w, p in zip(weights, points)) for c in range(2)]
+            expected.append((xs, sum(weights)))
+        assert list(_integer_samples(config, count, seed)) == expected
+
     def test_empty_configuration(self):
         with pytest.raises(ValueError):
             sample_interior(PointConfiguration(1, ()), 3, 0)
@@ -179,24 +315,34 @@ class TestSharing:
         assert len(kernel._programs) == len(system.functions) + 1
 
     def test_shared_denominator_is_evaluated_once_per_sample(self, trapezoid_toric_system):
-        class Counting(list):
-            iterations = 0
-
-            def __iter__(self):
-                Counting.iterations += 1
-                return super().__iter__()
-
         system = BlendingSystem(
             trapezoid_toric_system.config, trapezoid_toric_system.weights,
             trapezoid_toric_system.functions, "toric", trapezoid_toric_system.variables,
         )
         kernel = system._kernel
         (denominator,) = {pair[2] for pair in kernel._pairs}
-        coefficients, columns = kernel._programs[denominator]
-        kernel._programs[denominator] = (Counting(coefficients), columns)
-        report = verify_rational_linear_precision(system, samples=20, seed=1)
+        source, _ = kernel._source()
+        # the denominator has fewer terms than one statement sums, so one line computes it
+        lines = [n for n, line in enumerate(source.splitlines(), 1) if line.strip().startswith(f"v{denominator} =")]
+        assert len(lines) == 1
+        executed = Counter()
+
+        def trace_lines(frame, event, arg):
+            executed[frame.f_lineno] += event == "line"
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            return trace_lines if frame.f_code.co_filename == "<evaluation kernel>" else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            report = verify_rational_linear_precision(system, samples=20, seed=1)
+        finally:
+            sys.settrace(previous)
         assert (report.toric_membership, report.interior_positivity) == (True, True)
-        assert Counting.iterations == 20
+        # 20 samples, 20 calls of the compiled code, each computing the denominator once
+        assert [executed[n] for n in lines] == [20]
 
     def test_kernel_is_planned_once_per_system(self, beta_tilde_system):
         assert beta_tilde_system._kernel is beta_tilde_system._kernel
