@@ -7,11 +7,12 @@ points, so the family sums to one by construction.  Whether the family also
 reproduces linear functions (linear precision), stays nonnegative on the
 interior, and lands on the weighted toric variety are separate checks:
 
-* partition of unity and linear precision are exact symbolic identities,
-  decided from the factors for a fiber product built by
-  :func:`~toric_precision.tfp.tfp_blending` and summed over the expanded
-  functions for every other system, except that a system built by
-  :func:`toric_blending` partitions unity by construction,
+* partition of unity and linear precision are exact symbolic identities
+  on the affine span of the configuration, decided from the factors for a
+  fiber product built by :func:`~toric_precision.tfp.tfp_blending` and
+  summed over the expanded functions for every other system, except that a
+  system built by :func:`toric_blending` partitions unity by construction;
+  both fail when a denominator vanishes identically on the span,
 * membership in the variety and interior positivity are structural for a
   system built by :func:`toric_blending`, decided from the factors for a
   fiber product built by :func:`~toric_precision.tfp.tfp_blending`, and
@@ -27,14 +28,14 @@ kernel cancels exponent by exponent, and each factor h_i with E[b][i] > 0
 is positive on the relative interior.  A fiber product keeps its two factor
 systems.  When both factors pass membership and strict positivity, so does
 the product (see :func:`_factors_certify`); when both pass partition of
-unity and linear precision and their functions are defined on their spans,
-so does the product, the paper's statement that a fiber product of systems
-with rational linear precision has it (see :func:`_decide`).  Every other
-system, including one loaded from JSON or copied with ``_replace``, and a
-product whose factors do not pass, is checked through binomial identities
-from an integer kernel basis of the design matrix and through signs,
-exactly at seeded interior samples, and its identities are summed with
-each denominator keyed by its primitive part.
+unity and linear precision, so does the product, the paper's statement that
+a fiber product of systems with rational linear precision has it (see
+:func:`_decide`).  Every other system, including one loaded from JSON or
+copied with ``_replace``, and a product whose factors do not pass, is
+checked through binomial identities from an integer kernel basis of the
+design matrix and through signs, exactly at seeded interior samples, and
+its identities are summed with each denominator keyed by its primitive
+part.
 
 Sampled checks run in integers from the draw to the verdict: each sample is
 an unreduced integer point ``(xs, q)``, evaluated once by the system's
@@ -223,7 +224,8 @@ def toric_blending(poly: LatticePolytope, points: PointConfiguration, w: WeightV
 
 
 def verify_partition_of_unity(sys: BlendingSystem) -> bool:
-    """Check symbolically that the functions sum to the constant 1.
+    """Check symbolically that the functions sum to 1 on the affine hull of
+    the configuration, with no denominator vanishing identically there.
 
     A fiber product built by :func:`~toric_precision.tfp.tfp_blending`
     passes with no product sum when both factors pass partition of unity and
@@ -272,33 +274,31 @@ def verify_linear_precision(sys: BlendingSystem) -> bool:
 def _identities(sys: BlendingSystem, kinds: Sequence[str]) -> tuple[str | None, ...]:
     """Why each identity of ``kinds`` fails on the expanded functions, None where it holds.
 
-    Every function enters each sum as a
-    :func:`~toric_precision.polynomials.primitive_term`, so canonical
-    denominators equal up to their content are one factor of the
-    :func:`~toric_precision.polynomials.lcm_sum`.  Partition of unity sums
-    all functions to N / D, which is 1 exactly when N = D.  Linear precision
+    Both are identities on the affine span of the configuration, substituted
+    when it is proper, and both fail when a denominator vanishes identically
+    there: every function enters each sum as a
+    :func:`~toric_precision.polynomials.primitive_term`, and no primitive
+    denominator, a factor of the :func:`~toric_precision.polynomials.lcm_sum`
+    of every sum, may vanish on the span.  Otherwise a sum N / D equals an
+    affine function l on the span exactly when N - l * D vanishes there.
+    Partition of unity sums all functions, with l = 1.  Linear precision
     sums, for each coordinate c, the numerators times b_c of the b with
-    b_c != 0 to N / D; (N - x_c * D) / D must have a zero numerator and a
-    nonzero denominator on the span, substituted when it is proper.
-    Definition on the span asks that no primitive denominator vanishes
-    identically there.
+    b_c != 0, with l = x_c.
     """
     names = sys.variables
     terms = [primitive_term(f) for f in sys.functions]
-    span = _affine_span_substitution(sys.config) if set(kinds) - {PARTITION} else None
+    span = _affine_span_substitution(sys.config)
+    if any(_vanishes_on(factor, span) for factor in {factor for _, key in terms for factor in key}):
+        return ("a denominator vanishes on the span",) * len(kinds)
     reasons = []
     for kind in kinds:
         if kind == PARTITION:
             total, denominator = lcm_sum(terms, names)
-            holds = total == denominator
+            holds = _vanishes_on(total - denominator, span)
             reason = None if holds else f"functions sum to {RationalFunction(total, denominator)}, not 1"
-        elif kind == LINEAR_PRECISION:
+        else:
             holds = all(_reproduces(terms, sys.config.points, names, c, span) for c in range(len(names)))
             reason = None if holds else "sum_b f_b * b does not reproduce the coordinate functions"
-        else:
-            factors = {factor for _, key in terms for factor in key}
-            holds = span is None or not any(factor.substitute(span).is_zero for factor in factors)
-            reason = None if holds else "a denominator vanishes on the span"
         reasons.append(reason)
     return tuple(reasons)
 
@@ -306,20 +306,17 @@ def _identities(sys: BlendingSystem, kinds: Sequence[str]) -> tuple[str | None, 
 def _reproduces(
     terms: list, points: Sequence[tuple[int, ...]], names: tuple[str, ...], c: int, span: list[Polynomial] | None
 ) -> bool:
-    """Whether sum_b f_b * b_c is x_c on the span, from the primitive terms of the f_b."""
+    """Whether sum_b f_b * b_c is x_c on the span, from the primitive terms of
+    the f_b, whose denominators do not vanish there."""
     weighted = [(numerator * b[c], key) for (numerator, key), b in zip(terms, points) if b[c]]
     total, denominator = lcm_sum(weighted, names)
-    difference = RationalFunction(total - Polynomial.variable(names[c], names) * denominator, denominator)
-    return _vanishes_on(difference, span)
+    return _vanishes_on(total - Polynomial.variable(names[c], names) * denominator, span)
 
 
-def _vanishes_on(f: RationalFunction, span: list[Polynomial] | None) -> bool:
-    """Whether f, over the coordinates of ``span``'s configuration, has a zero
-    numerator and a nonzero denominator on that span (substituted when proper)."""
-    num, den = f.numerator, f.denominator
-    if span is not None:
-        num, den = num.substitute(span), den.substitute(span)
-    return num.is_zero and not den.is_zero
+def _vanishes_on(polynomial: Polynomial, span: list[Polynomial] | None) -> bool:
+    """Whether a polynomial over the coordinates of ``span``'s configuration
+    vanishes identically on that span (substituted when proper)."""
+    return (polynomial if span is None else polynomial.substitute(span)).is_zero
 
 
 class Witness(NamedTuple):
@@ -387,12 +384,11 @@ def _structural_reason(sys: BlendingSystem) -> str | None:
 
 
 # The kinds of check _decide decides for any system.  Strict positivity
-# (every value > 0) and definition on the span (no denominator vanishes
-# identically there) are what a fiber product asks of its factors.
+# (every value > 0) is what a fiber product asks of its factors.
 MEMBERSHIP, POSITIVITY, STRICT_POSITIVITY = "membership", "positivity", "strict positivity"
-PARTITION, LINEAR_PRECISION, DEFINED = "partition of unity", "linear precision", "defined on the span"
+PARTITION, LINEAR_PRECISION = "partition of unity", "linear precision"
 # The symbolic identities; the other kinds are sampled unless a record decides them.
-IDENTITIES = (PARTITION, LINEAR_PRECISION, DEFINED)
+IDENTITIES = (PARTITION, LINEAR_PRECISION)
 
 
 def _factors_certify(factors: Sequence[BlendingSystem], samples: int, seed: int, kinds: Sequence[str]) -> bool:
@@ -400,8 +396,8 @@ def _factors_certify(factors: Sequence[BlendingSystem], samples: int, seed: int,
     all identities or none, need.
 
     Each factor is decided by :func:`_decide` with the same samples and seed,
-    so a factor that is itself a product recurses.  The identities need all
-    three identities of both factors; the argument is in :func:`_decide`.
+    so a factor that is itself a product recurses.  The identities need both
+    identities of both factors; the argument is in :func:`_decide`.
     Take a kernel vector v of the product's design matrix.  Its marginals
     v^B_j = sum_k v_ijk and v^C_k = sum_j v_ijk are kernel vectors of the
     factors, and v sums to 0 over each class, since the class indicator is
@@ -427,14 +423,12 @@ def _factors_certify(factors: Sequence[BlendingSystem], samples: int, seed: int,
     )
 
 
-def _decide(
-    sys: BlendingSystem, *kinds: str, samples: int = 50, seed: int = 0, poly: LatticePolytope | None = None
-) -> tuple[str | None, ...]:
+def _decide(sys: BlendingSystem, *kinds: str, samples: int = 50, seed: int = 0) -> tuple[str | None, ...]:
     """Why each check of ``kinds`` fails, None where it holds; the one rule that picks the mode.
 
-    The identities (partition of unity, linear precision, definition on the
-    span) and the sampled kinds (membership, positivity, strict positivity)
-    are decided as two groups.  A fiber product from
+    The identities (partition of unity, linear precision) and the sampled
+    kinds (membership, positivity, strict positivity) are decided as two
+    groups.  A fiber product from
     :func:`~toric_precision.tfp.tfp_blending` passes a group with no product
     sum or sample when its factors certify it (:func:`_factors_certify`); a
     product loaded from JSON carries no record.  Otherwise the identities
@@ -444,8 +438,7 @@ def _decide(
     kernel basis or evaluation; those of every other system, and of a
     product whose factors do not certify them, run in
     :func:`_holds_at_samples`, built only then, and a failure names its first
-    failing sample.  ``poly`` is given to the positivity checks of a sampled
-    system.
+    failing sample.
 
     The identities of a product follow from those of its factors.  Take
     form B, f_ijk = f_j(x) * f_k(y) / S^B_i(x), S^B_i the class-i sum of the
@@ -464,16 +457,19 @@ def _decide(
       precision, S^B_i(x) = sum_j f_j * l_i(b_j) = l_i(x) on the first
       factor's span, and S^C_i(y) = m_i(y) likewise, so S^C_i / S^B_i = 1 on
       L, and sum f_ijk * b_j = sum_j f_j * b_j = x there;
-    * every product denominator divides d_j * d_k * (the numerator of S^B_i):
-      the factors' denominators do not vanish on their spans, nor on L, and
-      S^B_i is l_i there, which is 1 at the class-i points.
+    * every product denominator divides d_j * d_k * (the numerator of S^B_i),
+      and none vanishes on L: a factor that passes partition of unity has
+      every denominator nonzero on its span (:func:`_identities` fails it
+      otherwise, and a toric record or the factors' own factors give the
+      same), so on L, which projects onto it, and S^B_i is l_i there, which
+      is 1 at the class-i points.
 
     The same fact, S^B_i = S^C_i on L, decides
     :func:`~toric_precision.tfp.verify_form_agreement`.
 
     A system whose toric record holds (:func:`_structural_reason`) passes
-    partition of unity and definition on the span with no sum; its linear
-    precision is still summed.  Its functions are
+    partition of unity with no sum; its linear precision is still summed.
+    Its functions are
     f_b = w_b * prod_i h_i**E[b][i] / T with T = sum_b w_b * prod_i h_i**E[b][i],
     their own weighted sum, so they sum to T / T = 1.  With E[b][i] the
     lattice distance h_i(b) >= 0, every term of T is >= 0 at every
@@ -490,9 +486,9 @@ def _decide(
     structural = _structural_reason(sys) if toric else None
     reasons: dict[str, str | None] = {}
     identities = [k for k in kinds if k in IDENTITIES]
-    if toric and structural is None:
-        reasons.update(dict.fromkeys([k for k in identities if k != LINEAR_PRECISION]))
-        identities = [k for k in identities if k == LINEAR_PRECISION]
+    if toric and structural is None and PARTITION in identities:
+        reasons[PARTITION] = None
+        identities.remove(PARTITION)
     for group in (identities, [k for k in kinds if k not in IDENTITIES]):
         if not group:
             continue
@@ -503,21 +499,17 @@ def _decide(
         elif toric:
             found = (structural,) * len(group)
         else:
-            checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(poly, kind) for kind in group]
+            checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(kind) for kind in group]
             witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)
             found = tuple([None if w is None else w.describe(seed) for w in witnesses])
         reasons.update(zip(group, found))
     return tuple([reasons[kind] for kind in kinds])
 
 
-def _positivity_check(poly: LatticePolytope | None, kind: str) -> Check:
-    facets = poly.facets if poly is not None else ()
+def _positivity_check(kind: str) -> Check:
     strict = kind == STRICT_POSITIVITY
 
     def check(xs, q, pairs) -> str | None:
-        # q > 0, so the lattice distance (<xs, n> + a * q) / q has the sign of its numerator.
-        if any(f.distance(xs, q) <= 0 for f in facets):
-            raise ValueError(f"sample {point_text(xs, q)} is not interior to the polytope")
         for b, (n, d) in enumerate(pairs):
             if n * d < 0:
                 return f"function {b} is negative"
@@ -540,13 +532,14 @@ def verify_interior_positivity(
     a product loaded from JSON stays sampled.  Every other system, and a
     product whose factors do not pass, is checked at ``samples`` seeded
     interior points, strictly positive convex combinations of the
-    configuration points.  When the polytope is supplied, its dimension must
-    be the system's, and each sampled point is asserted to have positive
-    lattice distance to every facet.
+    configuration points, so every sample is interior with no facet test.
+    ``poly`` decides nothing: it is kept because perfbench's traced passes
+    pass it positionally, and when supplied its dimension must be the
+    system's.
     """
     if poly is not None and poly.dim != sys.config.dim:
         raise ValueError(f"the polytope has dimension {poly.dim}, the samples {sys.config.dim}")
-    return _decide(sys, POSITIVITY, samples=samples, seed=seed, poly=poly)[0] is None
+    return _decide(sys, POSITIVITY, samples=samples, seed=seed)[0] is None
 
 
 def _membership_check(sys: BlendingSystem) -> Check:
@@ -659,9 +652,10 @@ def verify_rational_linear_precision(sys: BlendingSystem, samples: int = 50, see
     :func:`verify_partition_of_unity` and :func:`verify_linear_precision`:
     from the factors for a fiber product built by
     :func:`~toric_precision.tfp.tfp_blending`, when both pass both, and
-    otherwise as identities of the expanded functions.  A failing partition
-    of unity prints the sum as ``+`` forms it.  Membership and positivity
-    are decided as by :func:`verify_toric_membership`
+    otherwise as identities of the expanded functions on the span.  Both
+    fail with "a denominator vanishes on the span" when one does; otherwise
+    a failing partition of unity prints the sum as ``+`` forms it.
+    Membership and positivity are decided as by :func:`verify_toric_membership`
     and :func:`verify_interior_positivity`: structurally for a system built by
     :func:`toric_blending`, which then needs no hull; from the factors for a
     fiber product built by :func:`~toric_precision.tfp.tfp_blending`, when

@@ -301,23 +301,22 @@ def verify_form_agreement(
     """Check that both denominator choices give the same product functions.
 
     f^B_ijk / f^C_ijk = S^C_i / S^B_i, the ratio of the factors' class-i sums,
-    so the forms agree when every S^C_i / S^B_i - 1 vanishes on the product's
-    span, an identity.  They do when both factors pass partition of unity
-    and linear precision, each decided in its own mode, and no factor
-    denominator vanishes on its span, for then S^B_i and S^C_i are one
-    affine function on the span (see
+    so the forms agree when, with S^B_i = N^B_i / D^B_i and S^C_i likewise,
+    every N^C_i * D^B_i - N^B_i * D^C_i vanishes on the product's span and
+    no N^B_i * D^C_i does, an identity.  They do when both factors pass
+    partition of unity and linear precision, each decided in its own mode,
+    for then S^B_i and S^C_i are one affine function on the span (see
     :func:`toric_precision.blending._decide`); otherwise the product's span
-    and the class sums are built and compared.  No sample is drawn;
-    ``samples < 1`` is still an error.  Dependent degree vectors raise DependentDegreesError, and classes that
-    admit no affine degree map on a factor's points raise NoDegreeMapError,
-    before the factors are decided.
+    and the class sums are built and compared.  No sample is drawn, but
+    deciding the factors still refuses ``samples < 1``.  Before that,
+    dependent degree vectors raise DependentDegreesError, and classes that
+    admit no affine degree map on a factor's points raise NoDegreeMapError.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     B, C = _graded_factors(sysB, sysC, g)
     if _factors_certify((sysB, sysC), samples, seed, IDENTITIES):
         return True
     fB, fC = _placed_factors(sysB, sysC)
     span = _affine_span_substitution(tfp_configuration(B, sysB.weights, C, sysC.weights, g).config)
     sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
-    return all(not s_b.is_zero and _vanishes_on(s_c / s_b - 1, span) for s_b, s_c in sums)
+    crossed = ((s_b.numerator * s_c.denominator, s_c.numerator * s_b.denominator) for s_b, s_c in sums)
+    return all(not _vanishes_on(b, span) and _vanishes_on(c - b, span) for b, c in crossed)

@@ -8,7 +8,7 @@ from math import comb, factorial, gcd, prod
 
 import pytest
 
-from toric_precision import blending, geometry
+from toric_precision import blending, geometry, linalg
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -201,9 +201,12 @@ def reference_linear_precision(sys):
 
     Each f_b * b_c is canonicalised on its own and summed; a full-dimensional
     configuration compares the sum with x_c by ``equals``, any other one
-    substitutes its span into the difference.
+    needs every canonical denominator nonzero on its span and substitutes
+    the span into the difference.
     """
     span = _affine_span_substitution(sys.config)
+    if span is not None and any(f.denominator.substitute(span).is_zero for f in sys.functions):
+        return False
     for c, name in enumerate(sys.variables):
         weighted = sum_rational_functions(
             f * Fraction(b[c]) for f, b in zip(sys.functions, sys.config.points)
@@ -244,9 +247,9 @@ class TestLinearPrecisionMatchesTheReference:
     def test_perturbed_products(self, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading):
         # The span of the square x beta-tilde product is x2 = y2.  The
         # uncancelled factor (x2 - y2) / (x2 - y2) puts a denominator that
-        # vanishes there into every sum it enters, which fails a coordinate
-        # whose identity holds only on the span; (2*x1 - 1) / (2*x1 - 1)
-        # vanishes nowhere on it, and an added x2 - y2 vanishes on all of it.
+        # vanishes there into the system, which fails linear precision
+        # whichever function carries it; (2*x1 - 1) / (2*x1 - 1) vanishes
+        # nowhere on it, and an added x2 - y2 vanishes on all of it.
         x1, x2, y1, y2 = variables("x1 x2 y1 y2")
         perturbations = (
             lambda f: RationalFunction(f.numerator * (x2 - y2), f.denominator * (x2 - y2)),
@@ -266,7 +269,108 @@ class TestLinearPrecisionMatchesTheReference:
             systems.append(tfp_blending(square_system, trapezoid_toric_system, square_trapezoid_grading, form)[0])
         verdicts = [verify_linear_precision(s) for s in systems]
         assert verdicts == [reference_linear_precision(s) for s in systems]
-        assert verdicts.count(True) == 53
+        assert verdicts.count(True) == 45
+
+
+def diagonal_segments():
+    """The segment from (0, 0) to (1, 1) with the functions (1 - x1, x2),
+    which sum to 1 on its span but not globally, and the same system with
+    its first function times (x1 - x2) / (x1 - x2), undefined on the span."""
+    x1, x2 = variables("x1 x2")
+    segment = BlendingSystem(
+        PointConfiguration(2, ((0, 0), (1, 1))), WeightVector.ones(2), (RationalFunction(1 - x1), RationalFunction(x2))
+    )
+    line = x1 - x2
+    undefined = segment._replace(functions=(RationalFunction((1 - x1) * line, line), segment.functions[1]))
+    return segment, undefined
+
+
+def four_verdicts(report):
+    return (report.partition_of_unity, report.toric_membership, report.interior_positivity, report.linear_precision)
+
+
+def embedded(system, dim, rng):
+    """The system on a seeded integer affine image M p + t of its points in
+    ``dim`` dimensions, and an affine form that vanishes on the image.
+
+    Each function is composed with a left inverse of the map, whose first
+    rows B are invertible, and gets a random positive multiple of that form
+    added, so the functions sum to 1 and reproduce the coordinates only on
+    the image's span.
+    """
+    d = system.config.dim
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(dim)]
+        if linalg.rank([[Fraction(c) for c in row] for row in matrix[:d]]) == d:
+            break
+    shift = [rng.randint(-3, 3) for _ in range(dim)]
+    xs = variables(" ".join(f"x{i + 1}" for i in range(dim)))
+    # p = B^-1 (x[:d] - t[:d]), solved column by column
+    columns = [
+        linalg.solve([[Fraction(c) for c in row] for row in matrix[:d]], [Fraction(int(r == c)) for r in range(d)])
+        for c in range(d)
+    ]
+    zero = Polynomial.zero(xs[0].variables)
+    inverse = [sum((columns[c][i] * (xs[c] - shift[c]) for c in range(d)), zero) for i in range(d)]
+    # each further row r gives x_r - t_r - M_r p, which vanishes on the image
+    form = sum(
+        (rng.randint(1, 3) * (xs[r] - shift[r] - sum(matrix[r][i] * inverse[i] for i in range(d))) for r in range(d, dim)),
+        zero,
+    )
+    points = tuple(
+        tuple(sum(m * c for m, c in zip(row, p)) + t for row, t in zip(matrix, shift)) for p in system.config.points
+    )
+    functions = tuple(
+        RationalFunction(f.numerator.substitute(inverse), f.denominator.substitute(inverse)) + rng.randint(1, 5) * form
+        for f in system.functions
+    )
+    config = PointConfiguration(dim, points, system.config.labels)
+    return BlendingSystem(config, system.weights, functions, "custom", xs[0].variables), form
+
+
+class TestIdentitiesOnTheSpan:
+    """Partition of unity and linear precision are identities on the span,
+    and both fail when a denominator vanishes identically there."""
+
+    def test_the_diagonal_segment_passes_all_four(self):
+        segment, _ = diagonal_segments()
+        assert not sum_rational_functions(segment.functions).equals(1)
+        assert verify_rational_linear_precision(segment).all_pass
+
+    def test_a_denominator_vanishing_on_the_span_fails_both_identities(self):
+        _, undefined = diagonal_segments()
+        report = verify_rational_linear_precision(undefined)
+        assert four_verdicts(report) == (False, False, False, False)
+        assert report.details["partition_of_unity"] == "a denominator vanishes on the span"
+        assert report.details["linear_precision"] == "a denominator vanishes on the span"
+        for name in ("toric_membership", "interior_positivity"):
+            assert report.details[name].endswith("denominator x1 - x2 vanishes at (1/2, 1/2)")
+        with pytest.raises(PoleError):
+            undefined.evaluate((Fraction(1, 2), Fraction(1, 2)))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("name", ["square_system", "trapezoid_toric_system", "beta_tilde_system"])
+    def test_verdicts_do_not_depend_on_the_embedding(self, request, name, dim):
+        # copies of the toric systems, so that no record decides them
+        system = request.getfixturevalue(name)._replace()
+        image, form = embedded(system, dim, random.Random(1))
+        assert not form.is_zero and _affine_span_substitution(image.config) is not None
+        assert not sum_rational_functions(image.functions).equals(1)
+        assert four_verdicts(verify_rational_linear_precision(image, 12, 0)) == four_verdicts(
+            verify_rational_linear_precision(system, 12, 0)
+        )
+
+    def test_an_embedded_denominator_vanishing_on_the_span(self, beta_tilde_system):
+        image, form = embedded(beta_tilde_system, 4, random.Random(1))
+        f = image.functions[2]
+        functions = list(image.functions)
+        functions[2] = RationalFunction(f.numerator * form, f.denominator * form)
+        report = verify_rational_linear_precision(image._replace(functions=tuple(functions)), 12, 0)
+        assert four_verdicts(report) == (False, False, False, False)
+        for name in ("partition_of_unity", "linear_precision"):
+            assert report.details[name] == "a denominator vanishes on the span"
+        for name in ("toric_membership", "interior_positivity"):
+            assert re.search(r"^interior sample 0 \(seed 0\) at .*: denominator .* vanishes at ", report.details[name])
 
 
 class TestInteriorPositivity:

@@ -50,6 +50,7 @@ from toric_precision.tfp import (
     verify_form_agreement,
 )
 
+from test_blending import diagonal_segments
 from test_mle import random_data_vectors
 
 
@@ -64,12 +65,17 @@ def class_points(graded, i):
 
 def face_partition_holds(system, graded, i):
     """Whether the class-i functions of a system on the graded points sum to 1
-    on the affine span of the class, the paper's face i: an identity, no sample."""
+    on the affine span of the class, the paper's face i: an identity, no
+    sample, under the rule of partition of unity, so no denominator may
+    vanish on that span."""
     if system.config.points != graded.config.points:
         raise ValueError("the system's points are not the points of the graded configuration")
-    total = sum_rational_functions(f for f, a in zip(system.functions, graded.assignment) if a == i)
+    functions = [f for f, a in zip(system.functions, graded.assignment) if a == i]
     span = blending._affine_span_substitution(class_points(graded, i))
-    return blending._vanishes_on(total - 1, span)
+    if any(blending._vanishes_on(f.denominator, span) for f in functions):
+        return False
+    total, denominator = polynomials.lcm_sum([polynomials.primitive_term(f) for f in functions], system.variables)
+    return blending._vanishes_on(total - denominator, span)
 
 
 class TestValidateMultigrading:
@@ -302,11 +308,10 @@ class TestPlacement:
                 assert system.functions
         assert calls and all(a == b for a, b in calls)
         # the toric trapezoid lacks linear precision, so the class sums are
-        # compared; of S^C / S^B - 1, only the constant 1 is padded
+        # built and cross-multiplied, and nothing is padded
         calls.clear()
         assert not verify_form_agreement(square_system, trapezoid_toric_system, square_trapezoid_grading)
-        padded = [pair for pair in calls if pair[0] != pair[1]]
-        assert padded and all(() in pair for pair in padded)
+        assert calls and all(a == b for a, b in calls)
 
 
 def with_zero_class(system, kept, cancelled):
@@ -719,14 +724,14 @@ class TestIdentitiesDecidedFromTheirFactors:
     ):
         # The square x beta-tilde product spans x2 = y2, and its function 0 sits
         # at the origin, so no coordinate sum of linear precision reads it.
-        # Times (x2 - y2) / (x2 - y2), it is undefined on the whole span, yet
-        # the copy passes partition of unity and linear precision.
+        # Times (x2 - y2) / (x2 - y2), it is undefined on the whole span, so
+        # the copy fails both identities, for that reason.
         inner, model = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
         assert inner.config.points[0] == (0, 0, 0, 0)
         x2, y2 = Polynomial.variable("x2", inner.variables), Polynomial.variable("y2", inner.variables)
         undefined = changed_function(inner, 0, lambda f: RationalFunction(f.numerator * (x2 - y2), f.denominator * (x2 - y2)))
-        assert verify_partition_of_unity(undefined) and verify_linear_precision(undefined)
-        assert blending._decide(undefined, blending.DEFINED) == ("a denominator vanishes on the span",)
+        assert not verify_partition_of_unity(undefined) and not verify_linear_precision(undefined)
+        assert blending._decide(undefined, *blending.IDENTITIES) == ("a denominator vanishes on the span",) * 2
         grading = validate_multigrading(model.graded, square_graded, model.degrees)
         # In form B, the second factor's coordinates are summed against every
         # function of the first one's classes, the undefined one included.
@@ -734,6 +739,24 @@ class TestIdentitiesDecidedFromTheirFactors:
         assert self.identities(system) == self.identities(system._replace())
         assert not verify_linear_precision(system)
         assert not verify_form_agreement(undefined, square_system, grading)
+
+    @pytest.mark.parametrize("form", ["B", "C"])
+    def test_one_class_products_of_the_diagonal_segment(self, form):
+        # The segment's functions sum to 1 only on its span, and so do the
+        # product's.  The undefined segment's denominator x1 - x2 enters every
+        # product function, and both of its class sums are 0/0 on the span,
+        # so the forms do not agree there either.
+        segment, undefined = diagonal_segments()
+        graded = GradedConfiguration(segment.config, (1, 1))
+        grading = validate_multigrading(graded, graded, PointConfiguration(1, ((1,),)))
+        for factor, passes in ((segment, True), (undefined, False)):
+            system, _ = tfp_blending(factor, factor, grading, form)
+            verdicts = self.identities(system)
+            assert verdicts == self.identities(system._replace())
+            assert verdicts[0].all_pass is passes and verdicts[1:] == (passes, passes)
+            assert verify_form_agreement(factor, factor, grading) is passes
+        assert verdicts[0].details["partition_of_unity"] == "a denominator vanishes on the span"
+        assert verdicts[0].details["linear_precision"] == "a denominator vanishes on the span"
 
     def test_form_agreement_equals_the_symbolic_route(
         self, monkeypatch, chain, square_system, beta_tilde_system, trapezoid_toric_system, square_trapezoid_grading
