@@ -40,6 +40,7 @@ from .mle import (
     DataVector,
     Distribution,
     IpsResult,
+    birch_certificate,
     birch_residual,
     ips_fit,
     log_likelihood,

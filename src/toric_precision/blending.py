@@ -53,6 +53,7 @@ from . import linalg
 from .errors import PoleError, PointOutsidePolytopeError
 from .frozen import Frozen
 from .geometry import (
+    DesignMatrix,
     Facet,
     LatticePolytope,
     PointConfiguration,
@@ -499,7 +500,10 @@ def _decide(sys: BlendingSystem, *kinds: str, samples: int = 50, seed: int = 0) 
         elif toric:
             found = (structural,) * len(group)
         else:
-            checks = [_membership_check(sys) if kind == MEMBERSHIP else _positivity_check(kind) for kind in group]
+            checks = [
+                _membership_check(design_matrix(sys.config), sys.weights) if kind == MEMBERSHIP else _positivity_check(kind)
+                for kind in group
+            ]
             witnesses = _holds_at_samples(sys.config, samples, seed, sys._kernel, *checks)
             found = tuple([None if w is None else w.describe(seed) for w in witnesses])
         reasons.update(zip(group, found))
@@ -542,8 +546,10 @@ def verify_interior_positivity(
     return _decide(sys, POSITIVITY, samples=samples, seed=seed)[0] is None
 
 
-def _membership_check(sys: BlendingSystem) -> Check:
-    dm = design_matrix(sys.config)
+def _membership_check(dm: DesignMatrix, weights: WeightVector) -> Check:
+    """The check that prod_b (f_b / w_b)^(v_b) = 1, in integers, for each
+    vector v of an integer kernel basis of the design, with f_b = N_b / D_b
+    read from ``pairs``."""
     binomials = []
     for vector in linalg.integer_kernel_basis([list(r) for r in dm.rows], dm.n_columns):
         # The weights' part of each side is a constant: with w_b = a_b/c_b the
@@ -552,7 +558,7 @@ def _membership_check(sys: BlendingSystem) -> Check:
         support = []
         for b, e in enumerate(vector):
             if e:
-                w = sys.weights[b]
+                w = weights[b]
                 up, down = (w.denominator, w.numerator) if e > 0 else (w.numerator, w.denominator)
                 left *= up ** abs(e)
                 right *= down ** abs(e)

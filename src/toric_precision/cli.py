@@ -50,7 +50,7 @@ from .horn import (
     tfp_horn_pair,
     validate_horn_pair,
 )
-from .mle import DataVector, IpsResult, birch_residual, ips_fit, mle_closed_form
+from .mle import DataVector, IpsResult, birch_certificate, birch_residual, ips_fit, mle_closed_form
 from .serialize import rational_str
 from .tfp import GradedModel, tfp_blending, validate_multigrading
 
@@ -319,6 +319,8 @@ def _cmd_mle(args) -> int:
     residual = birch_residual(dm, u, estimate)
     ips = _fit(args, system.config, dm, system.weights, u)
     agreement = max(abs(float(e) - f) for e, f in zip(estimate.probs, ips.distribution.probs))
+    failure = birch_certificate(dm, system.weights, u, estimate)
+    certificate = "pass" if failure is None else f"FAIL ({failure})"
     _emit(
         args,
         lambda: [
@@ -326,15 +328,17 @@ def _cmd_mle(args) -> int:
             "birch_residual: (" + ", ".join(rational_str(r) for r in residual) + ")",
             f"ips: ({', '.join(repr(p) for p in ips.distribution.probs)}) in {ips.iterations} iterations",
             f"ips_agreement: {agreement:.3e}",
+            f"certificate: {certificate}",
         ],
         lambda: {
             "exact": [rational_str(p) for p in estimate.probs],
             "float": list(ips.distribution.probs),
             "birch_residual": [rational_str(r) for r in residual],
             "iterations": ips.iterations,
+            "certificate": certificate,
         },
     )
-    return 1 if any(residual) else 0
+    return 0 if failure is None else 1
 
 
 def _cmd_ips(args) -> int:
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_horn_minimize)
 
-    p = verb("mle", parents=[fitted], help="closed-form estimate, Birch residual, and IPS cross-check")
+    p = verb("mle", parents=[fitted], help="closed-form estimate, Birch residual, IPS cross-check, and Birch certificate")
     p.set_defaults(func=_cmd_mle)
 
     p = verb("ips", parents=[fitted], help="iterative proportional scaling alone")

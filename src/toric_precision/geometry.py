@@ -167,11 +167,18 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
         facets = kept
     # Every point is processed, so each tight set holds every point on its
     # facet: a point tight on a new facet v+ * h- - v- * h+ has h- = h+ = 0.
+    # The facets through a point meet in the smallest face holding it, whose
+    # vertices are configuration points; so the point is a vertex exactly when
+    # the AND of their tight sets is its own bit (an interior point has no
+    # facet, and the AND of none is every point).
     facets.sort()
     vertices = []
     for index, p in enumerate(points):
-        tight = [facet.normal for facet, mask in facets if mask >> index & 1]
-        if len(tight) >= d and linalg.rank(tight) == d:
+        face = (1 << len(points)) - 1
+        for _, mask in facets:
+            if mask >> index & 1:
+                face &= mask
+        if face == 1 << index:
             vertices.append(p)
     return LatticePolytope(d, [facet for facet, _ in facets], sorted(vertices))
 
@@ -240,6 +247,9 @@ class DesignMatrix(Frozen):
     ones prepended whenever the all-ones vector is not already in the row span."""
 
     _fields = ("rows",)
+    # The IPS step that mle.ips_fit compiles for this design on its first
+    # step; not a field.
+    _ips_update = None
 
     def __init__(self, rows: tuple[IntVector, ...]):
         self.__dict__.update(rows=rows)

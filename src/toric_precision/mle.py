@@ -1,20 +1,25 @@
-"""Closed-form maximum likelihood estimation and its numeric cross-check.
+"""Closed-form maximum likelihood estimation, its certificate and its
+numeric cross-check.
 
 The closed form evaluates a linear-precision blending system at the data
 barycenter; its output matches the data's sufficient statistics exactly
 (zero Birch residual).  Both run in integers over one denominator: the
 barycenter is sum u_j * p_j over |u|, handed straight to the system's
 evaluation kernel, and the residual is formed over the common denominator
-of the estimate and the total count.  Iterative proportional scaling
-provides an independent floating-point oracle: the design matrix is
-rescaled to a nonnegative matrix with constant column sums and the
-classical multiplicative update is iterated until the margins match, with
-one product M p per step shared by the update and the stopping test.  The
-design matrices are small (a few rows; the fiber product of the fixtures
-has 10 columns), so the oracle runs in plain Python floats, on float copies
-of the scaled design made once per fit, and the package needs nothing
-beyond the standard library.  An exact value that is already a
-``Fraction`` is kept, not rebuilt.
+of the estimate and the total count.  A zero residual alone does not make
+an estimate the MLE; :func:`birch_certificate` also asks, exactly, that it
+be positive and lie on the weighted toric variety (Birch's theorem).
+Iterative proportional scaling provides an independent floating-point
+oracle: the design matrix is rescaled to a nonnegative matrix M with
+constant column sums and the classical multiplicative update is iterated
+until the margins match, with one product M p per step shared by the
+update and the stopping test.  The design matrices are small (a few rows;
+the fiber product of the fixtures has 10 columns), so the oracle runs in
+plain Python floats and the package needs nothing beyond the standard
+library.  The update is compiled once per design into straight-line float
+code, kept on the ``DesignMatrix``, which computes every float the loop
+over M's columns would.  An exact value that is already a ``Fraction`` is
+kept, not rebuilt.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .blending import BlendingSystem, WeightVector
+from .blending import BlendingSystem, WeightVector, _membership_check
 from .errors import BoundaryDataError, DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from .frozen import Frozen
 from .geometry import DesignMatrix
@@ -160,6 +165,34 @@ def birch_residual(
     ])
 
 
+def birch_certificate(dm: DesignMatrix, w: WeightVector, u: DataVector, p: Distribution) -> str | None:
+    """Why p is not certified as the maximum likelihood estimate for counts u
+    in the model of design dm and weights w, or None when it is.
+
+    By Birch's theorem p is that estimate exactly when every entry is
+    positive, p lies on the weighted toric variety and the Birch residual is
+    zero.  Each is decided exactly, in that order, and the first that fails
+    is named: the entry that is not positive, the binomial of a kernel
+    vector, or the residual.  On the variety, prod_b (p_b / w_b)^(v_b) = 1
+    for each vector v of an integer kernel basis of the design, checked in
+    integers by the binomials of the sampled membership check with p as its
+    one sample.  A basis suffices: with positive entries, the identity on a
+    basis gives it on every integer kernel vector.
+    """
+    if len(w) != dm.n_columns or len(u) != dm.n_columns or len(p) != dm.n_columns:
+        raise ValueError("dimension mismatch")
+    for b, x in enumerate(p.probs):
+        if not x > 0:
+            return f"entry {b} is {x}, not positive"
+    xs, q = integer_point(p.probs)
+    failure = _membership_check(dm, w)(xs, q, [(x, q) for x in xs])
+    if failure is not None:
+        return failure
+    if any(birch_residual(dm, u, p)):
+        return "nonzero Birch residual"
+    return None
+
+
 class IpsResult(Frozen):
     _fields = ("distribution", "iterations", "residual")
 
@@ -194,10 +227,15 @@ def ips_fit(
     product Mp per step, over the distinct rows of M, serves both that step
     and the stopping test: a design row that M keeps unchanged reads its
     margin from it, and only the rows the shift changed or dropped get a
-    product of their own.  M's columns, its distinct rows and the design rows
-    are converted to floats once per call, so each product is float x float;
-    an integer entry converts exactly, so every iterate is the one integer
-    entries give.  Nothing outlives the call.
+    product of their own.  M's distinct rows and the design rows are
+    converted to floats once per call, so each product is float x float; an
+    integer entry converts exactly, so every iterate is the one integer
+    entries give.  The step itself (the log step, the update of each
+    coordinate and the normalisation) is straight-line code compiled from M
+    on the first step a fit of ``dm`` takes and kept on ``dm``, not as a
+    field, for its later fits (:func:`_compile_update`); a fit that stops
+    at its starting point compiles nothing.  Every iterate, the iteration
+    count and the residual are those of the plain loop, bit for bit.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -230,35 +268,77 @@ def ips_fit(
 
     # Each distinct row of M is multiplied once per step; rows[i] reads the
     # margin of the equal row of M, or is multiplied itself (slot None).  The
-    # rows and columns are held as floats (exact for integers), so every
-    # product below is float x float.
+    # rows are held as floats (exact for integers), so every product below is
+    # float x float.  Equal rows of M have equal targets, so each distinct
+    # row has one log target.
     slot_of: dict[tuple[int, ...], int] = {}
     shifted_slots = [slot_of.setdefault(tuple(row), len(slot_of)) for row in shifted]
     margin_rows = [[float(x) for x in row] for row in slot_of]
-    columns = [[float(x) for x in column] for column in zip(*shifted)]
     total = u.total
     u_hat = [c / total for c in u.counts]
     stop_rows = [
         (slot_of.get(tuple(row)), [float(x) for x in row], sum(map(mul, row, u_hat))) for row in rows
     ]
-    log, exp = math.log, math.exp
-    log_target = [log(sum(map(mul, row, u_hat))) for row in shifted]
-    s = float(s)
+    log_target = [math.log(sum(map(mul, row, u_hat))) for row in slot_of]
     p = [float(x) for x in w.weights]
     norm = sum(p)
     p = [x / norm for x in p]
     margins, residual = _margins_and_residual(margin_rows, stop_rows, p)
+    update = dm._ips_update
     iterations = 0
     while residual >= tol:
         if iterations >= max_iter:
             raise NotConvergedError(max_iter, residual)
-        step = [lt - log(margins[k]) for lt, k in zip(log_target, shifted_slots)]
-        p = [x * exp(sum(map(mul, col, step)) / s) for x, col in zip(p, columns)]
-        norm = sum(p)
-        p = [x / norm for x in p]
+        if update is None:
+            update = dm.__dict__["_ips_update"] = _compile_update(dm.n_columns, shifted, shifted_slots, s)
+        p = update(p, margins, log_target)
         iterations += 1
         margins, residual = _margins_and_residual(margin_rows, stop_rows, p)
     return IpsResult(Distribution(p, exact=False), iterations, residual)
+
+
+def _compile_update(n: int, shifted: list[list[int]], slots: list[int], s: int):
+    """One IPS step of the scaled design M as a straight-line function
+    ``update(p, margins, log_target)`` returning the next iterate.
+
+    M has ``n`` columns and the rows ``shifted``, row k equals distinct row
+    ``slots[k]``, and ``s`` is M's column sum; ``margins`` and
+    ``log_target`` are indexed by distinct row.  Coordinate j is ``p{j}``
+    and the step of distinct row k is ``s{k} = t{k} - log(m{k})``.  Column
+    j becomes ``p{j} * exp(sum([e * s{k}, ...]) / s)`` over its nonzero
+    entries in row order, then the coordinates are divided by their sum.
+    This is the loop ``p * exp(sum(map(mul, column, step)) / s)`` float for
+    float: a zero entry adds a signed zero, which changes no sum of ``sum``
+    (nor its compensation on Python 3.12 and later), ``1.0 * x`` is ``x``,
+    and a one-term sum differs from its term only in the sign of a zero,
+    which ``exp`` maps to 1.0 either way.  Entries and ``s`` are written as the
+    ``repr`` of their ``float``, which reads back exactly.  An empty M
+    (s = 0) divides by zero when the step runs, as the loop does.
+    """
+    coordinates = [f"p{j}" for j in range(n)]
+    distinct = len(set(slots))
+    body = [f"{', '.join(coordinates)}, = p"]
+    if distinct:
+        body.append(f"{', '.join(f'm{k}' for k in range(distinct))}, = margins")
+        body.append(f"{', '.join(f't{k}' for k in range(distinct))}, = log_target")
+        body += [f"s{k} = t{k} - log(m{k})" for k in range(distinct)]
+    divisor = repr(float(s))
+    for j, x in enumerate(coordinates):
+        terms = []
+        for row, k in zip(shifted, slots):
+            e = float(row[j])
+            if e:
+                terms.append(f"s{k}" if e == 1.0 else f"{e!r} * s{k}")
+        exponent = terms[0] if len(terms) == 1 else f"sum([{', '.join(terms)}])"
+        body.append(f"{x} = {x} * exp({exponent} / {divisor})")
+    body.append(f"norm = sum([{', '.join(coordinates)}])")
+    body.append(f"return [{', '.join(f'{x} / norm' for x in coordinates)}]")
+    lines = ["def _bind(log, exp):", "    def update(p, margins, log_target):"]
+    lines += [f"        {line}" for line in body]
+    lines.append("    return update")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<ips update>", "exec"), namespace)
+    return namespace["_bind"](math.log, math.exp)
 
 
 def _margins_and_residual(margin_rows, stop_rows, p) -> tuple[list[float], float]:

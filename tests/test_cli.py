@@ -18,6 +18,8 @@ from toric_precision.errors import SchemaError
 from toric_precision.polynomials import RationalFunction
 from toric_precision.serialize import blending_system_to_json
 
+from test_mle import perturbed_square
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -611,8 +613,9 @@ class TestMleVerbs:
         )
         assert code == 0
         data = json.loads(out)
-        assert set(data) == {"exact", "float", "birch_residual", "iterations"}
+        assert set(data) == {"exact", "float", "birch_residual", "iterations", "certificate"}
         assert data["exact"] == ["4/9", "2/9", "2/9", "1/9"]
+        assert data["certificate"] == "pass"
 
     def test_mle_custom_system(self, capsys):
         code, out, _ = run(capsys, "mle", "trapezoid_beta_tilde.json", "--data", "1,1,1,1,1")
@@ -623,6 +626,17 @@ class TestMleVerbs:
         code, out, _ = run(capsys, "mle", "trapezoid_toric.json", "--data", "1,2,3,4,5")
         assert code == 1
         assert "birch_residual: (0, 52/1015, -12/145)" in out
+
+    def test_mle_estimate_off_the_variety_exits_1(self, capsys, tmp_path, square_system):
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(blending_system_to_json(perturbed_square(square_system))))
+        code, out, _ = run(capsys, "mle", str(path), "--data", "3,1,1,1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:2] == ["exact: (38/81, 16/81, 16/81, 11/81)", "birch_residual: (0, 0, 0)"]
+        assert lines[-1] == "certificate: FAIL (the binomial of kernel vector (1, -1, -1, 1) fails)"
+        code, out, _ = run(capsys, "mle", str(path), "--data", "3,1,1,1", "--output", "json")
+        assert (code, json.loads(out)["certificate"]) == (1, "FAIL (the binomial of kernel vector (1, -1, -1, 1) fails)")
 
     def test_ips(self, capsys):
         code, out, _ = run(capsys, "ips", "trapezoid.json", "--data", "1,1,1,1,1")

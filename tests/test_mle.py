@@ -13,13 +13,15 @@ from pathlib import Path
 import pytest
 
 import toric_precision
-from toric_precision.blending import BlendingSystem, WeightVector, toric_blending
+from toric_precision import mle
+from toric_precision.blending import BlendingSystem, WeightVector, toric_blending, verify_rational_linear_precision
 from toric_precision.errors import BoundaryDataError, DomainError, NotConvergedError, PoleError, ZeroClassTotalError
-from toric_precision.geometry import PointConfiguration, convex_hull_facets, design_matrix, sample_interior
+from toric_precision.geometry import DesignMatrix, PointConfiguration, convex_hull_facets, design_matrix, sample_interior
 from toric_precision.horn import align_horn_to_labels, horn_parametrize, tfp_horn_pair
 from toric_precision.mle import (
     DataVector,
     Distribution,
+    birch_certificate,
     birch_residual,
     ips_fit,
     log_likelihood,
@@ -28,7 +30,7 @@ from toric_precision.mle import (
     tfp_mle_combine,
 )
 from toric_precision.polynomials import RationalFunction, integer_point, variables
-from toric_precision.tfp import tfp_blending
+from toric_precision.tfp import tfp_blending, validate_multigrading
 
 from test_geometry import design_product
 
@@ -286,8 +288,6 @@ class TestClosedFormMatchesIpsWheneverChecksPass:
     numeric oracle reproduces."""
 
     def _agree(self, system, count=20, seed=55):
-        from toric_precision.blending import verify_rational_linear_precision
-
         assert verify_rational_linear_precision(system, samples=20, seed=0).all_pass
         dm = design_matrix(system.config)
         for u in random_data_vectors(count, len(system.config.points), seed=seed):
@@ -538,6 +538,92 @@ class TestIpsMatchesTheReferenceLoop:
         assert (info.value.max_iter, info.value.residual) == (3, residual)
 
 
+def _point_at_minus_one():
+    """One point at x = -1: the only design row is constant and negative, so
+    it shifts to zero and the scaled design M is empty (s = 0)."""
+    return design_matrix(PointConfiguration(1, ((-1,),))), WeightVector.ones(1)
+
+
+def _saturated(scale):
+    """scale times the 3 x 3 identity: every column of M has one term."""
+    return DesignMatrix(tuple(tuple(scale if i == j else 0 for j in range(3)) for i in range(3))), WeightVector((1, 2, 3))
+
+
+def _square_with_a_repeated_row():
+    """The square's design with its x1 row twice: two equal rows of M share one margin."""
+    dm = design_matrix(PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (1, 1))))
+    return DesignMatrix((*dm.rows, dm.rows[1])), WeightVector.ones(4)
+
+
+def _square_with_a_row_outside_m():
+    """The square at x1 in {-2, -1}: the shift changes that row, so the
+    stopping test multiplies it on its own; entries of M reach 2."""
+    return design_matrix(PointConfiguration(2, ((-2, 0), (-1, 0), (-2, 1), (-1, 1)))), WeightVector((1, 3, 2, 1))
+
+
+GENERATED = {
+    "one-term-columns": lambda: _saturated(1),
+    "one-term-columns-above-1": lambda: _saturated(3),
+    "repeated-design-row": _square_with_a_repeated_row,
+    "design-row-outside-m": _square_with_a_row_outside_m,
+}
+
+
+class TestCompiledIpsUpdate:
+    """The straight-line step compiled per design gives the reference loop's
+    floats, and is compiled once per design, on its first step."""
+
+    def test_an_empty_scaled_design_fits_in_0_iterations(self):
+        dm, w = _point_at_minus_one()
+        result = ips_fit(dm, w, DataVector((4,)), 1e-10, 10000)
+        assert (result.distribution.probs, result.iterations, result.residual) == ((1.0,), 0, 0.0)
+        assert (result.distribution.probs, 0, 0.0, True) == _reference_ips(dm, w, DataVector((4,)), 1e-10, 10000)
+        assert "_ips_update" not in dm.__dict__
+        # Compiled anyway, the step divides by s = 0 as the loop would.
+        update = mle._compile_update(1, [], [], 0)
+        with pytest.raises(ZeroDivisionError):
+            update([1.0], [], [])
+
+    @pytest.mark.parametrize("name", list(GENERATED))
+    def test_matches_the_reference_bit_for_bit(self, name):
+        dm, w = GENERATED[name]()
+        for u in random_data_vectors(8, dm.n_columns, seed=61):
+            result = ips_fit(dm, w, u, 1e-12, 10000)
+            p, iterations, residual, converged = _reference_ips(dm, w, u, 1e-12, 10000)
+            assert converged and iterations > 0
+            assert (result.distribution.probs, result.iterations, result.residual) == (p, iterations, residual)
+
+    def test_the_designs_have_their_shapes(self):
+        saturated, _ = _saturated(3)
+        assert max(map(max, saturated.rows)) == 3
+        repeated, _ = _square_with_a_repeated_row()
+        assert len(set(repeated.rows)) < len(repeated.rows)
+        outside, _ = _square_with_a_row_outside_m()
+        assert min(map(min, outside.rows)) < 0
+
+    def test_one_compile_per_design(self, monkeypatch, square_config, square_system):
+        compiled = []
+
+        def spy(*args):
+            compiled.append(args)
+            return compile_update(*args)
+
+        compile_update = mle._compile_update
+        monkeypatch.setattr(mle, "_compile_update", spy)
+        dm = design_matrix(square_config)
+        assert ips_fit(dm, square_system.weights, DataVector((1, 1, 1, 1))).iterations == 0
+        assert compiled == [] and "_ips_update" not in dm.__dict__
+        for u in random_data_vectors(20, 4, seed=71):
+            assert ips_fit(dm, square_system.weights, u).iterations > 0
+        assert len(compiled) == 1
+        update = dm._ips_update
+        copy = dm._replace()
+        assert copy == dm and hash(copy) == hash(dm) and "_ips_update" not in copy.__dict__
+        u = random_data_vectors(1, 4, seed=73)[0]
+        assert ips_fit(copy, square_system.weights, u) == ips_fit(dm, square_system.weights, u)
+        assert len(compiled) == 2 and copy._ips_update is not update and dm._ips_update is update
+
+
 class TestExactEstimatorMatchesTheFractionReference:
     @pytest.mark.parametrize("name", SWEEP)
     def test_closed_form_and_residual(self, sweep_systems, name):
@@ -561,3 +647,73 @@ class TestExactEstimatorMatchesTheFractionReference:
             floats = ips_fit(dm, system.weights, u, 1e-10, 10000).distribution
             for p in (exact, floats, mle_closed_form(system, u)):
                 assert birch_residual(dm, u, p) == _reference_birch(dm, u, p)
+
+
+def perturbed_square(square_system):
+    """The square's toric functions plus (1/2) x1 (1 - x1) x2 (1 - x2) with
+    signs +, -, -, +: partition of unity and linear precision hold, toric
+    membership fails on the kernel vector (1, -1, -1, 1)."""
+    x1, x2 = variables("x1 x2")
+    bump = x1 * (1 - x1) * x2 * (1 - x2) * Fraction(1, 2)
+    functions = [f + sign * bump for f, sign in zip(square_system.functions, (1, -1, -1, 1))]
+    return square_system._replace(functions=functions, kind="custom")
+
+
+class TestBirchCertificate:
+    @pytest.mark.parametrize("name", ["square", "beta-tilde", "square-x-beta-tilde", "simplex3x2"])
+    def test_every_estimate_of_a_system_with_linear_precision_passes(self, sweep_systems, name):
+        system = sweep_systems[name]
+        dm = design_matrix(system.config)
+        for u in random_data_vectors(10, len(system.config.points), seed=79):
+            assert birch_certificate(dm, system.weights, u, mle_closed_form(system, u)) is None
+
+    def test_the_chain_rung_passes(self, square_system, beta_tilde_system, square_trapezoid_grading, square_graded):
+        """square x beta-tilde x square, 20 functions."""
+        inner_system, inner = tfp_blending(square_system, beta_tilde_system, square_trapezoid_grading)
+        grading = validate_multigrading(inner.graded, square_graded, inner.degrees)
+        system, _ = tfp_blending(inner_system, square_system, grading)
+        dm = design_matrix(system.config)
+        for u in random_data_vectors(3, 20, seed=83):
+            assert birch_certificate(dm, system.weights, u, mle_closed_form(system, u)) is None
+
+    def test_the_toric_trapezoid_fails_on_its_residual(self, sweep_systems):
+        system = sweep_systems["trapezoid-toric"]
+        u = DataVector((1, 2, 3, 4, 5))
+        assert birch_certificate(design_matrix(system.config), system.weights, u, mle_closed_form(system, u)) == (
+            "nonzero Birch residual"
+        )
+
+    def test_an_estimate_off_the_variety_fails_on_its_kernel_vector(self, square_system):
+        system = perturbed_square(square_system)
+        report = verify_rational_linear_precision(system)
+        assert report.partition_of_unity and report.linear_precision and not report.toric_membership
+        u = DataVector((3, 1, 1, 1))
+        estimate = mle_closed_form(system, u)
+        assert estimate.probs == (F("38/81"), F("16/81"), F("16/81"), F("11/81"))
+        dm = design_matrix(system.config)
+        assert not any(birch_residual(dm, u, estimate))
+        assert birch_certificate(dm, system.weights, u, estimate) == (
+            "the binomial of kernel vector (1, -1, -1, 1) fails"
+        )
+
+    def test_the_weights_enter_the_variety(self, beta_tilde_system):
+        u = DataVector((1, 2, 3, 4, 5))
+        dm = design_matrix(beta_tilde_system.config)
+        estimate = mle_closed_form(beta_tilde_system, u)
+        assert birch_certificate(dm, beta_tilde_system.weights, u, estimate) is None
+        unit = WeightVector.ones(5)
+        assert birch_certificate(dm, unit, u, estimate).startswith("the binomial of kernel vector (")
+
+    def test_a_zero_entry_fails_first(self, square_config):
+        dm = design_matrix(square_config)
+        p = Distribution((F("1/2"), F("1/2"), 0, 0))
+        assert birch_certificate(dm, WeightVector.ones(4), DataVector((1, 1, 0, 0)), p) == "entry 2 is 0, not positive"
+
+    def test_lengths_are_checked(self, square_config, square_system):
+        dm = design_matrix(square_config)
+        u = DataVector((3, 1, 1, 1))
+        estimate = mle_closed_form(square_system, u)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            birch_certificate(dm, WeightVector.ones(3), u, estimate)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            birch_certificate(dm, square_system.weights, DataVector((3, 1, 1)), estimate)
