@@ -57,6 +57,7 @@ from .geometry import (
     Facet,
     LatticePolytope,
     PointConfiguration,
+    _differences,
     _integer_samples,
     design_matrix,
     lattice_distance_forms,
@@ -168,7 +169,7 @@ class BlendingSystem(Frozen):
 
     @cached_property
     def _kernel(self) -> EvaluationKernel:
-        """The shared-monomial kernel of the functions, planned on first use."""
+        """The shared-monomial kernel of the functions, built and compiled on first use."""
         return EvaluationKernel(self.functions)
 
 
@@ -241,8 +242,7 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     Returns one polynomial per ambient coordinate, in fresh variables
     t1..ts where s is the affine dimension.
     """
-    base = config.points[0]
-    differences = [[x - b for x, b in zip(p, base)] for p in config.points[1:]]
+    differences = _differences(config.points)
     # d rows of the transposed differences eliminate faster than n - 1 rows
     if linalg.rank(list(zip(*differences))) == config.dim:
         return None
@@ -250,7 +250,7 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     t_names = tuple(f"t{i + 1}" for i in range(len(basis)))
     images = []
     for c in range(config.dim):
-        poly = Polynomial.constant(base[c], t_names)
+        poly = Polynomial.constant(config.points[0][c], t_names)
         for r, row in enumerate(basis):
             poly = poly + row[c] * Polynomial.variable(t_names[r], t_names)
         images.append(poly)

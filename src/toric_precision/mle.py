@@ -17,9 +17,9 @@ update and the stopping test.  The design matrices are small (a few rows;
 the fiber product of the fixtures has 10 columns), so the oracle runs in
 plain Python floats and the package needs nothing beyond the standard
 library.  The update is compiled once per design into straight-line float
-code, kept on the ``DesignMatrix``, which computes every float the loop
-over M's columns would.  An exact value that is already a ``Fraction`` is
-kept, not rebuilt.
+code (:func:`~toric_precision.polynomials.straight_line`), kept on the
+``DesignMatrix``, which computes every float the loop over M's columns
+would.  An exact value that is already a ``Fraction`` is kept, not rebuilt.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .blending import BlendingSystem, WeightVector, _membership_check
 from .errors import BoundaryDataError, DomainError, NotConvergedError, PoleError, ZeroClassTotalError
 from .frozen import Frozen
 from .geometry import DesignMatrix
-from .polynomials import integer_point, point_text
+from .polynomials import integer_point, point_text, straight_line
 from .tfp import Multigrading, enumerate_product_indices
 
 
@@ -333,12 +333,7 @@ def _compile_update(n: int, shifted: list[list[int]], slots: list[int], s: int):
         body.append(f"{x} = {x} * exp({exponent} / {divisor})")
     body.append(f"norm = sum([{', '.join(coordinates)}])")
     body.append(f"return [{', '.join(f'{x} / norm' for x in coordinates)}]")
-    lines = ["def _bind(log, exp):", "    def update(p, margins, log_target):"]
-    lines += [f"        {line}" for line in body]
-    lines.append("    return update")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<ips update>", "exec"), namespace)
-    return namespace["_bind"](math.log, math.exp)
+    return straight_line("ips update", "update", "p, margins, log_target", body, {"log": math.log, "exp": math.exp})
 
 
 def _margins_and_residual(margin_rows, stop_rows, p) -> tuple[list[float], float]:

@@ -40,21 +40,24 @@ content are one factor and a constant denominator is none.
 Evaluation has one path, in Python integers.  A rational point is written
 as an integer vector ``xs`` over a positive denominator ``q``
 (:func:`integer_point`, or a sampler that never builds the fraction).  An
-:class:`EvaluationKernel` is planned once for a list of rational functions
-and compiled on its first call into straight-line integer code; each call
-computes every distinct monomial, homogenised in ``q``, once and every
-distinct polynomial once (so a shared denominator once), and returns one
-unreduced integer pair ``(N, D)`` per function with ``f(xs / q) = N / D``.
-A function has a pole exactly where its ``D`` is 0.  ``evaluate`` on a
-rational function is the kernel of that one function, a polynomial is
-evaluated as the rational function ``p / 1``, and only the final value
-becomes a ``Fraction``.
+:class:`EvaluationKernel` for a list of rational functions is written as
+straight-line integer code in the pass that plans it and compiled when
+built; each call computes every distinct monomial, homogenised in ``q``,
+once and every distinct polynomial once (so a shared denominator once), and
+returns one unreduced integer pair ``(N, D)`` per function with
+``f(xs / q) = N / D``.  A function has a pole exactly where its ``D`` is 0.
+``evaluate`` on a rational function is the kernel of that one function, a
+polynomial is evaluated as the rational function ``p / 1``, and only the
+final value becomes a ``Fraction``.  :func:`straight_line` compiles the
+kernels and the IPS update of :mod:`toric_precision.mle`, each under a file
+name of its own, so a profile lists them apart.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -439,6 +442,25 @@ def _primitive(poly: Polynomial) -> tuple[int, Polynomial]:
     return content, Polynomial._make(poly.variables, {e: c // content for e, c in coefficients.items()})
 
 
+_straight_lines = count()
+
+
+def straight_line(label: str, name: str, signature: str, body: Sequence[str], bound: Mapping[str, object]):
+    """The function ``def name(signature): body``, compiled under the file
+    name ``<label n>``, n from a module counter.
+
+    ``body`` is its lines, unindented; ``bound`` maps each free name it reads
+    to a value, passed to an enclosing ``_bind`` so no value is written as
+    text.  The source is not kept in ``linecache``, which never shrinks.
+    """
+    lines = [f"def _bind({', '.join(bound)}):", f"    def {name}({signature}):"]
+    lines += [f"        {line}" for line in body]
+    lines.append(f"    return {name}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{label} {next(_straight_lines)}>", "exec"), namespace)
+    return namespace.pop("_bind")(*bound.values())
+
+
 # Terms per statement of a generated sum: the compiler recurses once per
 # operator of an expression, so one sum over a large program would exceed
 # its recursion limit.
@@ -449,6 +471,18 @@ def _pole_error(denominator: Polynomial, xs: Sequence[int], q: int) -> PoleError
     return PoleError(f"denominator {denominator} vanishes at {point_text(xs, q)}")
 
 
+class _Written(dict):
+    """Names by key of what generated code computes: a missing key is written
+    when first met by ``write(key, len(self))``, which returns its name."""
+
+    def __init__(self, write):
+        self.write = write
+
+    def __missing__(self, key):
+        name = self[key] = self.write(key, len(self))
+        return name
+
+
 class EvaluationKernel:
     """Shared-monomial evaluation of a fixed list of rational functions.
 
@@ -457,46 +491,81 @@ class EvaluationKernel:
     keeps their quotient: a part with coefficients ``c_e`` becomes the
     program ``sum c_e * xs**e * q**(m - |e|)``.  Parts equal up to their
     integer content, as the canonical denominators of one toric system are,
-    share one program.  The first call of :meth:`pairs` compiles the plan
-    into straight-line Python (:meth:`_source`) that computes every
-    distinct monomial once, as a product of powers of the coordinates and
-    of ``q``, and every program once.
+    share one program.  The kernel is planned and written in one pass and
+    compiled when built (:func:`straight_line`) into a function
+    ``pairs(xs, q)`` that computes every distinct monomial once, as a
+    product of powers of the coordinates and of ``q``, and every program
+    once.  It keeps only that function and its arity.
+
+    Coordinate ``i`` is ``x{i}``, its power ``e`` is ``x{i}_{e}``, monomial
+    ``j`` is ``m{j}`` and program ``p`` is ``v{p}``, each written when first
+    met (:class:`_Written`).  Integers enter as bound values, never as text,
+    since an int of more than 4300 digits has no text under Python's
+    default limit; a factor 1 is left out.  Each statement sums at most
+    ``_TERMS_PER_STATEMENT`` terms.  A program is tested for a pole after
+    the first function that reads it as a denominator, and names that
+    function's denominator.
     """
 
-    __slots__ = ("functions", "_arity", "_monomials", "_programs", "_pairs", "_compiled")
+    __slots__ = ("_arity", "_compiled")
 
     def __init__(self, functions: Sequence["RationalFunction"]):
-        self.functions = tuple(functions)
-        variables = {f.variables for f in self.functions}
+        variables = {f.variables for f in functions}
         if len(variables) > 1:
             raise ValueError("the functions of a kernel must share their variables")
         self._arity = len(variables.pop()) if variables else None
-        # Kernels are built per system, so they hold lists, not tuples of
-        # every length: CPython keeps up to 2000 freed tuples of each length
-        # up to 20 for reuse, which would keep the memory of old kernels.
-        monomials: dict[Exponent, int] = {}
-        programs: dict[tuple[int, Polynomial], int] = {}
-        self._programs: list[tuple[list[int], list[int]]] = []
+        coordinates = [f"x{i}" for i in range(self._arity or 0)]
+        head = [f"{', '.join(coordinates)}, = xs"] if coordinates else []
+        coordinates.append("q")
+        body: list[str] = []
+        bound: dict[str, object] = {"_pole": _pole_error}
 
-        def slot(poly: Polynomial, m: int) -> tuple[int, int]:
-            """``(program, content)`` of an integer polynomial homogenised to degree m."""
-            content, poly = _primitive(poly)
-            program = programs.get((m, poly))
-            if program is None:
-                program = programs[m, poly] = len(self._programs)
-                coefficients = poly._coefficients
-                columns = [monomials.setdefault((*e, m - sum(e)), len(monomials)) for e in coefficients]
-                self._programs.append((list(coefficients.values()), columns))
-            return program, content
+        def power(x: str, e: int) -> str:
+            return x if e == 1 else f"{x}_{e}"
 
-        # per function: (numerator program, content, denominator program, content)
-        self._pairs: list[tuple[int, int, int, int]] = []
-        for f in self.functions:
+        def times(*names: str) -> str:
+            """The product of names, leaving out the "" of a factor 1."""
+            return " * ".join(filter(None, names)) or "1"
+
+        def constant(value: int, k: int) -> str:
+            bound[f"k{k}"] = value
+            return f"k{k}"
+
+        def monomial(exponent: Exponent, j: int) -> str:
+            """A monomial (q last) as a product of powers, or "" for 1."""
+            factors = [power(x, e) for x, e in zip(coordinates, exponent) if e]
+            if len(factors) < 2:
+                return "".join(factors)
+            body.append(f"m{j} = {' * '.join(factors)}")
+            return f"m{j}"
+
+        def program(key: tuple[int, Polynomial], p: int) -> str:
+            """A primitive integer polynomial homogenised to degree m."""
+            m, poly = key
+            terms = [
+                f"{'-' if c < 0 else '+'} {times(constants[abs(c)], monomials[(*e, m - sum(e))])}"
+                for e, c in poly._coefficients.items()
+            ]
+            chunks = [" ".join(terms[s:s + _TERMS_PER_STATEMENT]) for s in range(0, len(terms), _TERMS_PER_STATEMENT)]
+            body.append(f"v{p} = {chunks[0].removeprefix('+ ') if chunks else 0}")
+            body.extend(f"v{p} = v{p} {chunk}" for chunk in chunks[1:])
+            return f"v{p}"
+
+        constants, monomials, programs = _Written(constant), _Written(monomial), _Written(program)
+        constants[1] = ""
+        pairs = []
+        for f in functions:
             m = max(f.numerator.total_degree(), f.denominator.total_degree())
-            self._pairs.append((*slot(f.numerator, m), *slot(f.denominator, m)))
-        # the exponent vectors (q last) that the programs' columns index
-        self._monomials = list(monomials)
-        self._compiled = None
+            (cn, n), (cd, d) = _primitive(f.numerator), _primitive(f.denominator)
+            n, d = programs[m, n], programs[m, d]
+            if f"d{d}" not in bound:
+                bound[f"d{d}"] = f.denominator
+                body.append(f"if not {d}: raise _pole(d{d}, xs, q)")
+            pairs.append(f"({times(n, constants[cn])}, {times(d, constants[cd])})")
+        body.append(f"return [{', '.join(pairs)}]")
+        for x, top in zip(coordinates, map(max, zip(*monomials))):
+            head += [f"{x}_{e} = {power(x, e - 1)} * {x}" for e in range(2, top + 1)]
+        self._compiled = straight_line("evaluation kernel", "pairs", "xs, q", head + body, bound)
 
     def pairs(self, xs: Sequence[int], q: int) -> list[tuple[int, int]]:
         """Unreduced integers ``(N_b, D_b)`` with ``f_b(xs / q) = N_b / D_b``.
@@ -506,76 +575,7 @@ class EvaluationKernel:
         """
         if self._arity is not None and len(xs) != self._arity:
             raise ValueError(f"expected {self._arity} coordinates, got {len(xs)}")
-        compiled = self._compiled
-        if compiled is None:
-            source, values = self._source()
-            namespace: dict = {}
-            exec(compile(source, "<evaluation kernel>", "exec"), namespace)
-            compiled = self._compiled = namespace.pop("_bind")(*values)
-        return compiled(xs, q)
-
-    def _source(self) -> tuple[str, list]:
-        """Python source of ``_bind(*values)``, which returns the plan as a
-        straight-line function ``pairs(xs, q)``, and those values.
-
-        Coordinate ``i`` is ``x{i}``, its power ``e`` is ``x{i}_{e}``,
-        monomial ``j`` is ``m{j}`` and program ``p`` is ``v{p}``.  Integers
-        enter as bound values, never as text, since an int of more than
-        4300 digits has no text under Python's default limit; a factor 1 is
-        left out.  Each statement sums at most ``_TERMS_PER_STATEMENT``
-        terms.  A program tested for a pole names the denominator of the
-        first function that reads it.
-        """
-        params, values = ["_pole"], [_pole_error]
-        names: dict[int, str] = {}
-
-        def bound(value: int) -> str:
-            if value not in names:
-                names[value] = f"k{len(names)}"
-                params.append(names[value])
-                values.append(value)
-            return names[value]
-
-        def times(*factors: str | int) -> str:
-            """The product of names and bound integers, leaving out 1s."""
-            return " * ".join([f if type(f) is str else bound(f) for f in factors if f != 1]) or "1"
-
-        coordinates = [f"x{i}" for i in range(self._arity or 0)]
-        body = [f"{', '.join(coordinates)}, = xs"] if coordinates else []
-        coordinates.append("q")
-        powers = [[None, x] for x in coordinates]
-        for x, row, top in zip(coordinates, powers, map(max, zip(*self._monomials))):
-            for e in range(2, top + 1):
-                row.append(f"{x}_{e}")
-                body.append(f"{row[e]} = {row[e - 1]} * {x}")
-        monomials: list[str | int] = []
-        for j, exponent in enumerate(self._monomials):
-            factors = [row[e] for row, e in zip(powers, exponent) if e]
-            if len(factors) > 1:
-                body.append(f"m{j} = {' * '.join(factors)}")
-                factors = [f"m{j}"]
-            monomials.append(factors[0] if factors else 1)
-        for p, (coefficients, columns) in enumerate(self._programs):
-            terms = [
-                f"{'-' if c < 0 else '+'} {times(abs(c), monomials[column])}"
-                for c, column in zip(coefficients, columns)
-            ]
-            chunks = [" ".join(terms[s:s + _TERMS_PER_STATEMENT]) for s in range(0, len(terms), _TERMS_PER_STATEMENT)]
-            body.append(f"v{p} = {chunks[0].removeprefix('+ ') if chunks else 0}")
-            body += [f"v{p} = v{p} {chunk}" for chunk in chunks[1:]]
-        first: dict[int, int] = {}
-        for b, pair in enumerate(self._pairs):
-            first.setdefault(pair[2], b)
-        for p, b in first.items():
-            params.append(f"d{p}")
-            values.append(self.functions[b].denominator)
-            body.append(f"if not v{p}: raise _pole(d{p}, xs, q)")
-        pairs = ", ".join(f"({times(f'v{n}', cn)}, {times(f'v{d}', cd)})" for n, cn, d, cd in self._pairs)
-        body.append(f"return [{pairs}]")
-        lines = [f"def _bind({', '.join(params)}):", "    def pairs(xs, q):"]
-        lines += [f"        {line}" for line in body]
-        lines.append("    return pairs")
-        return "\n".join(lines), values
+        return self._compiled(xs, q)
 
 
 class RationalFunction:

@@ -1,6 +1,7 @@
 """The shared-monomial evaluation kernel and the integer sampler behind every sampled check."""
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from toric_precision import polynomials
 from toric_precision.blending import (
     BlendingSystem,
     WeightVector,
@@ -62,6 +64,31 @@ def ladder_systems(square_system, beta_tilde_system, grading):
     for form in ("B", "C"):
         systems[f"square-x-beta-tilde-{form}"] = tfp_blending(square_system, beta_tilde_system, grading, form=form)[0]
     return systems
+
+
+@pytest.fixture
+def kernel_bodies(monkeypatch):
+    """The body lines of each kernel compiled while the test runs, read
+    through a spy on the one compiler of straight-line code."""
+    bodies = []
+    compile_body = polynomials.straight_line
+
+    def spy(label, name, signature, body, bound):
+        if label == "evaluation kernel":
+            bodies.append(list(body))
+        return compile_body(label, name, signature, body, bound)
+
+    monkeypatch.setattr(polynomials, "straight_line", spy)
+    return bodies
+
+
+def written_plan(body):
+    """The programs a kernel body defines, its pole tests, and the program of
+    each function's numerator and denominator, read from the return line."""
+    programs = {line.split(" = ")[0] for line in body if re.match(r"v\d+ = ", line)}
+    poles = [line for line in body if line.startswith("if not ")]
+    pairs = re.findall(r"\((v\d+)[^,]*, (v\d+)[^)]*\)", body[-1])
+    return programs, poles, pairs
 
 
 class TestKernelAgainstRationalFunctionEvaluate:
@@ -190,7 +217,7 @@ class TestCompiledKernelIsExact:
         )
         assert_exact(functions, [([1, 2], 3), ([-4, 5], 7), ([0, 0], 1)])
 
-    def test_program_of_more_than_2000_terms(self):
+    def test_program_of_more_than_2000_terms(self, kernel_bodies):
         rng = random.Random(93)
         names = ("a", "b", "c")
         exponents = [e for e in product(range(22), repeat=3) if sum(e) <= 21]
@@ -200,8 +227,9 @@ class TestCompiledKernelIsExact:
         functions = (RationalFunction(numerator, 1 + a**2 + b * c), RationalFunction(a, 1 + a**2 + b * c))
         assert_exact(functions, [([1, -2, 3], 5), ([2, 1, 1], 1)])
         # the long sum is split into bounded statements
-        source, _ = EvaluationKernel(functions)._source()
-        assert max(line.count(" + ") + line.count(" - ") for line in source.splitlines()) <= _TERMS_PER_STATEMENT
+        (body,) = kernel_bodies
+        assert max(line.count(" + ") + line.count(" - ") for line in body) <= _TERMS_PER_STATEMENT
+        assert sum(line.startswith("v0 = ") for line in body) > 2000 // _TERMS_PER_STATEMENT
 
     def test_pole_names_the_first_function(self):
         x, y = variables("x y")
@@ -233,6 +261,22 @@ class TestCompiledKernelIsExact:
         kernel = EvaluationKernel(())
         assert kernel.pairs([], 1) == []
         assert kernel.pairs([1, 2], 3) == []
+
+    def test_compiled_when_built_and_never_again(self, kernel_bodies):
+        x, y = variables("x y")
+        kernel = EvaluationKernel((RationalFunction(x, y + 1), RationalFunction(y, y + 1)))
+        assert len(kernel_bodies) == 1
+        assert [kernel.pairs([1, 2], 3) for _ in range(3)] == [[(1, 5), (2, 5)]] * 3
+        assert len(kernel_bodies) == 1
+        # the kernel keeps its arity and its compiled function, no plan
+        assert EvaluationKernel.__slots__ == ("_arity", "_compiled")
+
+    def test_each_kernel_has_a_file_name_of_its_own(self):
+        x, y = variables("x y")
+        functions = (RationalFunction(x, y + 1),)
+        names = [EvaluationKernel(functions)._compiled.__code__.co_filename for _ in range(2)]
+        assert names[0] != names[1]
+        assert all(re.fullmatch(r"<evaluation kernel \d+>", name) for name in names)
 
 
 class TestPoles:
@@ -297,42 +341,50 @@ class TestIntegerSampler:
 
 class TestSharing:
     @pytest.mark.parametrize("system_name", ["trapezoid_toric_system", "square_system"])
-    def test_toric_denominator_is_one_program(self, request, system_name):
+    def test_toric_denominator_is_one_program(self, request, system_name, kernel_bodies):
         system = request.getfixturevalue(system_name)
         assert len({f.denominator for f in system.functions}) == 1
-        kernel = system._kernel
+        EvaluationKernel(system.functions)
+        programs, poles, pairs = written_plan(kernel_bodies[0])
         numerators = {f.numerator for f in system.functions}
-        assert len(kernel._programs) == len(numerators) + 1
-        # every function reads the one denominator program
-        assert len({pair[2] for pair in kernel._pairs}) == 1
+        assert len(programs) == len(numerators) + 1
+        # every function reads the one denominator program, tested once for a pole
+        assert len(pairs) == len(system.functions)
+        assert len({d for _, d in pairs}) == 1
+        assert len(poles) == 1
 
-    def test_denominators_equal_up_to_content_share_a_program(self):
+    def test_denominators_equal_up_to_content_share_a_program(self, kernel_bodies):
         # binomial weights make canonical denominators differ by constant factors
         system = box(2, 2)
         assert len({f.denominator for f in system.functions}) > 1
-        kernel = system._kernel
-        assert len({pair[2] for pair in kernel._pairs}) == 1
-        assert len(kernel._programs) == len(system.functions) + 1
+        system._kernel
+        programs, poles, pairs = written_plan(kernel_bodies[0])
+        assert len(pairs) == len(system.functions)
+        assert len({d for _, d in pairs}) == 1
+        assert len(poles) == 1
+        assert len(programs) == len(system.functions) + 1
 
-    def test_shared_denominator_is_evaluated_once_per_sample(self, trapezoid_toric_system):
+    def test_shared_denominator_is_evaluated_once_per_sample(self, trapezoid_toric_system, kernel_bodies):
         system = BlendingSystem(
             trapezoid_toric_system.config, trapezoid_toric_system.weights,
             trapezoid_toric_system.functions, "toric", trapezoid_toric_system.variables,
         )
-        kernel = system._kernel
-        (denominator,) = {pair[2] for pair in kernel._pairs}
-        source, _ = kernel._source()
-        # the denominator has fewer terms than one statement sums, so one line computes it
-        lines = [n for n, line in enumerate(source.splitlines(), 1) if line.strip().startswith(f"v{denominator} =")]
+        code = system._kernel._compiled.__code__
+        (body,) = kernel_bodies
+        _, _, pairs = written_plan(body)
+        (denominator,) = {d for _, d in pairs}
+        # the denominator has fewer terms than one statement sums, so one line computes it;
+        # body line i is line i + 1 of the compiled function
+        lines = [code.co_firstlineno + 1 + i for i, line in enumerate(body) if line.startswith(f"{denominator} =")]
         assert len(lines) == 1
         executed = Counter()
 
         def trace_lines(frame, event, arg):
-            executed[frame.f_lineno] += event == "line"
+            executed[frame.f_code.co_filename, frame.f_lineno] += event == "line"
             return trace_lines
 
         def trace_calls(frame, event, arg):
-            return trace_lines if frame.f_code.co_filename == "<evaluation kernel>" else None
+            return trace_lines if frame.f_code.co_filename.startswith("<evaluation kernel ") else None
 
         previous = sys.gettrace()
         sys.settrace(trace_calls)
@@ -342,7 +394,7 @@ class TestSharing:
             sys.settrace(previous)
         assert (report.toric_membership, report.interior_positivity) == (True, True)
         # 20 samples, 20 calls of the compiled code, each computing the denominator once
-        assert [executed[n] for n in lines] == [20]
+        assert [executed[code.co_filename, n] for n in lines] == [20]
 
     def test_kernel_is_planned_once_per_system(self, beta_tilde_system):
         assert beta_tilde_system._kernel is beta_tilde_system._kernel

@@ -1,8 +1,10 @@
 """Closed-form estimates, Birch residuals, the IPS oracle, and likelihood."""
 
+import cProfile
 import math
 import operator
 import os
+import pstats
 import random
 import re
 import subprocess
@@ -622,6 +624,23 @@ class TestCompiledIpsUpdate:
         u = random_data_vectors(1, 4, seed=73)[0]
         assert ips_fit(copy, square_system.weights, u) == ips_fit(dm, square_system.weights, u)
         assert len(compiled) == 2 and copy._ips_update is not update and dm._ips_update is update
+
+    def test_a_profile_lists_each_design_update_apart(self):
+        profiler = cProfile.Profile()
+        iterations = {}
+        for name in ("one-term-columns", "repeated-design-row"):
+            dm, w = GENERATED[name]()
+            u = random_data_vectors(1, dm.n_columns, seed=75)[0]
+            fitted = profiler.runcall(ips_fit, dm, w, u).iterations
+            iterations[dm._ips_update.__code__.co_filename] = fitted
+        updates = {
+            file: calls for (file, _, function), (_, calls, *_) in pstats.Stats(profiler).stats.items()
+            if function == "update"
+        }
+        # two entries, each counting every step of its own design's fits
+        assert len(updates) == 2 and all(iterations.values())
+        assert updates == iterations
+        assert all(re.fullmatch(r"<ips update \d+>", file) for file in updates)
 
 
 class TestExactEstimatorMatchesTheFractionReference:
