@@ -246,11 +246,12 @@ def _cmd_tfp(args) -> int:
         elif not verify_linear_precision(factor):
             print(f"warning: {name} factor lacks linear precision", file=sys.stderr)
     system, product = tfp_blending(sys_b, sys_c, grading, form=args.form)
+    # Formed before anything is printed: a zero class sum raises here.
+    functions = system.functions
 
     def lines():
-        weights = ", ".join(rational_str(w) for w in product.weights.weights)
-        yield f"{len(product.config.points)} points, weights ({weights})"
-        for label, point, f in zip(product.config.labels, product.config.points, system.functions):
+        yield f"{len(product.config.points)} points, weights ({', '.join(map(rational_str, product.weights.weights))})"
+        for label, point, f in zip(product.config.labels, product.config.points, functions):
             yield f"{label} = {list(point)}: {f}"
 
     _emit(args, lines, lambda: {

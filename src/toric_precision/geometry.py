@@ -67,9 +67,9 @@ class Facet(NamedTuple):
     normal: IntVector
     offset: int
 
-    def distance(self, xs: Sequence[int], q: int = 1) -> int:
-        """``<xs, n> + a * q``: q times the lattice distance of the point ``xs / q``."""
-        return sum(map(mul, xs, self.normal)) + self.offset * q
+    def distance(self, point: Sequence[int]) -> int:
+        """``<point, n> + a``: the lattice distance of the point."""
+        return sum(map(mul, point, self.normal)) + self.offset
 
 
 class LatticePolytope(Frozen):

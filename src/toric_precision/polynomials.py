@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import count
+from itertools import count, pairwise
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -499,11 +499,14 @@ class EvaluationKernel:
 
     Coordinate ``i`` is ``x{i}``, its power ``e`` is ``x{i}_{e}``, monomial
     ``j`` is ``m{j}`` and program ``p`` is ``v{p}``, each written when first
-    met (:class:`_Written`).  Integers enter as bound values, never as text,
-    since an int of more than 4300 digits has no text under Python's
-    default limit; a factor 1 is left out.  Each statement sums at most
-    ``_TERMS_PER_STATEMENT`` terms.  A program is tested for a pole after
-    the first function that reads it as a denominator, and names that
+    met (:class:`_Written`).  Only the powers the monomials read are
+    written, in increasing order, each the power written before it times
+    ``x{i}``, or times ``x{i} ** gap`` for a gap over 1, so ``x1**100000``
+    costs one statement, not 99,999.  Integers enter as bound values, never
+    as text, since an int of more than 4300 digits has no text under
+    Python's default limit; a factor 1 is left out.  Each statement sums
+    at most ``_TERMS_PER_STATEMENT`` terms.  A program is tested for a pole
+    after the first function that reads it as a denominator, and names that
     function's denominator.
     """
 
@@ -563,8 +566,9 @@ class EvaluationKernel:
                 body.append(f"if not {d}: raise _pole(d{d}, xs, q)")
             pairs.append(f"({times(n, constants[cn])}, {times(d, constants[cd])})")
         body.append(f"return [{', '.join(pairs)}]")
-        for x, top in zip(coordinates, map(max, zip(*monomials))):
-            head += [f"{x}_{e} = {power(x, e - 1)} * {x}" for e in range(2, top + 1)]
+        for x, read in zip(coordinates, map(set, zip(*monomials))):
+            steps = pairwise(sorted(read - {0} | {1}))
+            head += [f"{x}_{e} = {power(x, d)} * {x if e - d == 1 else f'{x} ** {e - d}'}" for d, e in steps]
         self._compiled = straight_line("evaluation kernel", "pairs", "xs, q", head + body, bound)
 
     def pairs(self, xs: Sequence[int], q: int) -> list[tuple[int, int]]:

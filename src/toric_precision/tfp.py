@@ -24,6 +24,13 @@ and degree maps that hold there; a grading from :func:`validate_multigrading`
 remembers the points it was validated on, and is validated again only on
 other points.  A product loaded from JSON, or copied with ``_replace``, has
 no factors: it is sampled, and its identities are summed over its functions.
+
+A class sum of 0 in the chosen factor raises ZeroClassSumError when the
+product's functions are first formed: on reading ``functions``, ``==``,
+``_replace``, JSON output, :func:`~toric_precision.mle.mle_closed_form`, or
+any check that needs them.  Such a factor passes neither its identities nor
+strict positivity, so its product's checks fall back to the functions, and
+no check returns a verdict for it.
 """
 
 from __future__ import annotations
@@ -171,9 +178,8 @@ def enumerate_product_indices(
 
     j and k are 1-based positions inside the class, following configuration order.
     """
-    r = max(assignment_b)
     out = []
-    for i in range(1, r + 1):
+    for i in range(1, max(assignment_b) + 1):
         b_positions = [idx for idx, a in enumerate(assignment_b) if a == i]
         c_positions = [idx for idx, a in enumerate(assignment_c) if a == i]
         for j, bi in enumerate(b_positions, start=1):
@@ -197,10 +203,7 @@ def tfp_configuration(
     weight products, point (i, j, k) in class i of the same degrees."""
     if len(wB) != len(B.config.points) or len(wC) != len(C.config.points):
         raise ValueError("weights do not match configurations")
-    points = []
-    weights = []
-    classes = []
-    labels = []
+    points, weights, classes, labels = [], [], [], []
     for i, j, k, bi, ci in enumerate_product_indices(B.assignment, C.assignment):
         points.append(B.config.points[bi] + C.config.points[ci])
         weights.append(wB[bi] * wC[ci])
@@ -215,17 +218,18 @@ def _product_variables(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[str,
     return tuple([f"x{i + 1}" for i in range(sysB.config.dim)] + [f"y{i + 1}" for i in range(sysC.config.dim)])
 
 
-def _placed_factors(sysB: BlendingSystem, sysC: BlendingSystem) -> tuple[list, list]:
-    """The factors' functions placed into the product's variables x1.., y1..,
-    the first factor's at offset 0 and the second's after them."""
-    dB, names = sysB.config.dim, _product_variables(sysB, sysC)
-    return [f.placed(names, 0) for f in sysB.functions], [f.placed(names, dB) for f in sysC.functions]
-
-
-def _class_sums(functions: Sequence[RationalFunction], assignment: Sequence[int], r: int) -> list[RationalFunction]:
-    """S_i, the sum of the class-i functions, for i = 1..r (every class
-    nonempty, once :func:`_graded_factors` has checked the grading)."""
-    return [sum_rational_functions(f for f, a in zip(functions, assignment) if a == i) for i in range(1, r + 1)]
+def _class_sums(
+    system: BlendingSystem, assignment: Sequence[int], r: int, names: tuple[str, ...], offset: int
+) -> list[RationalFunction]:
+    """S_i, the sum of a factor's class-i functions for i = 1..r, summed over
+    the factor's own variables and placed into the product's variables
+    ``names`` at ``offset`` (every class nonempty, once
+    :func:`_graded_factors` has checked the grading).  Placing pads
+    exponents, so it gives the sum of the placed functions, term for term."""
+    return [
+        sum_rational_functions(f for f, a in zip(system.functions, assignment) if a == i).placed(names, offset)
+        for i in range(1, r + 1)
+    ]
 
 
 def _graded_factors(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading) -> tuple[GradedConfiguration, ...]:
@@ -239,14 +243,21 @@ def _graded_factors(sysB: BlendingSystem, sysC: BlendingSystem, g: Multigrading)
 
 def _product_functions(factors: tuple[BlendingSystem, ...], g: Multigrading, form: str) -> tuple[RationalFunction, ...]:
     """The functions of the product :func:`tfp_blending` built from ``factors``
-    (its record), each f_j * f_k / S_i over the placed factors."""
-    fB, fC = _placed_factors(*factors)
-    chosen = (fB, g.assignment_b) if form == "B" else (fC, g.assignment_c)
-    denominators = _class_sums(*chosen, g.num_classes)
-    return tuple([
-        fB[bi] * fC[ci] / denominators[i - 1]
-        for i, _, _, bi, ci in enumerate_product_indices(g.assignment_b, g.assignment_c)
-    ])
+    (its record), each f_j * f_k / S_i over the factors' functions placed
+    into the product's variables x1.., y1..; a class sum of 0 in the chosen
+    factor raises ZeroClassSumError naming the factor and the class."""
+    sysB, sysC = factors
+    names, dB = _product_variables(sysB, sysC), sysB.config.dim
+    if form == "B":
+        factor, denominators = "first", _class_sums(sysB, g.assignment_b, g.num_classes, names, 0)
+    else:
+        factor, denominators = "second", _class_sums(sysC, g.assignment_c, g.num_classes, names, dB)
+    for i, total in enumerate(denominators, start=1):
+        if total.is_zero:
+            raise ZeroClassSumError(f"the {factor} factor's class-{i} functions sum to 0")
+    fB, fC = [f.placed(names, 0) for f in sysB.functions], [f.placed(names, dB) for f in sysC.functions]
+    indices = enumerate_product_indices(g.assignment_b, g.assignment_c)
+    return tuple([fB[bi] * fC[ci] / denominators[i - 1] for i, _, _, bi, ci in indices])
 
 
 def tfp_blending(
@@ -260,25 +271,21 @@ def tfp_blending(
 
     The function for product point (i, j, k) is f_j * f_k divided by the
     class-i sum of the chosen factor ("B" or "C" denominator).  No product
-    function is formed here: the system keeps both factor systems, the
-    grading and the form, from which its checks are decided (see the module
-    docstring) and its functions are formed on first read.  Then the
-    factors' functions are placed once into the product's variables x1..,
-    y1.. by padding exponents, so every product function and class sum is
-    built over one variable tuple.  A class sum of 0 in the chosen factor
-    raises ZeroClassSumError naming the factor and the class; dependent
-    degree vectors raise DependentDegreesError, and classes that admit no
-    affine degree map on a factor's points raise NoDegreeMapError.
+    function or class sum is formed here: the system keeps both factor
+    systems, the grading and the form, from which its checks are decided
+    (see the module docstring) and its functions are formed on first read.
+    Then the factors' functions and the chosen factor's class sums are
+    placed into the product's variables x1.., y1.. by padding exponents, so
+    every product function is built over one variable tuple.  A class sum
+    of 0 in the chosen factor raises ZeroClassSumError, naming the factor
+    and the class, when the functions are formed, not here.  Dependent
+    degree vectors raise DependentDegreesError here, and classes that admit
+    no affine degree map on a factor's points raise NoDegreeMapError.
     """
     if form not in ("B", "C"):
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
     B, C = _graded_factors(sysB, sysC, g)
     product = tfp_configuration(B, sysB.weights, C, sysC.weights, g)
-    # Placing keeps a sum zero or nonzero, so the factor's own functions are summed.
-    factor, chosen, assignment = ("first", sysB, g.assignment_b) if form == "B" else ("second", sysC, g.assignment_c)
-    for i, total in enumerate(_class_sums(chosen.functions, assignment, g.num_classes), start=1):
-        if total.is_zero:
-            raise ZeroClassSumError(f"the {factor} factor's class-{i} functions sum to 0")
     # Every field but functions, which only a product leaves to its cached property.
     system = object.__new__(BlendingSystem)
     system.__dict__.update(
@@ -315,8 +322,8 @@ def verify_form_agreement(
     B, C = _graded_factors(sysB, sysC, g)
     if _factors_certify((sysB, sysC), samples, seed, IDENTITIES):
         return True
-    fB, fC = _placed_factors(sysB, sysC)
+    names, r, dB = _product_variables(sysB, sysC), g.num_classes, sysB.config.dim
     span = _affine_span_substitution(tfp_configuration(B, sysB.weights, C, sysC.weights, g).config)
-    sums = zip(_class_sums(fB, g.assignment_b, g.num_classes), _class_sums(fC, g.assignment_c, g.num_classes))
+    sums = zip(_class_sums(sysB, g.assignment_b, r, names, 0), _class_sums(sysC, g.assignment_c, r, names, dB))
     crossed = ((s_b.numerator * s_c.denominator, s_c.numerator * s_b.denominator) for s_b, s_c in sums)
     return all(not _vanishes_on(b, span) and _vanishes_on(c - b, span) for b, c in crossed)

@@ -136,6 +136,15 @@ class TestVerify:
         assert f"input error: {path}{field}" in err
 
 
+    def test_zero_denominator_is_named(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("trapezoid_beta_tilde.json").read_text(encoding="utf-8"))
+        data["functions"][2]["den"] = []
+        path = tmp_path / "zero_den.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}.functions[2].den: zero denominator\n"
+
     def test_stray_configuration_key_exits_2(self, capsys, tmp_path):
         # Weights on a bare configuration used to be dropped, and verify
         # passed all four checks for unit weights that were never given.
@@ -424,6 +433,15 @@ class TestTfp:
         code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json", "--system-c", str(path))
         assert (code, out) == (2, "")
         assert err == f"input error: {path}.weights: system weights do not match the graded model\n"
+
+    def test_system_points_must_match_the_model(self, capsys, tmp_path):
+        data = json.loads(resolve_input_path("trapezoid_beta_tilde.json").read_text(encoding="utf-8"))
+        data["config"]["points"][:2] = data["config"]["points"][1::-1]  # the same points, two swapped
+        path = tmp_path / "beta_points.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "tfp", "square.json", "trapezoid.json", "--system-c", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: system points do not match the graded model\n"
 
     def test_gap_in_the_assignment(self, capsys, tmp_path):
         data = json.loads(resolve_input_path("square.json").read_text(encoding="utf-8"))

@@ -217,6 +217,17 @@ class TestCompiledKernelIsExact:
         )
         assert_exact(functions, [([1, 2], 3), ([-4, 5], 7), ([0, 0], 1)])
 
+    def test_only_the_powers_read_are_written(self, kernel_bodies):
+        (x,) = variables("x1")
+        # homogenised, x1^100000 + 1 reads x1 and q to the power 100000 alone
+        kernel = EvaluationKernel([RationalFunction(x**100000 + 1)])
+        (body,) = kernel_bodies
+        assert len([line for line in body if re.match(r"(x\d+|q)_\d+ = ", line)]) <= 2
+        ((n, d),) = kernel.pairs([1], 2)
+        assert Fraction(n, d) == 1 + Fraction(1, 2**100000)
+        # gaps of 1, 2 and 4 between the powers read
+        assert_exact((RationalFunction(x**3 + 2 * x**7, 1 + x**8),), [([3], 2), ([-1], 5), ([0], 1)])
+
     def test_program_of_more_than_2000_terms(self, kernel_bodies):
         rng = random.Random(93)
         names = ("a", "b", "c")

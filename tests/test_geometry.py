@@ -18,7 +18,7 @@ from toric_precision.geometry import (
     lattice_distance_forms,
     sample_interior,
 )
-from toric_precision.polynomials import Polynomial, integer_point
+from toric_precision.polynomials import Polynomial
 
 
 def lattice_distances(poly, point):
@@ -26,8 +26,8 @@ def lattice_distances(poly, point):
     order; ValueError when the point's dimension is not the polytope's."""
     if len(point) != poly.dim:
         raise ValueError(f"point {tuple(point)} has dimension {len(point)}, the polytope has dimension {poly.dim}")
-    xs, q = integer_point(point)
-    return tuple(Fraction(f.distance(xs, q), q) for f in poly.facets)
+    point = [Fraction(x) for x in point]
+    return tuple(f.distance(point) for f in poly.facets)
 
 
 def lattice_points(poly):

@@ -321,17 +321,36 @@ def with_zero_class(system, kept, cancelled):
     return system._replace(functions=tuple(functions))
 
 
+def assert_raised_when_formed(sysB, sysC, g, form, message):
+    """tfp_blending returns the product unexpanded, and forming its functions
+    raises ZeroClassSumError with ``message``: on reading them, from the
+    report, on a copy and on JSON output."""
+    system, _ = tfp_blending(sysB, sysC, g, form)
+    assert unexpanded(system)
+    for form_functions in (
+        lambda: system.functions,
+        lambda: verify_rational_linear_precision(system),
+        system._replace,
+        lambda: blending_system_to_json(system),
+    ):
+        with pytest.raises(ZeroClassSumError, match=message):
+            form_functions()
+
+
 class TestZeroClassSum:
+    """A chosen factor whose class sum is 0 raises when the product's
+    functions are formed, not when the product is built."""
+
     def test_form_b_names_the_first_factor(self, square_system, beta_tilde_system, square_trapezoid_grading):
         zero = with_zero_class(square_system, 0, 1)  # square class 1 is points 0 and 1
-        with pytest.raises(ZeroClassSumError, match="^the first factor's class-1 functions sum to 0$"):
-            tfp_blending(zero, beta_tilde_system, square_trapezoid_grading, "B")
+        message = "^the first factor's class-1 functions sum to 0$"
+        assert_raised_when_formed(zero, beta_tilde_system, square_trapezoid_grading, "B", message)
         assert issubclass(ZeroClassSumError, ToricPrecisionError)
 
     def test_form_c_names_the_second_factor(self, square_system, beta_tilde_system, square_trapezoid_grading):
         zero = with_zero_class(beta_tilde_system, 3, 4)  # trapezoid class 2 is points 3 and 4
-        with pytest.raises(ZeroClassSumError, match="^the second factor's class-2 functions sum to 0$"):
-            tfp_blending(square_system, zero, square_trapezoid_grading, "C")
+        message = "^the second factor's class-2 functions sum to 0$"
+        assert_raised_when_formed(square_system, zero, square_trapezoid_grading, "C", message)
 
     def test_only_the_chosen_denominator_matters(self, square_system, beta_tilde_system, square_trapezoid_grading):
         zero = with_zero_class(beta_tilde_system, 3, 4)
@@ -881,6 +900,17 @@ class TestProductsFormedOnFirstRead:
         report = verify_rational_linear_precision(system)
         assert not unexpanded(system)
         assert report == verify_rational_linear_precision(system._replace())
+
+    @pytest.mark.parametrize("form", ["B", "C"])
+    def test_a_five_rung_chain_forms_no_rung(
+        self, form, square_system, square_graded, beta_tilde_system, square_trapezoid_grading
+    ):
+        # in form B every rung but the first divides by the class sums of the rung before it
+        built, top = self.chain_of(square_system, square_graded, beta_tilde_system, square_trapezoid_grading, form, 5)
+        rungs = [sysB for sysB, _, _ in built[1:]] + [top]
+        assert [len(rung.config.points) for rung in rungs] == [10, 20, 40, 80, 160]
+        assert verify_rational_linear_precision(top).all_pass
+        assert all(map(unexpanded, rungs))
 
     @pytest.mark.parametrize("form", ["B", "C"])
     def test_the_first_read_equals_an_eager_build(
