@@ -57,6 +57,7 @@ from .geometry import (
     Facet,
     LatticePolytope,
     PointConfiguration,
+    _affine_basis,
     _differences,
     _integer_samples,
     design_matrix,
@@ -242,11 +243,11 @@ def _affine_span_substitution(config: PointConfiguration) -> list[Polynomial] | 
     Returns one polynomial per ambient coordinate, in fresh variables
     t1..ts where s is the affine dimension.
     """
-    differences = _differences(config.points)
-    # d rows of the transposed differences eliminate faster than n - 1 rows
-    if linalg.rank(list(zip(*differences))) == config.dim:
+    if len(_affine_basis(config.points)) == config.dim + 1:
         return None
-    basis, _ = linalg._echelon(differences)
+    # Echelon rows, zero in every other pivot column, substitute sparser
+    # images than the basis points' own differences.
+    basis, _ = linalg._echelon(_differences(config.points))
     t_names = tuple(f"t{i + 1}" for i in range(len(basis)))
     images = []
     for c in range(config.dim):

@@ -50,7 +50,7 @@ from .horn import (
     tfp_horn_pair,
     validate_horn_pair,
 )
-from .mle import DataVector, IpsResult, birch_certificate, birch_residual, ips_fit, mle_closed_form
+from .mle import DataVector, IpsResult, _barycenter_values, birch_certificate, birch_residual, ips_fit
 from .serialize import rational_str
 from .tfp import GradedModel, tfp_blending, validate_multigrading
 
@@ -315,24 +315,26 @@ def _cmd_horn_minimize(args) -> int:
 def _cmd_mle(args) -> int:
     system = _as_system(*_load(args.model, "model"))
     u = _parse_data(args.data, system.config.effective_labels())
-    estimate = mle_closed_form(system, u)
+    # The values, not a Distribution: a system that is no closed form may give
+    # a negative entry or a sum other than 1, which the certificate names.
+    estimate = _barycenter_values(system, u)
     dm = design_matrix(system.config)
     residual = birch_residual(dm, u, estimate)
     ips = _fit(args, system.config, dm, system.weights, u)
-    agreement = max(abs(float(e) - f) for e, f in zip(estimate.probs, ips.distribution.probs))
+    agreement = max(abs(float(e) - f) for e, f in zip(estimate, ips.distribution.probs))
     failure = birch_certificate(dm, system.weights, u, estimate)
     certificate = "pass" if failure is None else f"FAIL ({failure})"
     _emit(
         args,
         lambda: [
-            "exact: (" + ", ".join(rational_str(p) for p in estimate.probs) + ")",
+            "exact: (" + ", ".join(rational_str(p) for p in estimate) + ")",
             "birch_residual: (" + ", ".join(rational_str(r) for r in residual) + ")",
             f"ips: ({', '.join(repr(p) for p in ips.distribution.probs)}) in {ips.iterations} iterations",
             f"ips_agreement: {agreement:.3e}",
             f"certificate: {certificate}",
         ],
         lambda: {
-            "exact": [rational_str(p) for p in estimate.probs],
+            "exact": [rational_str(p) for p in estimate],
             "float": list(ips.distribution.probs),
             "birch_residual": [rational_str(r) for r in residual],
             "iterations": ips.iterations,

@@ -2,7 +2,8 @@
 
 Facets come from an incremental double-description hull whose time grows
 with the output, not with the number of point subsets.  The first facets
-are those of a simplex on the input, each with the primitive normal of the
+are those of the simplex on the input's affine basis (:func:`_affine_basis`,
+found by one elimination), each with the primitive normal of the
 kernel of its difference vectors, found by the integer elimination of
 :mod:`~toric_precision.linalg`; later facets are integer combinations of
 two adjacent ones, so hull construction runs in Python integers.
@@ -105,6 +106,15 @@ def _differences(points: Sequence[IntVector]) -> list[list[int]]:
     return [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
 
 
+def _affine_basis(points: Sequence[IntVector]) -> list[int]:
+    """Indices of an affine basis: the first point, then each point outside
+    the affine span of those before it, found by one elimination of the
+    d x (n - 1) transposed difference matrix.  No points have the empty basis."""
+    if not points:
+        return []
+    return [0] + [i + 1 for i in linalg.independent_rows(_differences(points))]
+
+
 def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     """Irredundant facet description of the convex hull of a configuration.
 
@@ -120,14 +130,9 @@ def convex_hull_facets(config: PointConfiguration) -> LatticePolytope:
     """
     d = config.dim
     points = list(dict.fromkeys(config.points))
-    simplex = points[:1]
-    for p in points[1:]:
-        if len(simplex) <= d and linalg.rank(_differences(simplex + [p])) == len(simplex):
-            simplex.append(p)
+    simplex = [points[i] for i in _affine_basis(points)]
     if len(simplex) <= d:
-        raise NotFullDimensionalError(
-            f"points affinely span dimension {linalg.rank(_differences(points))} < {d}"
-        )
+        raise NotFullDimensionalError(f"points affinely span dimension {len(simplex) - 1} < {d}")
     points = simplex + [p for p in points if p not in simplex]
     # A facet is (Facet, tight) where bit i of tight stands for points[i].
     facets = []

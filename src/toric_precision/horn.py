@@ -195,8 +195,7 @@ def _symbolic_sum_to_one(pair: HornPair) -> bool:
     (:func:`_factored_columns`), and :func:`~toric_precision.polynomials.lcm_sum`
     adds them over the exponent-wise lcm.  The identity depends on the counts
     u only through the forms, each written in the basis; u -> z maps onto
-    Q^rho, so it holds in u exactly when in z.  On the 24 x 20 pair of square
-    x beta-tilde x square: about 9 ms, against 2.8 s over u (2-vCPU x86-64).
+    Q^rho, so it holds in u exactly when in z.
     """
     columns = _factored_columns(pair)
     forms = list(dict.fromkeys(form for _, exponents in columns for form in exponents))

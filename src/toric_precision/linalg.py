@@ -17,9 +17,10 @@ from typing import Sequence
 
 
 def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by the gcd of its entries; a zero row stays zero."""
-    g = gcd(*row) or 1
-    return [x // g for x in row]
+    """The integer row divided by the gcd of its entries; a row with gcd 1,
+    or a zero row, is returned as it is."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
@@ -65,8 +66,9 @@ def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:
 
 
 def in_row_span(rows: Sequence[Sequence[int | Fraction]], vector: Sequence[int | Fraction]) -> bool:
-    base = rank(rows)
-    return rank(list(rows) + [list(vector)]) == base
+    """Whether the vector is a combination of the rows, from one elimination:
+    put after them, it is not among the independent rows."""
+    return len(rows) not in independent_rows([*rows, vector])
 
 
 def solve(

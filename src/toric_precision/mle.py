@@ -87,6 +87,9 @@ class Distribution(Frozen):
     def __getitem__(self, index: int):
         return self.probs[index]
 
+    def __iter__(self):
+        return iter(self.probs)
+
 
 def mle_closed_form(sys: BlendingSystem, u: DataVector) -> Distribution:
     """Evaluate the blending system at the data barycenter.
@@ -94,15 +97,20 @@ def mle_closed_form(sys: BlendingSystem, u: DataVector) -> Distribution:
     For a system with rational linear precision this is the exact maximum
     likelihood estimate for counts u on the system's coordinates.
     """
+    return Distribution(_barycenter_values(sys, u), exact=True)
+
+
+def _barycenter_values(sys: BlendingSystem, u: DataVector) -> tuple[Fraction, ...]:
+    """The system's values at the data barycenter, which need be no
+    probability vector when the system is no model's closed form."""
     if len(u) != len(sys.config.points):
         raise ValueError("data length does not match configuration")
     # The barycenter sum_j u_j * p_j / |u| as integers over the total count.
     xs = [sum(map(mul, u.counts, column)) for column in zip(*sys.config.points)]
     try:
-        values = sys._values(xs, u.total)
+        return sys._values(xs, u.total)
     except PoleError as exc:
         raise PoleError(f"data barycenter {point_text(xs, u.total)} hits a pole: {exc}") from exc
-    return Distribution(values, exact=True)
 
 
 def tfp_marginal_counts(g: Multigrading, u: DataVector) -> tuple[DataVector, DataVector]:
@@ -147,17 +155,17 @@ def tfp_mle_combine(
 
 
 def birch_residual(
-    dm: DesignMatrix, u: DataVector, p: Distribution
+    dm: DesignMatrix, u: DataVector, p: Distribution | Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """Exact difference between model margins and empirical margins.
 
     All zeros certifies that the sufficient statistics match.  With p as
     integers xs over q and n the total count, row a's entry is
-    (A_a . xs * n - A_a . u * q) / (q * n).
+    (A_a . xs * n - A_a . u * q) / (q * n).  p may be any exact vector.
     """
     if len(u) != dm.n_columns or len(p) != dm.n_columns:
         raise ValueError("dimension mismatch")
-    xs, q = integer_point(p.probs)
+    xs, q = integer_point(p)
     n = u.total
     return tuple([
         Fraction(sum(map(mul, row, xs)) * n - sum(map(mul, row, u.counts)) * q, q * n)
@@ -165,26 +173,32 @@ def birch_residual(
     ])
 
 
-def birch_certificate(dm: DesignMatrix, w: WeightVector, u: DataVector, p: Distribution) -> str | None:
+def birch_certificate(
+    dm: DesignMatrix, w: WeightVector, u: DataVector, p: Distribution | Sequence[Fraction]
+) -> str | None:
     """Why p is not certified as the maximum likelihood estimate for counts u
     in the model of design dm and weights w, or None when it is.
 
     By Birch's theorem p is that estimate exactly when every entry is
-    positive, p lies on the weighted toric variety and the Birch residual is
-    zero.  Each is decided exactly, in that order, and the first that fails
-    is named: the entry that is not positive, the binomial of a kernel
-    vector, or the residual.  On the variety, prod_b (p_b / w_b)^(v_b) = 1
-    for each vector v of an integer kernel basis of the design, checked in
-    integers by the binomials of the sampled membership check with p as its
-    one sample.  A basis suffices: with positive entries, the identity on a
-    basis gives it on every integer kernel vector.
+    positive, the entries sum to 1, p lies on the weighted toric variety
+    and the Birch residual is zero.  Each is decided exactly, in that order,
+    and the first that fails is named: the entry that is not positive, the
+    sum, the binomial of a kernel vector, or the residual.  p may be any
+    exact vector, such as a system's values at the data barycenter.  On the
+    variety, prod_b (p_b / w_b)^(v_b) = 1 for each vector v of an integer
+    kernel basis of the design, checked in integers by the binomials of the
+    sampled membership check with p as its one sample.  A basis suffices:
+    with positive entries, the identity on a basis gives it on every integer
+    kernel vector.
     """
     if len(w) != dm.n_columns or len(u) != dm.n_columns or len(p) != dm.n_columns:
         raise ValueError("dimension mismatch")
-    for b, x in enumerate(p.probs):
+    for b, x in enumerate(p):
         if not x > 0:
             return f"entry {b} is {x}, not positive"
-    xs, q = integer_point(p.probs)
+    xs, q = integer_point(p)
+    if sum(xs) != q:
+        return f"entries sum to {Fraction(sum(xs), q)}, not 1"
     failure = _membership_check(dm, w)(xs, q, [(x, q) for x in xs])
     if failure is not None:
         return failure

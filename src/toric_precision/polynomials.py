@@ -685,12 +685,9 @@ class RationalFunction:
     def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
         """Exact value at a rational point; raises PoleError on a vanishing denominator.
 
-        Each call builds and compiles a one-function :class:`EvaluationKernel`
-        (0.21 ms for the first beta-tilde function at (1/3, 1/4), against
-        0.033 ms for the interpreted evaluation before kernels were
-        compiled; 2 vCPUs, Python 3.11).  To evaluate a system at many
-        points, use ``BlendingSystem.evaluate``, whose kernel is compiled
-        once and cached on the system.
+        Each call builds and compiles a one-function :class:`EvaluationKernel`.
+        To evaluate a system at many points, use ``BlendingSystem.evaluate``,
+        whose kernel is compiled once and cached on the system.
         """
         if len(values) != len(self.variables):
             raise ValueError(f"expected {len(self.variables)} values for {self.variables}, got {len(values)}")

@@ -307,14 +307,9 @@ def data_vector_from_json(data: Any, labels: tuple[str, ...], path: str = "data"
     """Counts as a positional array, or an object keyed by model labels."""
     from .mle import DataVector
 
+    # (key, count) pairs, a key named in a message as path[key!r]
     if isinstance(data, list):
-        counts = []
-        for i, c in enumerate(data):
-            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                raise SchemaError(f"{path}[{i}]: expected a nonnegative integer")
-            counts.append(c)
-        if len(counts) != len(labels):
-            raise SchemaError(f"{path}: expected {len(labels)} counts, got {len(counts)}")
+        entries = list(enumerate(data))
     elif isinstance(data, dict):
         missing = [s for s in labels if s not in data]
         if missing:
@@ -322,16 +317,16 @@ def data_vector_from_json(data: Any, labels: tuple[str, ...], path: str = "data"
         unknown = [s for s in data if s not in labels]
         if unknown:
             raise SchemaError(f"{path}: unknown labels {unknown}")
-        counts = []
-        for s in labels:
-            c = data[s]
-            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                raise SchemaError(f"{path}[{s!r}]: expected a nonnegative integer")
-            counts.append(c)
+        entries = [(s, data[s]) for s in labels]
     else:
         raise SchemaError(f"{path}: expected an array or an object keyed by labels")
+    for key, c in entries:
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+            raise SchemaError(f"{path}[{key!r}]: expected a nonnegative integer")
+    if len(entries) != len(labels):
+        raise SchemaError(f"{path}: expected {len(labels)} counts, got {len(entries)}")
     try:
-        return DataVector(tuple(counts))
+        return DataVector(tuple([c for _, c in entries]))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -35,7 +35,7 @@ no check returns a verdict for it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -55,7 +55,7 @@ from .errors import (
     ZeroClassSumError,
 )
 from .frozen import Frozen
-from .geometry import PointConfiguration
+from .geometry import PointConfiguration, _affine_basis
 from .polynomials import RationalFunction, sum_rational_functions
 
 
@@ -121,21 +121,18 @@ class Multigrading(Frozen):
 def _check_degree_map(graded: GradedConfiguration, degrees: PointConfiguration, side: str) -> None:
     """Check that an affine map L with L(p) = degree(class of p) exists for all points.
 
+    Each degree coordinate of L is solved for at an affine basis of the
+    points, which fixes it on their span, and then checked at every point.
     Raises NoDegreeMapError with a witness constraint when infeasible.
     """
-    rows = [[Fraction(1)] + [Fraction(x) for x in p] for p in graded.config.points]
+    points = graded.config.points
+    basis = _affine_basis(points)
     for t in range(degrees.dim):
-        rhs = [Fraction(degrees.points[a - 1][t]) for a in graded.assignment]
-        if linalg.solve(rows, rhs) is not None:
-            continue
-        # Re-solve on a maximal independent subset, then name a violated point;
-        # one exists, since every row depends on the kept ones.
-        kept = linalg.independent_rows(rows)
-        candidate = linalg.solve([rows[i] for i in kept], [rhs[i] for i in kept])
-        for idx, (row, b) in enumerate(zip(rows, rhs)):
-            got = sum(r * c for r, c in zip(row, candidate))
+        rhs = [degrees.points[a - 1][t] for a in graded.assignment]
+        constant, *linear = linalg.solve([(1, *points[i]) for i in basis], [rhs[i] for i in basis])
+        for idx, (point, b) in enumerate(zip(points, rhs)):
+            got = constant + sum(map(mul, point, linear))
             if got != b:
-                point = graded.config.points[idx]
                 raise NoDegreeMapError(
                     f"no affine degree map for {side}: point {point} in class "
                     f"{graded.assignment[idx]} forces coordinate {t + 1} to {got}, "
@@ -161,8 +158,7 @@ def validate_multigrading(
         raise EmptyDegreeClassError(
             f"gradings use {B.num_classes} and {C.num_classes} classes for {r} degrees"
         )
-    columns = [[Fraction(a[t]) for a in A.points] for t in range(A.dim)]
-    if linalg.rank(columns) != r:
+    if linalg.rank(A.points) != r:
         raise DependentDegreesError(f"degree vectors {A.points} are linearly dependent")
     _check_degree_map(B, A, "the first factor")
     _check_degree_map(C, A, "the second factor")

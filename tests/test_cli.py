@@ -656,6 +656,29 @@ class TestMleVerbs:
         code, out, _ = run(capsys, "mle", str(path), "--data", "3,1,1,1", "--output", "json")
         assert (code, json.loads(out)["certificate"]) == (1, "FAIL (the binomial of kernel vector (1, -1, -1, 1) fails)")
 
+    @pytest.mark.parametrize(
+        "edit, exact, certificate",
+        [
+            (lambda f: (f[0] + 1, f[1] - 1, *f[2:]), "(13/9, -7/9, 2/9, 1/9)", "FAIL (entry 1 is -7/9, not positive)"),
+            (lambda f: (2 * f[0], *f[1:]), "(8/9, 2/9, 2/9, 1/9)", "FAIL (entries sum to 13/9, not 1)"),
+        ],
+        ids=["negative-entry", "sum-not-one"],
+    )
+    def test_values_that_are_no_distribution_fail_the_certificate(
+        self, capsys, tmp_path, square_system, edit, exact, certificate
+    ):
+        # Both systems are valid models that fail verify; their values at the
+        # barycenter of (3, 1, 1, 1) are no probability vector.
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(blending_system_to_json(square_system._replace(functions=edit(square_system.functions)))))
+        assert run(capsys, "verify", str(path))[0] == 1
+        code, out, err = run(capsys, "mle", str(path), "--data", "3,1,1,1")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == (f"exact: {exact}", f"certificate: {certificate}")
+        code, out, err = run(capsys, "mle", str(path), "--data", "3,1,1,1", "--output", "json")
+        assert (code, err, json.loads(out)["certificate"]) == (1, "", certificate)
+
     def test_ips(self, capsys):
         code, out, _ = run(capsys, "ips", "trapezoid.json", "--data", "1,1,1,1,1")
         assert code == 0

@@ -13,6 +13,7 @@ from toric_precision.geometry import (
     Facet,
     LatticePolytope,
     PointConfiguration,
+    _affine_basis,
     convex_hull_facets,
     design_matrix,
     lattice_distance_forms,
@@ -186,6 +187,37 @@ class TestConvexHullFacets:
         flat = PointConfiguration(2, ((0, 0), (1, 1), (2, 2)))
         with pytest.raises(NotFullDimensionalError):
             convex_hull_facets(flat)
+
+    def test_the_starting_simplex_is_one_elimination(self, monkeypatch):
+        # no rank per candidate point: one elimination finds the affine basis,
+        # then one nullspace per simplex facet
+        def no_rank(rows):
+            raise AssertionError("convex_hull_facets called linalg.rank")
+
+        eliminations = []
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        monkeypatch.setattr(linalg, "_echelon", lambda rows: eliminations.append(len(rows)) or echelon(rows))
+        cube = PointConfiguration(3, ((0, 0, 0), (1, 1, 1), (2, 2, 2)) + tuple(product((0, 2), repeat=3)))
+        assert len(convex_hull_facets(cube).facets) == 6
+        assert len(eliminations) == 1 + 4
+        with pytest.raises(NotFullDimensionalError, match=r"^points affinely span dimension 1 < 2$"):
+            convex_hull_facets(PointConfiguration(2, ((0, 0), (1, 1), (2, 2))))
+
+    def test_affine_basis_is_the_greedy_one(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            points = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.randint(1, 7))]
+            greedy = [0]
+            for i in range(1, len(points)):
+                differences = [[x - b for x, b in zip(points[j], points[0])] for j in greedy[1:] + [i]]
+                if linalg.rank(differences) == len(greedy):
+                    greedy.append(i)
+            assert _affine_basis(points) == greedy
+        assert _affine_basis([]) == []
+        with pytest.raises(NotFullDimensionalError, match=r"^points affinely span dimension -1 < 2$"):
+            convex_hull_facets(PointConfiguration(2, ()))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_integer_minors_match_rational_nullspace(self, d):

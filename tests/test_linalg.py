@@ -17,6 +17,23 @@ class TestRankAndSpan:
     def test_ones_in_span(self):
         assert linalg.in_row_span([[1, 0], [0, 1]], [1, 1])
         assert not linalg.in_row_span([[0, 1, 0, 1], [0, 0, 1, 1]], [1, 1, 1, 1])
+        assert not linalg.in_row_span([], [0, 1])
+        assert linalg.in_row_span([], [0, 0])
+
+    def test_in_row_span_is_one_elimination(self, monkeypatch):
+        eliminations = []
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda rows: eliminations.append(rows) or echelon(rows))
+        rng = random.Random(5)
+        for _ in range(30):
+            rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(rng.randint(1, 4))]
+            vector = [rng.randint(-1, 1) for _ in range(4)]
+            if rng.random() < 0.5:
+                vector = [a - 2 * b for a, b in zip(rows[0], rows[-1])]
+            del eliminations[:]
+            in_span = linalg.in_row_span(rows, vector)
+            assert len(eliminations) == 1
+            assert in_span == (linalg.rank(rows + [vector]) == linalg.rank(rows))
 
     def test_independent_rows_are_the_greedy_basis(self):
         assert linalg.independent_rows([[0, 0], [1, 2], [2, 4], [0, 1], [1, 1]]) == [1, 3]

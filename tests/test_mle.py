@@ -728,6 +728,16 @@ class TestBirchCertificate:
         p = Distribution((F("1/2"), F("1/2"), 0, 0))
         assert birch_certificate(dm, WeightVector.ones(4), DataVector((1, 1, 0, 0)), p) == "entry 2 is 0, not positive"
 
+    def test_any_exact_vector_is_certified(self, square_config):
+        # values that are no Distribution: a negative entry, then a sum other than 1
+        dm, w, u = design_matrix(square_config), WeightVector.ones(4), DataVector((3, 1, 1, 1))
+        shifted = (F("13/9"), F("-7/9"), F("2/9"), F("1/9"))
+        assert birch_certificate(dm, w, u, shifted) == "entry 1 is -7/9, not positive"
+        assert birch_residual(dm, u, shifted) == (0, -1, 0)
+        doubled = (F("8/9"), F("2/9"), F("2/9"), F("1/9"))
+        assert birch_certificate(dm, w, u, doubled) == "entries sum to 13/9, not 1"
+        assert birch_certificate(dm, w, u, (F("4/9"), F("2/9"), F("2/9"), F("1/9"))) is None
+
     def test_lengths_are_checked(self, square_config, square_system):
         dm = design_matrix(square_config)
         u = DataVector((3, 1, 1, 1))

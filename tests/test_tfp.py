@@ -88,12 +88,13 @@ class TestValidateMultigrading:
         assert Multigrading._fields == ("degrees", "assignment_b", "assignment_c")
 
     def test_no_covector_is_solved_for(self, square_graded, trapezoid_graded, degree_pair, monkeypatch):
-        # one solve per degree coordinate and factor, for the degree maps only
+        # one solve per degree coordinate and factor, for the degree maps only,
+        # each at the three points of the factor's affine basis
         calls = []
         solve = tfp.linalg.solve
         monkeypatch.setattr(tfp.linalg, "solve", lambda rows, rhs: calls.append(len(rows)) or solve(rows, rhs))
         validate_multigrading(square_graded, trapezoid_graded, degree_pair)
-        assert calls == [4, 4, 5, 5]
+        assert calls == [3, 3, 3, 3]
 
     def test_dependent_degrees(self, square_graded, trapezoid_graded):
         collinear = PointConfiguration(2, ((1, 0), (2, 0)))
